@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .closed_forms import gamma_form, intermediate_form, rho_form
+from .closed_forms import MAX_SYMBOLIC_PRIME, gamma_form, intermediate_form, rho_form
 from .errors import AmbientMismatchError
 from .local_pairing import TameFieldModel, hilbert, qk_split
 from .render import (
@@ -31,9 +31,6 @@ from .star_algebra import GammaAssignment, coboundary
 from .suites import SUITE_NAMES, run_suites
 from .torsion import basis, validate_odd_prime
 
-SLOW_EXPANSION_PRIME = 7
-MAX_EXPANSION_PRIME = 7
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,7 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     expand = sub.add_parser("expand", help="expand the p-th star power in closed form")
-    expand.add_argument("--p", type=int, required=True, help="odd prime, at most 7 here")
+    expand.add_argument(
+        "--p", type=int, required=True, help=f"odd prime, at most {MAX_SYMBOLIC_PRIME} here"
+    )
     expand.add_argument(
         "--form",
         choices=("gamma", "intermediate", "rho"),
@@ -51,11 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which expansion to print (default gamma)",
     )
     expand.add_argument("--latex", action="store_true", help="print LaTeX instead of JSON")
-    expand.add_argument(
-        "--allow-slow",
-        action="store_true",
-        help="permit the p=7 symbolic expansion (p^p-scale enumeration)",
-    )
     expand.set_defaults(func=cmd_expand)
 
     verify = sub.add_parser("verify", help="run a verification suite")
@@ -63,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q", type=int, default=None, help="residue prime for the local suite")
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument(
-        "--allow-slow", action="store_true", help="include the slow symbolic p=7 closed check"
-    )
     verify.set_defaults(func=cmd_verify)
 
     pair = sub.add_parser("pair", help="evaluate the split-reduction pairing value")
@@ -92,13 +83,12 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 
 def cmd_expand(args) -> int:
     p = validate_odd_prime(args.p)
-    if p > MAX_EXPANSION_PRIME:
+    if p > MAX_SYMBOLIC_PRIME:
         raise ValueError(
-            f"symbolic expansion at p={p} has p^p-scale terms; only p <= {MAX_EXPANSION_PRIME} "
-            "is supported here (use `verify` for the larger primes)"
+            f"the symbolic expansion at p={p} is too large to build (its origin coefficient "
+            f"has 32,066 terms already at p=11); only p <= {MAX_SYMBOLIC_PRIME} is supported "
+            "here (use `verify --suite closed` for the larger primes)"
         )
-    if p == SLOW_EXPANSION_PRIME and not args.allow_slow:
-        raise ValueError("the p=7 expansion enumerates 7^7 tuples; pass --allow-slow to run it")
     P, Q = basis(p)
     gamma = GammaAssignment.symbolic(p)
     if args.form == "gamma":
@@ -119,7 +109,7 @@ def cmd_expand(args) -> int:
 
 def cmd_verify(args) -> int:
     p = validate_odd_prime(args.p)
-    outcomes = run_suites(args.suite, p, q=args.q, seed=args.seed, allow_slow=args.allow_slow)
+    outcomes = run_suites(args.suite, p, q=args.q, seed=args.seed)
     failures = 0
     for suite_name, check in outcomes:
         status = "ok" if check.ok else "FAIL"

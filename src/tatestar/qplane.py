@@ -230,11 +230,3 @@ def norm_identity_sides(p: int) -> IdentityReport:
     t = LaurentPoly.variable(p, "t")
     rhs = (LaurentPoly.one(p) - t ** p) ** (p - 1)
     return IdentityReport(lhs, rhs)
-
-
-def brute_force_power(p: int, element: QPlaneElement, n: int) -> QPlaneElement:
-    """Left-to-right repeated product, for cross-checking the fast power."""
-    result = QPlaneElement.one(p)
-    for _ in range(n):
-        result = result * element
-    return result

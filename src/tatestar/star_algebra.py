@@ -300,10 +300,6 @@ class RhoAssignment:
         points = list(all_points(domain.p))
         return cls(domain, {(t1, t2): one for t1 in points for t2 in points})
 
-    @classmethod
-    def from_gamma(cls, gamma: GammaAssignment) -> RhoAssignment:
-        return coboundary(gamma)
-
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
         return self._values[(t1, t2)]
 

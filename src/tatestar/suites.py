@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .closed_forms import (
+    MAX_SYMBOLIC_PRIME,
     build_delta,
     gamma_form,
     intermediate_form,
@@ -171,15 +172,16 @@ def _four_way(gamma) -> tuple[bool, str]:
 def closed_suite(
     p: int,
     seed: int = 0,
-    allow_slow: bool = False,
     gamma_count: int = DEFAULT_GAMMA_COUNT,
 ) -> list[CheckResult]:
-    """Equality of the three closed expansions with the direct star power."""
+    """Equality of the three closed expansions with the direct star power.
+
+    A sweep of random gamma over F_q runs for p >= MAX_SYMBOLIC_PRIME, then the
+    exact check on the free symbolic gamma for p <= MAX_SYMBOLIC_PRIME, so
+    p = MAX_SYMBOLIC_PRIME runs both.
+    """
     results = []
-    if p in (3, 5):
-        ok, why = _four_way(GammaAssignment.symbolic(p))
-        results.append(CheckResult("closed-forms-symbolic", ok, why or "free gamma, exact"))
-    elif p == 7:
+    if p >= MAX_SYMBOLIC_PRIME:
         q = smallest_split_prime(p)
         domain = PrimeFieldCoefficients(p, q)
         rng = random.Random(seed)
@@ -196,13 +198,9 @@ def closed_suite(
                 failure or f"{gamma_count} random gamma over F_{q}",
             )
         )
-        if allow_slow:
-            ok, why = _four_way(GammaAssignment.symbolic(p))
-            results.append(CheckResult("closed-forms-symbolic", ok, why or "free gamma, exact"))
-    else:
-        raise ValueError(
-            f"the closed-form suite supports p in {{3, 5, 7}}; p={p} expansions have p^p terms"
-        )
+    if p <= MAX_SYMBOLIC_PRIME:
+        ok, why = _four_way(GammaAssignment.symbolic(p))
+        results.append(CheckResult("closed-forms-symbolic", ok, why or "free gamma, exact"))
     return results
 
 
@@ -299,11 +297,10 @@ def run_suites(
     p: int,
     q: int | None = None,
     seed: int = 0,
-    allow_slow: bool = False,
 ) -> list[tuple[str, CheckResult]]:
-    """Run one named suite, or every suite that applies at this p."""
+    """Run one named suite, or every suite."""
     if selection == "all":
-        names = [name for name in SUITE_NAMES if name != "closed" or p <= 7]
+        names = SUITE_NAMES
     elif selection in SUITE_NAMES:
         names = [selection]
     else:
@@ -313,7 +310,7 @@ def run_suites(
         if name == "star":
             checks = star_suite(p, seed)
         elif name == "closed":
-            checks = closed_suite(p, seed, allow_slow)
+            checks = closed_suite(p, seed)
         elif name == "qplane":
             checks = qplane_suite(p)
         elif name == "norm":

@@ -9,8 +9,6 @@ import json
 import random
 import time
 
-import pytest
-
 from tatestar.cli import main as cli_main
 from tatestar.closed_forms import (
     build_delta,
@@ -81,11 +79,10 @@ def test_criterion_2_numeric_p7():
             ok, time.time() - start, 300.0)
 
 
-@pytest.mark.slow
 def test_criterion_2_symbolic_p7():
     start = time.time()
     ok = _four_way_exact(GammaAssignment.symbolic(7))
-    _report(2, "symbolic four-way equality at p = 7 (slow)", ok, time.time() - start, 1800.0)
+    _report(2, "symbolic four-way equality at p = 7", ok, time.time() - start, 60.0)
 
 
 def test_criterion_3_specialization_and_plane_identity():

@@ -1,7 +1,9 @@
 import json
+from functools import partial
 
 import pytest
 
+from tatestar import suites
 from tatestar.cli import main
 
 
@@ -69,10 +71,13 @@ def test_expand_rejects_bad_primes(capsys):
     assert code == 2 and "p <= 7" in err
 
 
-def test_expand_p7_needs_allow_slow(capsys):
-    code, _, err = _run(capsys, "expand", "--p", "7")
-    assert code == 2
-    assert "--allow-slow" in err
+def test_expand_p7_runs_without_a_flag(capsys):
+    code, out, _ = _run(capsys, "expand", "--p", "7")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p"] == 7
+    # one term per multiset of 7 coset indices with sum 0 mod 7
+    assert len(payload["terms"]) == 246
 
 
 def test_verify_all_p3(capsys):
@@ -103,10 +108,14 @@ def test_verify_rejects_unknown_suite():
     assert excinfo.value.code == 2
 
 
-def test_verify_closed_rejects_large_p(capsys):
-    code, _, err = _run(capsys, "verify", "--p", "11", "--suite", "closed")
-    assert code == 2
-    assert "closed-form suite" in err
+def test_verify_closed_runs_at_large_p(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "closed_suite", partial(suites.closed_suite, gamma_count=2))
+    code, out, _ = _run(capsys, "verify", "--p", "11", "--suite", "closed")
+    assert code == 0
+    assert out.splitlines() == [
+        "ok   closed:closed-forms-numeric  (2 random gamma over F_23)",
+        "1/1 checks passed",
+    ]
 
 
 def test_pair_golden(capsys):

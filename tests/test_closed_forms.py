@@ -1,11 +1,13 @@
-"""The three expansions of the p-th star power against the direct product.
+"""The three expansions of the p-th star power against two oracles.
 
-star_pow over the generic (free symbolic) gamma acts as the oracle here:
-the expansions enumerate index tuples, the convolution never does, and the
-two must agree coefficient by coefficient.
+star_pow over the generic (free symbolic) gamma is one oracle: the
+expansions walk running index sums, the convolution never does, and the two
+must agree coefficient by coefficient.  The other is `_enumerated`, which
+sums the formulas of the three docstrings literally, tuple by tuple.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -22,10 +24,58 @@ from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
+    RhoAssignment,
     coboundary,
     star_pow,
 )
-from tatestar.torsion import TorsionPoint, basis
+from tatestar.torsion import TorsionPoint, all_points, basis, weil_exponent
+
+
+def _enumerated(P, Q, gamma, rho):
+    """The formulas of the three form docstrings, summed tuple by tuple over [0,p)^p.
+
+    Returns the gamma and rho origin coefficients and the intermediate element.
+    """
+    domain = gamma.domain
+    p = domain.p
+    mul, root = domain.mul, domain.root
+    d = weil_exponent(Q, P)
+    half = (p + 1) // 2
+    on_coset = [gamma.value(Q + i * P) for i in range(p)]
+    inverse_on_line = [domain.inv(gamma.value(s * P)) for s in range(p)]
+    gamma_acc, rho_acc = domain.accumulator(), domain.accumulator()
+    line = [domain.accumulator() for _ in range(p)]
+    for tup in product(range(p), repeat=p):
+        total = sum(tup) % p
+        gammas = on_coset[tup[0]]
+        for i in tup[1:]:
+            gammas = mul(gammas, on_coset[i])
+        eps_weight = sum((2 * l - 1) * i for l, i in enumerate(tup, 1))
+        term = mul(root(half * d * eps_weight), gammas)
+        line[total].add(mul(term, inverse_on_line[total]))
+        if total:
+            continue
+        e_weight = root(d * sum(l * i for l, i in enumerate(tup, 1)))
+        gamma_acc.add(mul(e_weight, gammas))
+        rhos = domain.one()
+        for j in range(1, p):
+            rhos = mul(rhos, rho.value(j * Q + sum(tup[:j]) * P, Q + tup[j] * P))
+        rho_acc.add(mul(e_weight, rhos))
+    intermediate = AlgebraElement(domain, [(s * P, line[s].value()) for s in range(p)])
+    return gamma_acc.value(), intermediate, rho_acc.value()
+
+
+def _random_twist(dom, rng, symmetric=True):
+    """A random rho, normalized at the origin and optionally symmetric, nothing more."""
+    points = list(all_points(dom.p))
+    values = {}
+    for t1 in points:
+        for t2 in points:
+            if symmetric and (t2, t1) in values:
+                values[(t1, t2)] = values[(t2, t1)]
+            else:
+                values[(t1, t2)] = 1 if t1.is_zero or t2.is_zero else dom.random_unit(rng)
+    return RhoAssignment(dom, values)
 
 
 def test_build_delta_support_and_coefficients():
@@ -69,7 +119,7 @@ def test_gamma_form_of_constant_one_gamma_vanishes():
 
 
 def test_four_way_agreement_symbolic():
-    for p in (3, 5):
+    for p in (3, 5, 7):
         gamma = GammaAssignment.symbolic(p)
         dom = gamma.domain
         P, Q = basis(p)
@@ -82,7 +132,7 @@ def test_four_way_agreement_symbolic():
 
 
 def test_star_power_vanishes_off_origin_symbolic():
-    for p in (3, 5):
+    for p in (3, 5, 7):
         gamma = GammaAssignment.symbolic(p)
         P, Q = basis(p)
         inter = intermediate_form(P, Q, gamma)
@@ -111,8 +161,6 @@ def test_nonstandard_bases_agree_with_star_power():
 def test_rho_form_with_trivial_rho_matches_constant_gamma():
     # the rho expansion only sees rho, so rho = 1 must reproduce gamma = 1
     for p, q in ((3, 7), (5, 11)):
-        from tatestar.star_algebra import RhoAssignment
-
         dom = PrimeFieldCoefficients(p, q)
         P, Q = basis(p)
         trivial = RhoAssignment.trivial(dom)
@@ -134,17 +182,66 @@ def test_four_way_numeric_p7_single_gamma():
     assert rho_form(P, Q, rho).o_coefficient == inter.o_coefficient
 
 
-@pytest.mark.slow
-def test_four_way_symbolic_p7():
-    gamma = GammaAssignment.symbolic(7)
-    P, Q = basis(7)
+@pytest.mark.parametrize(
+    "p, P, Q",
+    [
+        (3, (1, 0), (0, 1)),
+        (3, (0, 1), (1, 0)),  # swapped orientation
+        (3, (1, 1), (2, 1)),
+        (3, (2, 0), (1, 2)),
+        (5, (0, 1), (1, 0)),  # swapped orientation
+        (5, (2, 1), (1, 2)),
+    ],
+    ids=["p3-standard", "p3-swapped", "p3-d2", "p3-d1", "p5-swapped", "p5-d3"],
+)
+def test_forms_match_enumeration_symbolic(p, P, Q):
+    P, Q = TorsionPoint(p, *P), TorsionPoint(p, *Q)
+    gamma = GammaAssignment.symbolic(p)
     rho = coboundary(gamma)
-    powered = star_pow(build_delta(gamma.domain, P, Q), 7, rho)
-    inter = intermediate_form(P, Q, gamma)
-    assert powered == inter.element
-    assert inter.element.support() == [TorsionPoint.zero(7)]
-    assert gamma_form(P, Q, gamma).o_coefficient == inter.o_coefficient
-    assert rho_form(P, Q, rho).o_coefficient == inter.o_coefficient
+    gamma_sum, inter, rho_sum = _enumerated(P, Q, gamma, rho)
+    assert gamma_form(P, Q, gamma).o_coefficient == gamma_sum
+    assert intermediate_form(P, Q, gamma).element == inter
+    assert rho_form(P, Q, rho).o_coefficient == rho_sum
+
+
+@pytest.mark.parametrize(
+    "P, Q",
+    [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (1, 2)), ((1, 0), (1, 2))],
+    ids=["standard", "swapped", "d3", "d2"],
+)
+def test_forms_match_enumeration_numeric_p5(P, Q):
+    # rho is neither the coboundary of gamma nor symmetric, so rho_form is
+    # checked on its own and the order of rho's arguments matters
+    p = 5
+    P, Q = TorsionPoint(p, *P), TorsionPoint(p, *Q)
+    rng = random.Random(7)
+    dom = PrimeFieldCoefficients(p, 11)
+    gamma = GammaAssignment.random(dom, rng)
+    rho = _random_twist(dom, rng, symmetric=False)
+    gamma_sum, inter, rho_sum = _enumerated(P, Q, gamma, rho)
+    assert gamma_form(P, Q, gamma).o_coefficient == gamma_sum
+    assert intermediate_form(P, Q, gamma).element == inter
+    assert rho_form(P, Q, rho).o_coefficient == rho_sum
+
+
+def test_rho_form_of_non_coboundary_rho_matches_star_power():
+    rng = random.Random(3)
+    for p, q in ((3, 7), (5, 11)):
+        dom = PrimeFieldCoefficients(p, q)
+        rho = _random_twist(dom, rng)
+        assert rho.is_symmetric()
+        points = list(all_points(p))
+        # coboundaries satisfy the cocycle condition; this rho must not
+        assert any(
+            dom.mul(rho.value(a, b), rho.value(a + b, c))
+            != dom.mul(rho.value(a, b + c), rho.value(b, c))
+            for a in points
+            for b in points
+            for c in points
+        )
+        for P, Q in (basis(p), (TorsionPoint(p, 0, 1), TorsionPoint(p, 1, 0))):
+            powered = star_pow(build_delta(dom, P, Q), p, rho)
+            assert rho_form(P, Q, rho).o_coefficient == powered.coefficient(TorsionPoint.zero(p))
 
 
 def test_specialization_p3_explicit():

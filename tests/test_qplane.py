@@ -7,13 +7,20 @@ from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
 from tatestar.qplane import (
     QPlaneElement,
-    brute_force_power,
     line_operator,
     norm_factor,
     norm_identity_sides,
     qplane_identity_sides,
 )
 from tatestar.laurent import LaurentPoly, Monomial
+
+
+def _brute_force_power(p: int, element: QPlaneElement, n: int) -> QPlaneElement:
+    """Left-to-right repeated product, for cross-checking the fast power."""
+    result = QPlaneElement.one(p)
+    for _ in range(n):
+        result = result * element
+    return result
 
 
 def _x(p):
@@ -75,7 +82,7 @@ def test_power_matches_brute_force():
         for _ in range(10):
             f = _random_plane(rng, p)
             n = rng.randint(0, 5)
-            assert f ** n == brute_force_power(p, f, n)
+            assert f ** n == _brute_force_power(p, f, n)
 
 
 def test_negative_exponents_rejected():
