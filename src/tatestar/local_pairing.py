@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbientMismatchError
-from .modular import discrete_log, is_prime, prime_factors, primitive_root, smallest_split_prime
+from .modular import discrete_log, split_field
+from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .torsion import validate_odd_prime
 
 
@@ -33,21 +34,7 @@ class TameFieldModel:
 
     @classmethod
     def create(cls, p: int, q: int | None = None, g: int | None = None) -> TameFieldModel:
-        validate_odd_prime(p)
-        if q is None:
-            q = smallest_split_prime(p)
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
-        if q % p != 1:
-            raise ValueError(f"q must be 1 mod p so the residue field has p-th roots; got q={q}")
-        if g is None:
-            g = primitive_root(q)
-        else:
-            g %= q
-            if g == 0 or not all(pow(g, (q - 1) // f, q) != 1 for f in prime_factors(q - 1)):
-                raise ValueError(f"g={g} is not a primitive root mod {q}")
-        zeta = pow(g, (q - 1) // p, q)
-        return cls(p, q, g, zeta)
+        return cls(validate_odd_prime(p), *split_field(p, q, g))
 
     def element(self, val: int, unit: int) -> TameElement:
         return TameElement(self, val, unit)
@@ -101,9 +88,13 @@ class TameElement:
         return self ** -1
 
     def class_vector(self) -> tuple[int, int]:
-        """Coordinates of the class in K^x/(K^x)^p on the basis (pi, [g])."""
-        p, q, g = self.model.p, self.model.q, self.model.g
-        return (self.val % p, discrete_log(g, self.unit, q, q - 1) % p)
+        """Coordinates of the class in K^x/(K^x)^p on the basis (pi, [g]).
+
+        The unit's coordinate is its log taken in the subgroup of order p:
+        u = g^j gives u^((q-1)/p) = zeta^j, so j mod p costs at most p steps.
+        """
+        p, q, zeta = self.model.p, self.model.q, self.model.zeta
+        return (self.val % p, discrete_log(zeta, pow(self.unit, (q - 1) // p, q), q, p))
 
     def __str__(self) -> str:
         return f"{self.val}:{self.unit}"
@@ -175,12 +166,17 @@ class PairingValue:
 
 def hilbert(a: TameElement, b: TameElement) -> PairingValue:
     """The degree-p tame symbol of a and b, as a value in (1/p)Z / Z."""
+    return _tame_symbol(a, b, 1)
+
+
+def _tame_symbol(a: TameElement, b: TameElement, d: int) -> PairingValue:
+    """The tame formula over the residue field of q^d elements: h0^((q^d-1)/p), read as k/p."""
     a._require_same_model(b)
     model = a.model
     p, q = model.p, model.q
     sign = -1 if (a.val * b.val) % 2 else 1
     h0 = sign * pow(a.unit, b.val, q) * pow(b.unit, -a.val, q) % q
-    h = pow(h0, (q - 1) // p, q)
+    h = pow(h0, (q ** d - 1) // p, q)
     return PairingValue(p, discrete_log(model.zeta, h, q, p))
 
 
@@ -230,13 +226,7 @@ def unramified_scaling(a: TameElement, b: TameElement, d: int) -> PairingValue:
     """
     if d < 1:
         raise ValueError(f"extension degree must be positive, got {d}")
-    a._require_same_model(b)
-    model = a.model
-    p, q = model.p, model.q
-    sign = -1 if (a.val * b.val) % 2 else 1
-    h0 = sign * pow(a.unit, b.val, q) * pow(b.unit, -a.val, q) % q
-    h = pow(h0, (q ** d - 1) // p, q)
-    return PairingValue(p, discrete_log(model.zeta, h, q, p))
+    return _tame_symbol(a, b, d)
 
 
 def is_norm_from(b: TameElement, a: TameElement) -> bool:

@@ -33,19 +33,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def primitive_root(q: int) -> int:
-    """Smallest primitive root mod a prime q."""
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if q == 2:
-        return 1
-    factors = prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
-            return g
-    raise RuntimeError(f"no primitive root found mod {q}")  # unreachable for prime q
-
-
 def discrete_log(base: int, value: int, q: int, order: int) -> int:
     """Smallest k in [0, order) with base^k = value mod q."""
     acc = 1
@@ -56,9 +43,30 @@ def discrete_log(base: int, value: int, q: int, order: int) -> int:
     raise ValueError(f"{value} is not a power of {base} mod {q}")
 
 
-def smallest_split_prime(p: int) -> int:
-    """Smallest prime q with q = 1 mod p."""
-    q = p + 1
-    while not (is_prime(q) and q % p == 1):
-        q += p
-    return q
+def split_field(p: int, q: int | None = None, g: int | None = None) -> tuple[int, int, int]:
+    """The residue field F_q holding the p-th roots of unity, as (q, g, zeta).
+
+    q must be a prime with q = 1 mod p and defaults to the smallest one; g must
+    be a primitive root mod q and defaults to the smallest one.  zeta is the
+    p-th root of unity g^((q-1)/p).
+    """
+    if q is None:
+        q = p + 1
+        while not is_prime(q):
+            q += p
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if q % p != 1:
+        raise ValueError(f"q must be 1 mod p so the residue field has p-th roots; got q={q}")
+    factors = prime_factors(q - 1)
+
+    def generates(x: int) -> bool:
+        return all(pow(x, (q - 1) // f, q) != 1 for f in factors)
+
+    if g is None:
+        g = next(x for x in range(2, q) if generates(x))
+    else:
+        g %= q
+        if g == 0 or not generates(g):
+            raise ValueError(f"g={g} is not a primitive root mod {q}")
+    return q, g, pow(g, (q - 1) // p, q)

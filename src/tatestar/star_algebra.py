@@ -4,7 +4,8 @@ Elements are finitely supported coefficient functions on the group, and the
 product is convolution twisted by eps (the square root of the symplectic
 pairing) and by a two-cocycle rho.  Coefficients live in one of two domains
 behind the same small interface: exact Laurent polynomials over Q(zeta_p)
-("symbolic") or the prime field F_q with a chosen root of unity ("numeric").
+("symbolic") or the prime field F_q with the root of unity zeta = g^((q-1)/p)
+("numeric").
 
 The same computation can therefore be run once symbolically as an identity
 of polynomials and many times numerically as a fast randomized check.
@@ -18,7 +19,8 @@ from typing import Iterable, Mapping, Union
 from .cyclotomic import CycNumber
 from .errors import AmbientMismatchError
 from .laurent import LaurentPoly, Monomial, PolyBuilder
-from .modular import is_prime, prime_factors, primitive_root
+from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
+from .modular import split_field
 from .torsion import (
     RootOfUnity,
     TorsionPoint,
@@ -83,39 +85,18 @@ class SymbolicCoefficients:
 
 
 class PrimeFieldCoefficients:
-    """F_q with a fixed primitive p-th root of unity, as a coefficient domain.
+    """F_q with the p-th root of unity zeta = g^((q-1)/p), as a coefficient domain.
 
-    q must be a prime with q = 1 mod p, so that F_q contains the p-th roots
-    of unity; zeta defaults to g^((q-1)/p) for the smallest primitive root g.
+    q must be a prime with q = 1 mod p (default: the smallest), and g is the
+    smallest primitive root mod q; see modular.split_field.
     """
 
     kind = "numeric"
 
-    def __init__(self, p: int, q: int, g: int | None = None, zeta: int | None = None):
+    def __init__(self, p: int, q: int | None = None):
         self.p = validate_odd_prime(p)
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
-        if q % p != 1:
-            raise ValueError(f"q must be 1 mod p for p-th roots of unity, got q={q}, p={p}")
-        self.q = q
-        if g is None:
-            g = primitive_root(q)
-        else:
-            g %= q
-            factors_ok = g != 0 and all(
-                pow(g, (q - 1) // f, q) != 1 for f in prime_factors(q - 1)
-            )
-            if not factors_ok:
-                raise ValueError(f"g={g} is not a primitive root mod {q}")
-        self.g = g
-        if zeta is None:
-            zeta = pow(g, (q - 1) // p, q)
-        else:
-            zeta %= q
-            if pow(zeta, p, q) != 1 or zeta == 1:
-                raise ValueError(f"zeta={zeta} does not have exact order {p} mod {q}")
-        self.zeta = zeta
-        self._roots = [pow(zeta, k, q) for k in range(p)]
+        self.q, self.g, self.zeta = split_field(p, q)
+        self._roots = [pow(self.zeta, k, self.q) for k in range(p)]
 
     def zero(self) -> int:
         return 0
@@ -153,16 +134,13 @@ class PrimeFieldCoefficients:
         return a
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PrimeFieldCoefficients)
-            and (other.p, other.q, other.g, other.zeta) == (self.p, self.q, self.g, self.zeta)
-        )
+        return isinstance(other, PrimeFieldCoefficients) and (other.p, other.q) == (self.p, self.q)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.p, self.q, self.g, self.zeta))
+        return hash((self.kind, self.p, self.q))
 
     def __repr__(self) -> str:
-        return f"PrimeFieldCoefficients(p={self.p}, q={self.q}, g={self.g}, zeta={self.zeta})"
+        return f"PrimeFieldCoefficients(p={self.p}, q={self.q})"
 
 
 class _SymbolicAccumulator:

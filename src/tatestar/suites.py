@@ -28,7 +28,6 @@ from .local_pairing import (
     one_minus,
     unramified_scaling,
 )
-from .modular import smallest_split_prime
 from .qplane import norm_identity_sides, qplane_identity_sides
 from .star_algebra import (
     AlgebraElement,
@@ -58,6 +57,14 @@ class CheckResult:
     detail: str = ""
 
 
+def _sweep(name: str, cases, holds, detail: str) -> CheckResult:
+    """Check holds(*case) for each case in turn; a failure names the first failing case."""
+    for case in cases:
+        if not holds(*case):
+            return CheckResult(name, False, f"fails at ({'; '.join(map(str, case))})")
+    return CheckResult(name, True, detail)
+
+
 def star_suite(p: int, seed: int = 0) -> list[CheckResult]:
     """Indicator product laws, unit, inverses, commutation, associativity, shift."""
     rng = random.Random(seed)
@@ -69,81 +76,60 @@ def star_suite(p: int, seed: int = 0) -> list[CheckResult]:
         ]
         sweep = "exhaustive over all point pairs"
     else:
-        q = smallest_split_prime(p)
-        domain = PrimeFieldCoefficients(p, q)
+        domain = PrimeFieldCoefficients(p)
         gamma = GammaAssignment.random(domain, rng)
         points = list(all_points(p))
         pairs = [(rng.choice(points), rng.choice(points)) for _ in range(100)]
         triples = [tuple(rng.choice(points) for _ in range(3)) for _ in range(100)]
-        sweep = f"100 random point pairs over F_{q}"
+        sweep = f"100 random point pairs over F_{domain.q}"
     domain = gamma.domain
     rho = coboundary(gamma)
-    results = []
+    singles = [(point,) for point in all_points(p)]
 
-    ok = True
-    for s, t in pairs:
-        lhs = star(AlgebraElement.delta(domain, s), AlgebraElement.delta(domain, t), rho)
+    def delta(point):
+        return AlgebraElement.delta(domain, point)
+
+    def product(s, t):
         c = domain.mul(domain.root(epsilon_exponent(s, t)), rho.value(s, t))
-        rhs = AlgebraElement(domain, [(s + t, c)])
-        if lhs != rhs:
-            ok = False
-            break
-    results.append(CheckResult("indicator-product", ok, sweep))
+        return star(delta(s), delta(t), rho) == AlgebraElement(domain, [(s + t, c)])
 
-    origin = TorsionPoint.zero(p)
-    unit = AlgebraElement.delta(domain, origin)
-    ok = True
-    for point in all_points(p):
-        f = AlgebraElement.delta(domain, point)
-        if star(unit, f, rho) != f or star(f, unit, rho) != f:
-            ok = False
-            break
-    results.append(CheckResult("unit", ok, "both sides, all indicators"))
+    unit = delta(TorsionPoint.zero(p))
 
-    ok = all(
-        star(AlgebraElement.delta(domain, point), delta_inverse(point, gamma), rho) == unit
-        for point in all_points(p)
-    )
-    results.append(CheckResult("inverse", ok, "all indicators"))
+    def commutes(s, t):
+        lhs = star(delta(s), delta(t), rho)
+        return lhs == star(delta(t), delta(s), rho).scale(domain.root(weil_exponent(s, t)))
 
-    ok = True
-    for s, t in pairs:
-        lhs = star(AlgebraElement.delta(domain, s), AlgebraElement.delta(domain, t), rho)
-        rhs = star(AlgebraElement.delta(domain, t), AlgebraElement.delta(domain, s), rho)
-        if lhs != rhs.scale(domain.root(weil_exponent(s, t))):
-            ok = False
-            break
-    results.append(CheckResult("commutation", ok, sweep))
-
-    ok = True
-    for s, t, u in triples:
-        ds = AlgebraElement.delta(domain, s)
-        dt = AlgebraElement.delta(domain, t)
-        du = AlgebraElement.delta(domain, u)
-        if star(star(ds, dt, rho), du, rho) != star(ds, star(dt, du, rho), rho):
-            ok = False
-            break
-    results.append(CheckResult("associativity", ok, sweep.replace("pairs", "triples")))
+    def associates(s, t, u):
+        left = star(star(delta(s), delta(t), rho), delta(u), rho)
+        return left == star(delta(s), star(delta(t), delta(u), rho), rho)
 
     shifted_gamma = GammaAssignment(
         domain, {point: gamma.value(index_shift(point)) for point in all_points(p)}
     )
     shifted_rho = coboundary(shifted_gamma)
-    ok = True
-    for s, t in pairs:
-        lhs = star(
-            AlgebraElement.delta(domain, s), AlgebraElement.delta(domain, t), shifted_rho
-        ).map_points(index_shift)
-        rhs = star(
-            AlgebraElement.delta(domain, index_shift(s)),
-            AlgebraElement.delta(domain, index_shift(t)),
-            rho,
-        )
-        if lhs != rhs:
-            ok = False
-            break
-    results.append(CheckResult("shift-equivariance", ok, sweep))
-    return results
+
+    def shift_equivariant(s, t):
+        lhs = star(delta(s), delta(t), shifted_rho).map_points(index_shift)
+        return lhs == star(delta(index_shift(s)), delta(index_shift(t)), rho)
+
+    return [
+        _sweep("indicator-product", pairs, product, sweep),
+        _sweep(
+            "unit",
+            singles,
+            lambda s: star(unit, delta(s), rho) == delta(s) == star(delta(s), unit, rho),
+            "both sides, all indicators",
+        ),
+        _sweep(
+            "inverse",
+            singles,
+            lambda s: star(delta(s), delta_inverse(s, gamma), rho) == unit,
+            "all indicators",
+        ),
+        _sweep("commutation", pairs, commutes, sweep),
+        _sweep("associativity", triples, associates, sweep.replace("pairs", "triples")),
+        _sweep("shift-equivariance", pairs, shift_equivariant, sweep),
+    ]
 
 
 def _four_way(gamma) -> tuple[bool, str]:
@@ -182,8 +168,7 @@ def closed_suite(
     """
     results = []
     if p >= MAX_SYMBOLIC_PRIME:
-        q = smallest_split_prime(p)
-        domain = PrimeFieldCoefficients(p, q)
+        domain = PrimeFieldCoefficients(p)
         rng = random.Random(seed)
         failure = ""
         for k in range(gamma_count):
@@ -195,7 +180,7 @@ def closed_suite(
             CheckResult(
                 "closed-forms-numeric",
                 not failure,
-                failure or f"{gamma_count} random gamma over F_{q}",
+                failure or f"{gamma_count} random gamma over F_{domain.q}",
             )
         )
     if p <= MAX_SYMBOLIC_PRIME:
@@ -229,7 +214,6 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
     q = model.q
     rng = random.Random(seed)
     reps = class_representatives(model)
-    results = []
 
     if p <= 5:
         rep_triples = [(a, b, c) for a in reps for b in reps for c in reps]
@@ -237,56 +221,68 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
     else:
         rep_triples = [tuple(rng.choice(reps) for _ in range(3)) for _ in range(200)]
         tri_sweep = "200 random class triples"
-    ok = all(
-        hilbert(a * b, c) == hilbert(a, c) + hilbert(b, c)
-        and hilbert(a, b * c) == hilbert(a, b) + hilbert(a, c)
-        for a, b, c in rep_triples
-    )
-    results.append(CheckResult("bilinearity", ok, tri_sweep))
-
     rep_pairs = [(a, b) for a in reps for b in reps]
-    ok = all(hilbert(a, b) == -hilbert(b, a) for a, b in rep_pairs)
-    results.append(CheckResult("antisymmetry", ok, f"exhaustive over {len(rep_pairs)} pairs"))
-
-    ok = True
-    count = 0
-    for val in range(-p, p + 1):
-        for unit in range(1, q):
-            a = model.element(val, unit)
-            rest = one_minus(a)
-            if isinstance(rest, ZeroSignal):
-                continue
-            count += 1
-            if not hilbert(a, rest).is_zero:
-                ok = False
-    results.append(CheckResult("steinberg", ok, f"{count} elements, valuations |v| <= {p}"))
-
-    ok = all(hilbert(a ** p, b).is_zero and hilbert(a, b ** p).is_zero for a, b in rep_pairs)
-    results.append(CheckResult("pth-power-degeneracy", ok, "exhaustive over class pairs"))
-
-    ok = all(hilbert(a, b).is_zero == is_norm_from(b, a) for a, b in rep_pairs)
-    results.append(
-        CheckResult("norm-equivalence", ok, "symbol vanishing vs norm membership, exhaustive")
-    )
-
     if p <= 7:
         scale_pairs = rep_pairs
         scale_sweep = "exhaustive pairs, d = 1..6"
     else:
         scale_pairs = [tuple(rng.choice(reps) for _ in range(2)) for _ in range(200)]
         scale_sweep = "200 random pairs, d = 1..6"
-    ok = all(
-        unramified_scaling(a, b, d) == d * hilbert(a, b)
-        for a, b in scale_pairs
-        for d in range(1, 7)
-    )
-    results.append(CheckResult("unramified-scaling", ok, scale_sweep))
 
-    ok = all(
-        iota(model, pow(model.zeta, k, q)).numerator == k % p for k in range(p)
+    def bilinear(a, b, c):
+        left = hilbert(a * b, c) == hilbert(a, c) + hilbert(b, c)
+        return left and hilbert(a, b * c) == hilbert(a, b) + hilbert(a, c)
+
+    def steinberg(a):
+        rest = one_minus(a)
+        return not isinstance(rest, ZeroSignal) and hilbert(a, rest).is_zero
+
+    # Every a != 1 with |v(a)| <= p: 1 - a vanishes only at a = 1.
+    non_one = (
+        (model.element(val, unit),)
+        for val in range(-p, p + 1)
+        for unit in range(1, q)
+        if (val, unit) != (0, 1)
     )
-    results.append(CheckResult("root-identification", ok, "all p-th roots"))
-    return results
+    return [
+        _sweep("bilinearity", rep_triples, bilinear, tri_sweep),
+        _sweep(
+            "antisymmetry",
+            rep_pairs,
+            lambda a, b: hilbert(a, b) == -hilbert(b, a),
+            f"exhaustive over {len(rep_pairs)} pairs",
+        ),
+        _sweep(
+            "steinberg",
+            non_one,
+            steinberg,
+            f"{(2 * p + 1) * (q - 1) - 1} elements, valuations |v| <= {p}",
+        ),
+        _sweep(
+            "pth-power-degeneracy",
+            rep_pairs,
+            lambda a, b: hilbert(a ** p, b).is_zero and hilbert(a, b ** p).is_zero,
+            "exhaustive over class pairs",
+        ),
+        _sweep(
+            "norm-equivalence",
+            rep_pairs,
+            lambda a, b: hilbert(a, b).is_zero == is_norm_from(b, a),
+            "symbol vanishing vs norm membership, exhaustive",
+        ),
+        _sweep(
+            "unramified-scaling",
+            [(a, b, d) for a, b in scale_pairs for d in range(1, 7)],
+            lambda a, b, d: unramified_scaling(a, b, d) == d * hilbert(a, b),
+            scale_sweep,
+        ),
+        _sweep(
+            "root-identification",
+            [(k,) for k in range(p)],
+            lambda k: iota(model, pow(model.zeta, k, q)).numerator == k,
+            "all p-th roots",
+        ),
+    ]
 
 
 SUITE_NAMES = ("star", "closed", "qplane", "norm", "local")

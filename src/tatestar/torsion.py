@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import AmbientMismatchError
+from .modular import is_prime
 
 DEFAULT_MAX_PRIME = 13
 
@@ -24,12 +25,12 @@ def validate_odd_prime(p: int, max_value: int = DEFAULT_MAX_PRIME) -> int:
         raise ValueError(f"p must be an integer, got {p!r}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
-    if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p > max_value:
         raise ValueError(
             f"p={p} exceeds the guard bound {max_value}; "
-            "expansions grow like p^p and are not practical beyond it"
+            "the suites are only run and tested up to it"
         )
     return p
 

@@ -25,6 +25,7 @@ from tatestar.local_pairing import (
     qk_split,
     unramified_scaling,
 )
+from tatestar.star_algebra import PrimeFieldCoefficients
 
 
 def _model37():
@@ -48,6 +49,35 @@ def test_model_validation():
         TameFieldModel.create(3, 7, g=2)
     with pytest.raises(ValueError):
         TameFieldModel.create(4, 13)
+
+
+@pytest.mark.parametrize(
+    "p, q", [(3, 7), (5, 11), (7, 29), (13, 53), (7, 100003), (13, 1000039)]
+)
+def test_domain_and_model_share_the_residue_field(p, q):
+    dom = PrimeFieldCoefficients(p, q)
+    model = TameFieldModel.create(p, q)
+    assert (dom.q, dom.g, dom.zeta) == (model.q, model.g, model.zeta)
+    assert model.zeta == pow(model.g, (q - 1) // p, q) != 1
+
+
+def test_domain_defaults_to_the_smallest_split_prime():
+    for p, q in ((3, 7), (5, 11), (7, 29), (11, 23), (13, 53)):
+        assert PrimeFieldCoefficients(p).q == q == TameFieldModel.create(p).q
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (8, "q must be prime, got 8"),
+        (11, "q must be 1 mod p so the residue field has p-th roots; got q=11"),
+    ],
+)
+def test_domain_and_model_reject_a_bad_q_alike(q, message):
+    for build in (PrimeFieldCoefficients, TameFieldModel.create):
+        with pytest.raises(ValueError) as excinfo:
+            build(3, q)
+        assert str(excinfo.value) == message
 
 
 def test_element_parsing():
@@ -79,6 +109,21 @@ def test_class_vector():
     assert m.element(0, 3).class_vector() == (0, 1)   # 3 = g^1
     assert m.element(0, 2).class_vector() == (0, 2)   # 2 = 3^2 mod 7
     assert m.element(3, 6).class_vector() == (0, 0)   # 6 = 3^3, both parts p-th powers
+
+
+@pytest.mark.parametrize("p, q", [(13, 53), (7, 100003), (13, 1000039)])
+def test_class_vector_of_each_representative(p, q):
+    reps = class_representatives(TameFieldModel.create(p, q))
+    for i in range(p):
+        for j in range(p):
+            assert reps[i * p + j].class_vector() == (i, j)
+
+
+@pytest.mark.parametrize("p, q", [(3, 7), (13, 53)])
+def test_class_vector_is_the_full_log_mod_p(p, q):
+    m = TameFieldModel.create(p, q)
+    for k in range(q - 1):
+        assert m.element(0, pow(m.g, k, q)).class_vector() == (0, k % p)
 
 
 def test_hilbert_pinned_values():

@@ -48,10 +48,6 @@ def test_prime_field_domain_validation():
         PrimeFieldCoefficients(3, 8)        # not prime
     with pytest.raises(ValueError):
         PrimeFieldCoefficients(3, 11)       # 11 != 1 mod 3
-    with pytest.raises(ValueError):
-        PrimeFieldCoefficients(3, 7, g=2)   # 2 has order 3 mod 7
-    with pytest.raises(ValueError):
-        PrimeFieldCoefficients(3, 7, zeta=3)
 
 
 def test_prime_field_roots_and_inverse():

@@ -1,12 +1,13 @@
-"""The closed-form suite: which checks run at each p, and that a wrong form fails them."""
+"""The suites: which checks run at each p, and that a planted fault fails them by name."""
 
 import pytest
 
 from tatestar import closed_forms, suites
 from tatestar.cli import main
 from tatestar.closed_forms import ClosedFormResult
-from tatestar.star_algebra import AlgebraElement
-from tatestar.torsion import TorsionPoint, weil_exponent
+from tatestar.local_pairing import iota
+from tatestar.star_algebra import AlgebraElement, star
+from tatestar.torsion import TorsionPoint, basis, weil_exponent
 
 
 def _gamma_form_off_by_one(P, Q, gamma):
@@ -74,3 +75,43 @@ def test_verify_exits_1_on_planted_fault(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("FAIL closed:closed-forms-symbolic")
     assert out.splitlines()[-1] == "0/1 checks passed"
+
+
+def _star_twisted_on_p_q(f, g, rho):
+    """star with an extra factor zeta on delta_P * delta_Q, and right everywhere else."""
+    domain = f.domain
+    P, Q = basis(domain.p)
+    out = star(f, g, rho)
+    if f == AlgebraElement.delta(domain, P) and g == AlgebraElement.delta(domain, Q):
+        return out.scale(domain.root(1))
+    return out
+
+
+def _hilbert_without_b_factor(a, b):
+    """hilbert with the factor u_b^(-v(a)) of the tame formula left out."""
+    model = a.model
+    p, q = model.p, model.q
+    h0 = (-1) ** (a.val * b.val) * pow(a.unit, b.val, q)
+    return iota(model, pow(h0, (q - 1) // p, q))
+
+
+def test_planted_star_fault_names_the_first_failing_pair(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "star", _star_twisted_on_p_q)
+    results = {r.name: r for r in suites.star_suite(3)}
+    assert not results["indicator-product"].ok
+    assert results["indicator-product"].detail == "fails at (1,0; 0,1)"
+    # the pairs run in lexicographic order, so (Q, P) meets the fault first
+    assert results["commutation"].detail == "fails at (0,1; 1,0)"
+    assert results["unit"].ok and results["inverse"].ok
+    assert main(["verify", "--p", "3", "--suite", "star"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL star:indicator-product  (fails at (1,0; 0,1))\n")
+
+
+def test_planted_hilbert_fault_names_the_first_failing_pair(monkeypatch):
+    monkeypatch.setattr(suites, "hilbert", _hilbert_without_b_factor)
+    results = {r.name: r for r in suites.local_suite(3)}
+    # v(b) log(u_a) is still bilinear, but not antisymmetric
+    assert results["bilinearity"].ok
+    assert not results["antisymmetry"].ok
+    assert results["antisymmetry"].detail == "fails at (0:3; 1:1)"
