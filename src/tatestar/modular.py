@@ -3,18 +3,37 @@
 from __future__ import annotations
 
 
+# The first twelve primes.  As Miller-Rabin bases they decide primality
+# exactly for every n below 318665857834031151167461, about 3.2 * 10^23: the
+# least composite passing all twelve (Sorenson and Webster 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..37: exact for n < 3.2 * 10^23 (all 64-bit n).
+
+    Above that bound it is a strong probable-prime test to the same bases.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for base in _BASES:
+        if n % base == 0:
+            return n == base
+    if n < 41 * 41:  # a composite this small has a prime factor below 41
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

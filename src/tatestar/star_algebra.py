@@ -9,6 +9,13 @@ behind the same small interface: exact Laurent polynomials over Q(zeta_p)
 
 The same computation can therefore be run once symbolically as an identity
 of polynomials and many times numerically as a fast randomized check.
+
+Inside, a point is its index i = a*p + b (see torsion.point_tables): gamma is
+a list indexed by i, rho a flat list indexed by i*n + j with n = p^2, and
+`coboundary` and `star` read the tables of index sums and eps exponents
+instead of adding and hashing points.  TorsionPoint appears only at the
+interface: as the keys of AlgebraElement and the arguments of `value`.
+Every ring operation still goes through the domain's methods.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .torsion import (
     RootOfUnity,
     TorsionPoint,
     all_points,
-    epsilon_exponent,
+    point_tables,
     validate_odd_prime,
 )
 
@@ -187,15 +194,14 @@ class GammaAssignment:
 
     def __init__(self, domain: Domain, values: Mapping[TorsionPoint, Element]):
         self.domain = domain
-        table: dict[TorsionPoint, Element] = {}
+        table: list[Element] = []
         for point in all_points(domain.p):
             if point not in values:
                 raise ValueError(f"gamma is missing a value at {point}")
-            table[point] = values[point]
-        origin = TorsionPoint.zero(domain.p)
-        if table[origin] != domain.one():
+            table.append(values[point])
+        if table[0] != domain.one():
             raise ValueError("gamma must take the value 1 at the origin")
-        for point, value in table.items():
+        for point, value in zip(all_points(domain.p), table):
             try:
                 domain.inv(value)
             except (ValueError, ZeroDivisionError):
@@ -244,7 +250,7 @@ class GammaAssignment:
 
     def value(self, point: TorsionPoint) -> Element:
         _require_point_ambient(self.domain, point)
-        return self._values[point]
+        return self._values[point.index]
 
     def alpha(self, point: TorsionPoint) -> Element:
         """The p-th power gamma(T)^p."""
@@ -257,49 +263,59 @@ class RhoAssignment:
     __slots__ = ("domain", "_values")
 
     def __init__(self, domain: Domain, values: Mapping[tuple[TorsionPoint, TorsionPoint], Element]):
-        self.domain = domain
-        origin = TorsionPoint.zero(domain.p)
-        table: dict[tuple[TorsionPoint, TorsionPoint], Element] = {}
+        table: list[Element] = []
         for t1 in all_points(domain.p):
             for t2 in all_points(domain.p):
                 key = (t1, t2)
                 if key not in values:
                     raise ValueError(f"rho is missing a value at ({t1}; {t2})")
-                table[key] = values[key]
+                table.append(values[key])
+        self._adopt(domain, table)
+
+    def _adopt(self, domain: Domain, table: list[Element]) -> None:
+        """Take the flat table, entry i*n + j at (point i, point j), once it is normalized."""
+        n = domain.p ** 2
         one = domain.one()
-        for point in all_points(domain.p):
-            if table[(origin, point)] != one or table[(point, origin)] != one:
+        for i, point in enumerate(all_points(domain.p)):
+            if table[i] != one or table[i * n] != one:
                 raise ValueError(f"rho is not normalized at the origin against {point}")
+        self.domain = domain
         self._values = table
 
     @classmethod
+    def _from_table(cls, domain: Domain, table: list[Element]) -> RhoAssignment:
+        rho = cls.__new__(cls)
+        rho._adopt(domain, table)
+        return rho
+
+    @classmethod
     def trivial(cls, domain: Domain) -> RhoAssignment:
-        one = domain.one()
-        points = list(all_points(domain.p))
-        return cls(domain, {(t1, t2): one for t1 in points for t2 in points})
+        return cls._from_table(domain, [domain.one()] * domain.p ** 4)
 
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
-        return self._values[(t1, t2)]
+        _require_point_ambient(self.domain, t1)
+        _require_point_ambient(self.domain, t2)
+        return self._values[t1.index * self.domain.p ** 2 + t2.index]
 
     def is_symmetric(self) -> bool:
-        return all(
-            self._values[(t1, t2)] == self._values[(t2, t1)]
-            for t1 in all_points(self.domain.p)
-            for t2 in all_points(self.domain.p)
-        )
+        n = self.domain.p ** 2
+        values = self._values
+        return all(values[i * n + j] == values[j * n + i] for i in range(n) for j in range(i))
 
 
 def coboundary(gamma: GammaAssignment) -> RhoAssignment:
     """The twist rho(T1, T2) = gamma(T1) * gamma(T2) / gamma(T1 + T2)."""
     domain = gamma.domain
-    points = list(all_points(domain.p))
-    inverse_at = {point: domain.inv(gamma.value(point)) for point in points}
-    values = {}
-    for t1 in points:
-        g1 = gamma.value(t1)
-        for t2 in points:
-            values[(t1, t2)] = domain.mul(domain.mul(g1, gamma.value(t2)), inverse_at[t1 + t2])
-    return RhoAssignment(domain, values)
+    mul = domain.mul
+    values = gamma._values
+    n = len(values)
+    sums = point_tables(domain.p).sums
+    inverse = [domain.inv(value) for value in values]
+    table: list[Element] = []
+    for i, g1 in enumerate(values):
+        row = sums[i * n:(i + 1) * n]
+        table += [mul(mul(g1, g2), inverse[k]) for g2, k in zip(values, row)]
+    return RhoAssignment._from_table(domain, table)
 
 
 class AlgebraElement:
@@ -418,19 +434,23 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
     f._require_same_domain(g)
     if rho.domain != domain:
         raise AmbientMismatchError("rho over a different coefficient domain")
-    out: dict[TorsionPoint, Element] = {}
+    mul, add, root = domain.mul, domain.add, domain.root
+    tables = point_tables(domain.p)
+    sums, eps, twists = tables.sums, tables.eps, rho._values
+    n = len(tables.points)
+    right = [(t2.index, c2) for t2, c2 in g._coeffs.items()]
+    out: list[Element | None] = [None] * n
     for t1, c1 in f._coeffs.items():
-        for t2, c2 in g._coeffs.items():
-            point = t1 + t2
-            twist = domain.mul(domain.root(epsilon_exponent(t1, t2)), rho.value(t1, t2))
-            value = domain.mul(domain.mul(c1, c2), twist)
-            if point in out:
-                value = domain.add(out[point], value)
-            if domain.is_zero(value):
-                out.pop(point, None)
-            else:
-                out[point] = value
-    return AlgebraElement(domain, out)
+        row = t1.index * n
+        for j, c2 in right:
+            k = row + j
+            value = mul(mul(c1, c2), mul(root(eps[k]), twists[k]))
+            s = sums[k]
+            total = out[s]
+            out[s] = value if total is None else add(total, value)
+    return AlgebraElement(
+        domain, [(point, c) for point, c in zip(tables.points, out) if c is not None]
+    )
 
 
 def star_pow(f: AlgebraElement, n: int, rho: RhoAssignment) -> AlgebraElement:

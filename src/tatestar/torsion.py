@@ -4,12 +4,18 @@ Points are written a*P + b*Q for a fixed ordered basis (P, Q).  The pairing
 is normalized so that e(Q, P) = zeta, i.e. e(S, T) = zeta^(b_S*a_T - a_S*b_T),
 which is bilinear, alternating and non-degenerate.  eps denotes the square
 root e^((p+1)/2) of the pairing, the twist used by the star product.
+
+Inside the hot loops a point is its index i = a*p + b, its place in
+`all_points(p)`.  `point_tables(p)` holds, once per p, the n = p^2 points in
+that order, and two flat n x n tables read at i*n + j: the index of the sum of
+points i and j, and the exponent of eps between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from .errors import AmbientMismatchError
 from .modular import is_prime
@@ -73,6 +79,11 @@ class TorsionPoint:
     @property
     def coords(self) -> tuple[int, int]:
         return (self.a, self.b)
+
+    @property
+    def index(self) -> int:
+        """The place a*p + b of the point in all_points(p) and point_tables(p)."""
+        return self.a * self.p + self.b
 
     def _require_same_ambient(self, other: TorsionPoint) -> None:
         if self.p != other.p:
@@ -177,11 +188,32 @@ def epsilon(S: TorsionPoint, T: TorsionPoint) -> RootOfUnity:
     return RootOfUnity(S.p, epsilon_exponent(S, T))
 
 
+class PointTables(NamedTuple):
+    """The points over p by index, and their addition and eps tables.
+
+    With n = p^2, `sums[i*n + j]` is the index of points[i] + points[j] and
+    `eps[i*n + j]` is epsilon_exponent(points[i], points[j]).
+    """
+
+    p: int
+    points: tuple[TorsionPoint, ...]
+    sums: tuple[int, ...]
+    eps: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def point_tables(p: int) -> PointTables:
+    """The index tables over p, built once per p."""
+    points = tuple(TorsionPoint(p, a, b) for a in range(p) for b in range(p))
+    half = (p + 1) // 2
+    sums = tuple((s.a + t.a) % p * p + (s.b + t.b) % p for s in points for t in points)
+    eps = tuple(half * (s.b * t.a - s.a * t.b) % p for s in points for t in points)
+    return PointTables(p, points, sums, eps)
+
+
 def all_points(p: int) -> Iterator[TorsionPoint]:
     """All p^2 points, in lexicographic (a, b) order."""
-    for a in range(p):
-        for b in range(p):
-            yield TorsionPoint(p, a, b)
+    return iter(point_tables(p).points)
 
 
 def nonzero_points(p: int) -> Iterator[TorsionPoint]:

@@ -3,15 +3,26 @@
 perfbench/tracing.py replaces package attributes by name and reads the
 originals with vars(owner)[attr], so a renamed or dropped name makes
 `perfbench/run.py --trace 1` fail.  This loads that file unchanged and runs
-one instrumented phase over the package.
+one instrumented phase over the package.  Its ring-operation counters and
+planted faults see only calls made through the coefficient domain, so
+`coboundary` and `star` are also checked to make every multiplication there.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import tatestar
 import tatestar.cli
 import tatestar.modular
+from tatestar.star_algebra import (
+    AlgebraElement,
+    GammaAssignment,
+    PrimeFieldCoefficients,
+    coboundary,
+    star,
+)
+from tatestar.torsion import all_points
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +49,24 @@ def test_instrument_wraps_and_restores_the_package():
     assert counts["local_pairing.TameFieldModel.create.calls"] == 1
     for module, names in before.items():
         assert dict(vars(module)) == names
+
+
+def test_star_and_coboundary_multiply_through_the_domain():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(5)
+    muls, roots = (tracer.cell(f"star_algebra.domain.{op}.calls") for op in ("mul", "root"))
+    rng = random.Random(6)
+    gamma = GammaAssignment.random(domain, rng)
+    points = list(all_points(5))
+
+    before = muls[0]
+    rho = coboundary(gamma)
+    assert muls[0] - before == 2 * len(points) ** 2
+
+    f = AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in rng.sample(points, 7)])
+    g = AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in rng.sample(points, 4)])
+    before, roots_before = muls[0], roots[0]
+    star(f, g, rho)
+    assert muls[0] - before == 3 * 7 * 4
+    assert roots[0] - roots_before == 7 * 4

@@ -176,6 +176,25 @@ def test_hilbert_with_generator_override(capsys):
     assert payload["model"]["zeta"] == 4
 
 
+def test_hilbert_at_a_61_bit_prime(capsys):
+    # q = 2^61 - 1 = 1 mod 3; 3 is a cube mod q, so {pi, [3]} vanishes
+    q = 2 ** 61 - 1
+    code, out, err = _run(
+        capsys, "hilbert", "--p", "3", "--q", str(q), "--a", "1:1", "--b", "0:3"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert pow(3, (q - 1) // 3, q) == 1
+    assert payload["value"] == "0"
+    assert payload["model"]["q"] == q
+
+
+def test_huge_prime_p_is_rejected_by_the_guard(capsys):
+    code, _, err = _run(capsys, "verify", "--p", str(2 ** 61 - 1), "--suite", "star")
+    assert code == 2
+    assert "exceeds the guard bound 13" in err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -3,7 +3,9 @@
 The second star power of the line element is checked against a double sum
 written out by hand from the definition (twist times both coefficient
 values, grouped by the sum of the two support points), independently of the
-convolution code.
+convolution code.  `coboundary` and `star` read flat tables by point index;
+they are checked against `_reference_coboundary` and `_reference_star`,
+which add and hash TorsionPoints into dicts keyed by points.
 """
 
 import random
@@ -37,6 +39,57 @@ from tatestar.torsion import (
 
 def _delta(domain, point):
     return AlgebraElement.delta(domain, point)
+
+
+def _reference_coboundary(gamma):
+    """rho(T1, T2) = gamma(T1) gamma(T2) / gamma(T1 + T2) as a dict keyed by point pairs."""
+    domain = gamma.domain
+    points = list(all_points(domain.p))
+    inverse_at = {point: domain.inv(gamma.value(point)) for point in points}
+    values = {}
+    for t1 in points:
+        g1 = gamma.value(t1)
+        for t2 in points:
+            values[(t1, t2)] = domain.mul(domain.mul(g1, gamma.value(t2)), inverse_at[t1 + t2])
+    return values
+
+
+def _reference_star(f, g, rho_values):
+    """f *_rho g by adding points and accumulating into a dict keyed by points."""
+    domain = f.domain
+    out = {}
+    for t1, c1 in f.items():
+        for t2, c2 in g.items():
+            point = t1 + t2
+            twist = domain.mul(domain.root(epsilon_exponent(t1, t2)), rho_values[(t1, t2)])
+            value = domain.mul(domain.mul(c1, c2), twist)
+            if point in out:
+                value = domain.add(out[point], value)
+            if domain.is_zero(value):
+                out.pop(point, None)
+            else:
+                out[point] = value
+    return AlgebraElement(domain, out)
+
+
+def _gamma(p, seed):
+    """The free symbolic gamma when seed is None, else a seeded random gamma over F_q."""
+    if seed is None:
+        return GammaAssignment.symbolic(p)
+    return GammaAssignment.random(PrimeFieldCoefficients(p), random.Random(seed))
+
+
+def _dense(domain, rng):
+    """An element supported on every point, with random units (or random monomials)."""
+    p = domain.p
+    points = list(all_points(p))
+    if domain.kind == "numeric":
+        return AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in points])
+    return AlgebraElement(domain, [
+        (t, domain.root(rng.randrange(p)) * LaurentPoly.variable(p, rng.choice(points[1:]))
+         + rng.randint(1, 3))
+        for t in points
+    ])
 
 
 # ---------------------------------------------------------------- domains
@@ -151,6 +204,74 @@ def test_rho_normalization_enforced():
     with pytest.raises(ValueError):
         RhoAssignment(dom, values)
     assert RhoAssignment.trivial(dom).is_symmetric()
+    values[(TorsionPoint.zero(3), TorsionPoint(3, 1, 0))] = 1
+    values[(TorsionPoint(3, 1, 0), TorsionPoint(3, 2, 1))] = 2
+    assert not RhoAssignment(dom, values).is_symmetric()
+
+
+# ---------------------------------------------------------------- index tables
+
+
+@pytest.mark.parametrize("p, seed", [(3, None), (3, 1), (5, 2), (7, 3), (13, 4)])
+def test_coboundary_matches_reference(p, seed):
+    gamma = _gamma(p, seed)
+    rho = coboundary(gamma)
+    reference = _reference_coboundary(gamma)
+    for t1 in all_points(p):
+        for t2 in all_points(p):
+            assert rho.value(t1, t2) == reference[(t1, t2)]
+
+
+@pytest.mark.parametrize("p, seed", [(3, None), (3, 1), (5, 2), (7, 3), (13, 4)])
+def test_star_matches_reference_on_dense_elements(p, seed):
+    rng = random.Random(f"{p}/{seed}")
+    gamma = _gamma(p, seed)
+    domain = gamma.domain
+    rho = coboundary(gamma)
+    reference = _reference_coboundary(gamma)
+    for _ in range(2):
+        f, g = _dense(domain, rng), _dense(domain, rng)
+        assert len(f.support()) == len(g.support()) == p * p
+        assert star(f, g, rho) == _reference_star(f, g, reference)
+    sparse = AlgebraElement(domain, [(TorsionPoint(p, 1, 2), domain.one())])
+    assert star(sparse, f, rho) == _reference_star(sparse, f, reference)
+    assert star(f, sparse, rho) == _reference_star(f, sparse, reference)
+
+
+def test_star_drops_a_coefficient_that_cancels():
+    # f = delta_S + c delta_T, g = delta_U + delta_V with S + U = T + V, and c
+    # chosen so that the two terms landing on S + U cancel
+    p = 5
+    dom = PrimeFieldCoefficients(p)
+    gamma = GammaAssignment.random(dom, random.Random(11))
+    rho = coboundary(gamma)
+    S, T, U = TorsionPoint(p, 1, 0), TorsionPoint(p, 0, 1), TorsionPoint(p, 1, 1)
+    V = S + U - T
+
+    def twist(x, y):
+        return dom.mul(dom.root(epsilon_exponent(x, y)), rho.value(x, y))
+
+    c = dom.mul(dom.q - 1, dom.mul(twist(S, U), dom.inv(twist(T, V))))
+    f = AlgebraElement(dom, [(S, 1), (T, c)])
+    g = AlgebraElement(dom, [(U, 1), (V, 1)])
+    product = star(f, g, rho)
+    assert S + U not in product.support()
+    assert product.coefficient(S + U) == 0
+    assert product.support() == sorted([S + V, T + U], key=lambda t: t.coords)
+    assert product == _reference_star(f, g, _reference_coboundary(gamma))
+
+
+def test_values_at_points_over_another_prime_are_rejected():
+    dom = PrimeFieldCoefficients(3, 7)
+    gamma = GammaAssignment.random(dom, random.Random(2))
+    rho = coboundary(gamma)
+    here, elsewhere = TorsionPoint(3, 0, 1), TorsionPoint(5, 1, 0)  # index 1 and 5
+    with pytest.raises(AmbientMismatchError):
+        gamma.value(elsewhere)
+    with pytest.raises(AmbientMismatchError):
+        rho.value(elsewhere, here)
+    with pytest.raises(AmbientMismatchError):
+        rho.value(here, elsewhere)
 
 
 # ---------------------------------------------------------------- elements

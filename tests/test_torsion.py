@@ -11,6 +11,7 @@ from tatestar.torsion import (
     generates,
     index_shift,
     nonzero_points,
+    point_tables,
     validate_odd_prime,
     w_map,
     weil,
@@ -57,6 +58,22 @@ def test_point_group_operations():
     assert 3 * s == TorsionPoint(p, 6, 2)
     assert s * 7 == TorsionPoint.zero(p)
     assert (s + (-s)).is_zero
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_point_tables_agree_with_point_arithmetic(p):
+    tables = point_tables(p)
+    points = [TorsionPoint(p, a, b) for a in range(p) for b in range(p)]
+    assert list(all_points(p)) == points
+    assert list(tables.points) == points
+    assert [point.index for point in points] == list(range(p * p))
+    n = p * p
+    assert len(tables.sums) == len(tables.eps) == n * n
+    for i, s in enumerate(points):
+        for j, t in enumerate(points):
+            assert points[tables.sums[i * n + j]] == s + t
+            assert tables.eps[i * n + j] == epsilon_exponent(s, t)
+    assert point_tables(p) is tables
 
 
 def test_mixed_primes_raise():
