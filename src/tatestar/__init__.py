@@ -22,7 +22,6 @@ from .local_pairing import (
     PairingValue,
     TameElement,
     TameFieldModel,
-    ZERO,
     hilbert,
     iota,
     is_norm_from,
@@ -30,7 +29,13 @@ from .local_pairing import (
     qk_split,
     unramified_scaling,
 )
-from .qplane import QPlaneElement, line_operator, norm_identity_sides, qplane_identity_sides
+from .qplane import (
+    IdentityReport,
+    line_operator,
+    norm_identity_sides,
+    plane_mul,
+    qplane_identity_sides,
+)
 from .star_algebra import (
     AlgebraElement,
     GammaAssignment,
@@ -42,7 +47,7 @@ from .star_algebra import (
     star,
     star_pow,
 )
-from .torsion import RootOfUnity, TorsionPoint, basis, epsilon, w_map, weil
+from .torsion import TorsionPoint, basis, epsilon_exponent, weil_exponent
 
 __version__ = "0.1.0"
 
@@ -53,24 +58,22 @@ __all__ = [
     "ClosedFormResult",
     "CycNumber",
     "GammaAssignment",
+    "IdentityReport",
     "LaurentPoly",
     "Monomial",
     "PairingValue",
     "PrimeFieldCoefficients",
-    "QPlaneElement",
     "RhoAssignment",
-    "RootOfUnity",
     "SubstitutionError",
     "SymbolicCoefficients",
     "TameElement",
     "TameFieldModel",
     "TorsionPoint",
-    "ZERO",
     "basis",
     "build_delta",
     "coboundary",
     "delta_inverse",
-    "epsilon",
+    "epsilon_exponent",
     "gamma_form",
     "hilbert",
     "intermediate_form",
@@ -80,13 +83,13 @@ __all__ = [
     "multiplicative_specialization",
     "norm_identity_sides",
     "one_minus",
+    "plane_mul",
     "qk_split",
     "qplane_identity_sides",
     "rho_form",
     "star",
     "star_pow",
     "unramified_scaling",
-    "w_map",
-    "weil",
+    "weil_exponent",
     "__version__",
 ]

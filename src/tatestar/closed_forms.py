@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BasisError
-from .laurent import LaurentPoly, Monomial
+from .laurent import Monomial
+from .qplane import IdentityReport, collapsed_power
 from .star_algebra import AlgebraElement, Domain, Element, GammaAssignment, RhoAssignment
-from .torsion import TorsionPoint, generates, nonzero_points, weil_exponent
+from .torsion import TorsionPoint, basis, generates, nonzero_points, weil_exponent
 
 # Largest p whose expansions are computed over the free symbolic gamma.  The
 # walk takes the tuple count out of the cost but not the size of the output:
@@ -145,30 +146,11 @@ def rho_form(P: TorsionPoint, Q: TorsionPoint, rho: RhoAssignment) -> ClosedForm
     return ClosedFormResult("rho", AlgebraElement(domain, [(origin, _walk(domain, factor)[0])]))
 
 
-@dataclass(frozen=True)
-class SpecializationReport:
-    """Image of the gamma form under g_T -> x^a y^b, against its product shape."""
-
-    specialized: LaurentPoly
-    expected: LaurentPoly
-
-    @property
-    def agrees(self) -> bool:
-        return self.specialized == self.expected
-
-
-def multiplicative_specialization(p: int) -> SpecializationReport:
+def multiplicative_specialization(p: int) -> IdentityReport:
     """Substitute g_{aP+bQ} -> x^a y^b into the gamma form for the standard basis.
 
-    The image collapses to y^p (1 - x^p)^(p-1).
+    The image (lhs) collapses to y^p (1 - x^p)^(p-1) (rhs).
     """
-    P = TorsionPoint(p, 1, 0)
-    Q = TorsionPoint(p, 0, 1)
-    gamma = GammaAssignment.symbolic(p)
-    result = gamma_form(P, Q, gamma)
+    result = gamma_form(*basis(p), GammaAssignment.symbolic(p))
     mapping = {T: Monomial([("x", T.a), ("y", T.b)]) for T in nonzero_points(p)}
-    specialized = result.o_coefficient.substitute(mapping)
-    x = LaurentPoly.variable(p, "x")
-    y = LaurentPoly.variable(p, "y")
-    expected = (y ** p) * ((LaurentPoly.one(p) - x ** p) ** (p - 1))
-    return SpecializationReport(specialized, expected)
+    return IdentityReport(result.o_coefficient.substitute(mapping), collapsed_power(p))

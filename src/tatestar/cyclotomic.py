@@ -178,15 +178,6 @@ class CycNumber:
         inv = [f / c for f in t0]
         return CycNumber(p, inv)
 
-    def galois_twist(self, m: int) -> CycNumber:
-        """Apply the field automorphism zeta -> zeta^m (m not divisible by p)."""
-        if m % self.p == 0:
-            raise ValueError("zeta -> zeta^m needs m nonzero mod p")
-        vec = [0] * self.p
-        for i, x in enumerate(self.nums):
-            vec[(i * m) % self.p] += x
-        return CycNumber._make(self.p, _reduce_exponents(self.p, vec), self.den)
-
     def to_fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
 

@@ -100,23 +100,6 @@ class TameElement:
         return f"{self.val}:{self.unit}"
 
 
-class ZeroSignal:
-    """Marker returned by one_minus when the difference is exactly zero."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ZERO"
-
-
-ZERO = ZeroSignal()
-
-
 @dataclass(frozen=True)
 class PairingValue:
     """An element k/p of (1/p)Z / Z."""
@@ -180,8 +163,8 @@ def _tame_symbol(a: TameElement, b: TameElement, d: int) -> PairingValue:
     return PairingValue(p, discrete_log(model.zeta, h, q, p))
 
 
-def one_minus(a: TameElement) -> TameElement | ZeroSignal:
-    """The image of 1 - a back in the tame model (or ZERO when a = 1).
+def one_minus(a: TameElement) -> TameElement | None:
+    """The image of 1 - a back in the tame model (None when a = 1, as 1 - a = 0).
 
     Only the class modulo p-th powers matters downstream, and 1-units are
     p-th powers in the tame setting, so it is enough to keep the leading
@@ -194,7 +177,7 @@ def one_minus(a: TameElement) -> TameElement | ZeroSignal:
     if a.val < 0:
         return TameElement(model, a.val, -a.unit)
     if a.unit == 1:
-        return ZERO
+        return None
     return TameElement(model, 0, 1 - a.unit)
 
 
@@ -211,7 +194,7 @@ def qk_split(alpha_p: TameElement, alpha_q: TameElement) -> PairingValue:
     alpha_p._require_same_model(alpha_q)
     p = alpha_p.model.p
     remainder = one_minus(alpha_p)
-    if isinstance(remainder, ZeroSignal):
+    if remainder is None:
         # alpha_P = 1 is a p-th power, so every symbol against it vanishes
         return PairingValue.zero(p)
     return hilbert(alpha_p, alpha_q * remainder ** (p - 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 
 # The first twelve primes.  As Miller-Rabin bases they decide primality
 # exactly for every n below 318665857834031151167461, about 3.2 * 10^23: the
@@ -38,18 +40,44 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors in increasing order."""
-    out = []
-    d = 2
-    while d * d <= n:
+    """Distinct prime factors in increasing order.
+
+    The primes up to 37 are divided out; what is left splits by Pollard rho
+    until is_prime accepts each part.
+    """
+    if n < 2:
+        return []
+    found = set()
+    for d in _BASES:
         if n % d == 0:
-            out.append(d)
+            found.add(d)
             while n % d == 0:
                 n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            found.add(m)
+        else:
+            d = _rho_divisor(m)
+            parts += [d, m // d]
+    return sorted(found)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n (Pollard rho, Floyd cycle finding)."""
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+        c += 1
 
 
 def discrete_log(base: int, value: int, q: int, order: int) -> int:

@@ -11,11 +11,12 @@ The same computation can therefore be run once symbolically as an identity
 of polynomials and many times numerically as a fast randomized check.
 
 Inside, a point is its index i = a*p + b (see torsion.point_tables): gamma is
-a list indexed by i, rho a flat list indexed by i*n + j with n = p^2, and
-`coboundary` and `star` read the tables of index sums and eps exponents
-instead of adding and hashing points.  TorsionPoint appears only at the
-interface: as the keys of AlgebraElement and the arguments of `value`.
-Every ring operation still goes through the domain's methods.
+a list indexed by i, kept with the inverses its validation computes, rho a
+flat list indexed by i*n + j with n = p^2, and `coboundary` and `star` read
+the tables of index sums and eps exponents instead of adding and hashing
+points.  TorsionPoint appears only at the interface: as the keys of
+AlgebraElement and the arguments of `value`.  Every ring operation still
+goes through the domain's methods.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .laurent import LaurentPoly, Monomial, PolyBuilder
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
 from .torsion import (
-    RootOfUnity,
     TorsionPoint,
     all_points,
     point_tables,
@@ -190,7 +190,7 @@ def _require_point_ambient(domain: Domain, point: TorsionPoint) -> None:
 class GammaAssignment:
     """A total invertible coefficient function on the torsion points, gamma(O) = 1."""
 
-    __slots__ = ("domain", "_values")
+    __slots__ = ("domain", "_values", "_inverses")
 
     def __init__(self, domain: Domain, values: Mapping[TorsionPoint, Element]):
         self.domain = domain
@@ -201,12 +201,14 @@ class GammaAssignment:
             table.append(values[point])
         if table[0] != domain.one():
             raise ValueError("gamma must take the value 1 at the origin")
+        inverses: list[Element] = []
         for point, value in zip(all_points(domain.p), table):
             try:
-                domain.inv(value)
+                inverses.append(domain.inv(value))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"gamma value at {point} is not invertible") from None
         self._values = table
+        self._inverses = inverses
 
     @classmethod
     def symbolic(cls, p: int) -> GammaAssignment:
@@ -231,14 +233,6 @@ class GammaAssignment:
     @classmethod
     def ones(cls, domain: Domain) -> GammaAssignment:
         return cls(domain, {point: domain.one() for point in all_points(domain.p)})
-
-    @classmethod
-    def from_character(
-        cls, domain: Domain, character: Mapping[TorsionPoint, RootOfUnity]
-    ) -> GammaAssignment:
-        """Use a root-of-unity valued character as gamma."""
-        values = {point: domain.root(character[point].exponent) for point in all_points(domain.p)}
-        return cls(domain, values)
 
     @classmethod
     def random(cls, domain: PrimeFieldCoefficients, rng: random.Random) -> GammaAssignment:
@@ -307,10 +301,9 @@ def coboundary(gamma: GammaAssignment) -> RhoAssignment:
     """The twist rho(T1, T2) = gamma(T1) * gamma(T2) / gamma(T1 + T2)."""
     domain = gamma.domain
     mul = domain.mul
-    values = gamma._values
+    values, inverse = gamma._values, gamma._inverses
     n = len(values)
     sums = point_tables(domain.p).sums
-    inverse = [domain.inv(value) for value in values]
     table: list[Element] = []
     for i, g1 in enumerate(values):
         row = sums[i * n:(i + 1) * n]
@@ -382,14 +375,6 @@ class AlgebraElement:
                 out[point] = value
         return AlgebraElement(self.domain, out)
 
-    def __neg__(self) -> AlgebraElement:
-        return self.scale(_negate_one(self.domain))
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, value: Element) -> AlgebraElement:
         return AlgebraElement(
             self.domain, [(point, self.domain.mul(value, c)) for point, c in self._coeffs.items()]
@@ -420,12 +405,6 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self!s})"
-
-
-def _negate_one(domain: Domain) -> Element:
-    if domain.kind == "numeric":
-        return domain.q - 1
-    return LaurentPoly.constant(domain.p, -1)
 
 
 def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraElement:

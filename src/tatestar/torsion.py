@@ -60,18 +60,6 @@ class TorsionPoint:
     def zero(cls, p: int) -> TorsionPoint:
         return cls(p, 0, 0)
 
-    @classmethod
-    def parse(cls, text: str, p: int) -> TorsionPoint:
-        """Parse the "a,b" serialization used on the command line."""
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected a point as 'a,b', got {text!r}")
-        try:
-            a, b = (int(part.strip()) for part in parts)
-        except ValueError:
-            raise ValueError(f"expected integer coordinates in {text!r}") from None
-        return cls(p, a, b)
-
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -113,48 +101,6 @@ class TorsionPoint:
         return f"{self.a},{self.b}"
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """The formal p-th root of unity zeta^exponent."""
-
-    p: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", self.exponent % self.p)
-
-    @classmethod
-    def one(cls, p: int) -> RootOfUnity:
-        return cls(p, 0)
-
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def _require_same_ambient(self, other: RootOfUnity) -> None:
-        if self.p != other.p:
-            raise AmbientMismatchError(
-                f"roots of unity over different primes: {self.p} vs {other.p}"
-            )
-
-    def __mul__(self, other: RootOfUnity) -> RootOfUnity:
-        self._require_same_ambient(other)
-        return RootOfUnity(self.p, self.exponent + other.exponent)
-
-    def __pow__(self, n: int) -> RootOfUnity:
-        return RootOfUnity(self.p, self.exponent * n)
-
-    def inverse(self) -> RootOfUnity:
-        return RootOfUnity(self.p, -self.exponent)
-
-    def __str__(self) -> str:
-        if self.exponent == 0:
-            return "1"
-        if self.exponent == 1:
-            return "zeta"
-        return f"zeta^{self.exponent}"
-
-
 def basis(p: int) -> tuple[TorsionPoint, TorsionPoint]:
     """The standard ordered basis (P, Q) = ((1,0), (0,1))."""
     return TorsionPoint(p, 1, 0), TorsionPoint(p, 0, 1)
@@ -172,20 +118,10 @@ def weil_exponent(S: TorsionPoint, T: TorsionPoint) -> int:
     return (S.b * T.a - S.a * T.b) % S.p
 
 
-def weil(S: TorsionPoint, T: TorsionPoint) -> RootOfUnity:
-    """The pairing e(S, T)."""
-    return RootOfUnity(S.p, weil_exponent(S, T))
-
-
 def epsilon_exponent(S: TorsionPoint, T: TorsionPoint) -> int:
     """Exponent of eps(S, T) = e(S, T)^((p+1)/2), the square root of e(S, T)."""
     p = S.p
     return ((p + 1) // 2) * weil_exponent(S, T) % p
-
-
-def epsilon(S: TorsionPoint, T: TorsionPoint) -> RootOfUnity:
-    """The twist eps(S, T); satisfies eps(S, T)^2 = e(S, T)."""
-    return RootOfUnity(S.p, epsilon_exponent(S, T))
 
 
 class PointTables(NamedTuple):
@@ -220,11 +156,6 @@ def nonzero_points(p: int) -> Iterator[TorsionPoint]:
     for point in all_points(p):
         if not point.is_zero:
             yield point
-
-
-def w_map(S: TorsionPoint) -> dict[TorsionPoint, RootOfUnity]:
-    """The character T -> e(S, T) as an explicit table on all points."""
-    return {T: weil(S, T) for T in all_points(S.p)}
 
 
 def index_shift(T: TorsionPoint) -> TorsionPoint:

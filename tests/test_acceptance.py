@@ -19,7 +19,6 @@ from tatestar.closed_forms import (
 )
 from tatestar.local_pairing import (
     TameFieldModel,
-    ZeroSignal,
     class_representatives,
     hilbert,
     is_norm_from,
@@ -126,7 +125,7 @@ def test_criterion_6_symbol_laws_and_norm_equivalence():
             for unit in range(1, q):
                 x = model.element(val, unit)
                 rest = one_minus(x)
-                if not isinstance(rest, ZeroSignal):
+                if rest is not None:
                     ok = ok and hilbert(x, rest).is_zero
     model = TameFieldModel.create(3, 7)
     reps = class_representatives(model)

@@ -5,7 +5,8 @@ originals with vars(owner)[attr], so a renamed or dropped name makes
 `perfbench/run.py --trace 1` fail.  This loads that file unchanged and runs
 one instrumented phase over the package.  Its ring-operation counters and
 planted faults see only calls made through the coefficient domain, so
-`coboundary` and `star` are also checked to make every multiplication there.
+`coboundary` and `star` are also checked to make every multiplication there,
+and to invert each gamma value once.
 """
 
 import importlib.util
@@ -55,7 +56,9 @@ def test_star_and_coboundary_multiply_through_the_domain():
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(5)
-    muls, roots = (tracer.cell(f"star_algebra.domain.{op}.calls") for op in ("mul", "root"))
+    muls, roots, invs = (
+        tracer.cell(f"star_algebra.domain.{op}.calls") for op in ("mul", "root", "inv")
+    )
     rng = random.Random(6)
     gamma = GammaAssignment.random(domain, rng)
     points = list(all_points(5))
@@ -63,6 +66,8 @@ def test_star_and_coboundary_multiply_through_the_domain():
     before = muls[0]
     rho = coboundary(gamma)
     assert muls[0] - before == 2 * len(points) ** 2
+    # validating gamma inverts each value once, and coboundary reuses them
+    assert invs[0] == len(points)
 
     f = AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in rng.sample(points, 7)])
     g = AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in rng.sample(points, 4)])

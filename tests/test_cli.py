@@ -189,6 +189,25 @@ def test_hilbert_at_a_61_bit_prime(capsys):
     assert payload["model"]["q"] == q
 
 
+def test_hilbert_when_q_minus_1_has_a_58_bit_prime_factor(capsys):
+    # q - 1 = 6 * 288230376151712227; trial division of q - 1 would not end
+    code, out, err = _run(
+        capsys, "hilbert", "--p", "3", "--q", "1729382256910273363", "--a", "1:1", "--b", "0:3"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["model"]["q"] == 1729382256910273363
+
+
+def test_verify_local_at_a_61_bit_prime(capsys):
+    # the Steinberg sweep samples units when q - 1 is large
+    code, out, err = _run(
+        capsys, "verify", "--p", "3", "--q", str(2 ** 61 - 1), "--suite", "local"
+    )
+    assert (code, err) == (0, "")
+    assert "64 random units of 2305843009213693950" in out
+    assert out.endswith("7/7 checks passed\n")
+
+
 def test_huge_prime_p_is_rejected_by_the_guard(capsys):
     code, _, err = _run(capsys, "verify", "--p", str(2 ** 61 - 1), "--suite", "star")
     assert code == 2

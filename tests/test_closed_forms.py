@@ -249,8 +249,8 @@ def test_specialization_p3_explicit():
     x = LaurentPoly.variable(3, "x")
     y = LaurentPoly.variable(3, "y")
     by_hand = y ** 3 - 2 * (x ** 3 * y ** 3) + x ** 6 * y ** 3
-    assert report.expected == by_hand
-    assert report.specialized == by_hand
+    assert report.rhs == by_hand
+    assert report.lhs == by_hand
     assert report.agrees
 
 
@@ -263,4 +263,4 @@ def test_specialization_equals_multiplicative_gamma_form():
     p = 3
     P, Q = basis(p)
     direct = gamma_form(P, Q, GammaAssignment.multiplicative(p))
-    assert direct.o_coefficient == multiplicative_specialization(p).specialized
+    assert direct.o_coefficient == multiplicative_specialization(p).lhs

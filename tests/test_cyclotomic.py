@@ -121,29 +121,6 @@ def test_mixed_primes_raise():
         CycNumber.one(3) * CycNumber.zeta_pow(5, 1)
 
 
-def test_galois_twist_is_a_ring_map():
-    rng = random.Random(11)
-    p = 7
-    for _ in range(50):
-        a = _random_cyc(rng, p)
-        b = _random_cyc(rng, p)
-        m = rng.randint(1, p - 1)
-        assert (a * b).galois_twist(m) == a.galois_twist(m) * b.galois_twist(m)
-        assert (a + b).galois_twist(m) == a.galois_twist(m) + b.galois_twist(m)
-    z = CycNumber.zeta_pow(p, 1)
-    for m in range(1, p):
-        assert z.galois_twist(m) == CycNumber.zeta_pow(p, m)
-    with pytest.raises(ValueError):
-        z.galois_twist(p)
-
-
-def test_galois_twists_compose():
-    p = 5
-    x = CycNumber(p, [1, 2, 3, 4])
-    assert x.galois_twist(2).galois_twist(3) == x.galois_twist(6 % p)
-    assert x.galois_twist(1) == x
-
-
 def test_json_coordinates():
     assert CycNumber.rational(3, -3).to_json() == ["-3/1", "0/1"]
     assert CycNumber(3, [Fraction(1, 2), 1]).to_json() == ["1/2", "1/1"]

@@ -3,117 +3,137 @@ from fractions import Fraction
 
 import pytest
 
+from tatestar import qplane
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
+from tatestar.laurent import LaurentPoly, Monomial
 from tatestar.qplane import (
-    QPlaneElement,
     line_operator,
     norm_factor,
     norm_identity_sides,
+    plane_mul,
     qplane_identity_sides,
 )
-from tatestar.laurent import LaurentPoly, Monomial
+from tatestar.suites import qplane_suite
 
 
-def _brute_force_power(p: int, element: QPlaneElement, n: int) -> QPlaneElement:
-    """Left-to-right repeated product, for cross-checking the fast power."""
-    result = QPlaneElement.one(p)
-    for _ in range(n):
-        result = result * element
-    return result
+def _mono(p, a, b, coeff=1):
+    """The plane element coeff * X^a Y^b."""
+    return LaurentPoly(p, [(Monomial([("x", a), ("y", b)]), coeff)])
 
 
 def _x(p):
-    return QPlaneElement.x(p)
+    return _mono(p, 1, 0)
 
 
 def _y(p):
-    return QPlaneElement.y(p)
+    return _mono(p, 0, 1)
+
+
+def _power(f, n):
+    """Left-to-right repeated plane product, n >= 1."""
+    result = f
+    for _ in range(n - 1):
+        result = plane_mul(result, f)
+    return result
 
 
 def _random_plane(rng, p, nterms=3):
-    terms = []
-    for _ in range(nterms):
-        a, b = rng.randint(0, 4), rng.randint(0, 4)
-        coeff = CycNumber(p, [rng.randint(-3, 3) for _ in range(p - 1)])
-        terms.append(((a, b), coeff))
-    return QPlaneElement(p, terms)
+    # The twist zeta^(2bc) holds for every integer exponent, negative ones too.
+    return sum(
+        (
+            _mono(p, rng.randint(-2, 4), rng.randint(-2, 4),
+                  CycNumber(p, [rng.randint(-3, 3) for _ in range(p - 1)]))
+            for _ in range(nterms)
+        ),
+        LaurentPoly.zero(p),
+    )
 
 
 def test_commutation_rule():
     for p in (3, 5, 7):
         zeta2 = CycNumber.zeta_pow(p, 2)
-        assert _y(p) * _x(p) == (_x(p) * _y(p)) * zeta2
+        assert plane_mul(_y(p), _x(p)) == plane_mul(_x(p), _y(p)) * zeta2
 
 
 def test_monomial_product_twist():
     # (X Y)(X Y) = zeta^2 X^2 Y^2
     p = 5
-    xy = _x(p) * _y(p)
-    assert xy * xy == QPlaneElement.monomial(p, 2, 2, CycNumber.zeta_pow(p, 2))
+    xy = plane_mul(_x(p), _y(p))
+    assert xy == _mono(p, 1, 1)
+    assert plane_mul(xy, xy) == _mono(p, 2, 2, CycNumber.zeta_pow(p, 2))
 
 
 def test_normal_ordering_keeps_x_before_y():
     p = 3
-    m = QPlaneElement.monomial(p, 2, 1) * QPlaneElement.monomial(p, 1, 2)
+    m = plane_mul(_mono(p, 2, 1), _mono(p, 1, 2))
     # Y X = zeta^2 X Y applied once per crossing: 2*1*1 = 2
-    assert m == QPlaneElement.monomial(p, 3, 3, CycNumber.zeta_pow(p, 2))
+    assert m == _mono(p, 3, 3, CycNumber.zeta_pow(p, 2))
+    # moving Y^-1 past X twists by zeta^-2
+    assert plane_mul(_mono(p, 0, -1), _x(p)) == _mono(p, 1, -1, CycNumber.zeta_pow(p, -2))
 
 
 def test_x_power_p_is_central():
     rng = random.Random(31)
     p = 5
-    xp = _x(p) ** p
+    xp = _power(_x(p), p)
+    assert xp == _mono(p, p, 0)
     for _ in range(20):
         f = _random_plane(rng, p)
-        assert xp * f == f * xp
+        assert plane_mul(xp, f) == plane_mul(f, xp)
 
 
 def test_scalars_are_central():
     p = 3
-    z = CycNumber.zeta_pow(p, 1)
-    f = _y(p) * _x(p)
-    assert z * f == f * z
+    z = LaurentPoly.constant(p, CycNumber.zeta_pow(p, 1))
+    f = plane_mul(_y(p), _x(p))
+    assert plane_mul(z, f) == plane_mul(f, z) == f * CycNumber.zeta_pow(p, 1)
 
 
 def test_power_matches_brute_force():
+    # binary powering through plane_mul agrees with the left-to-right product
     rng = random.Random(8)
     for p in (3, 5):
         for _ in range(10):
             f = _random_plane(rng, p)
-            n = rng.randint(0, 5)
-            assert f ** n == _brute_force_power(p, f, n)
-
-
-def test_negative_exponents_rejected():
-    with pytest.raises(ValueError):
-        QPlaneElement(3, [((-1, 0), 1)])
-    with pytest.raises(ValueError):
-        _x(3) ** -1
+            n = rng.randint(1, 5)
+            result, base, k = None, f, n
+            while k:
+                if k & 1:
+                    result = base if result is None else plane_mul(result, base)
+                base = plane_mul(base, base)
+                k >>= 1
+            assert result == _power(f, n)
 
 
 def test_associativity_random():
     rng = random.Random(15)
-    p = 3
-    for _ in range(30):
-        f, g, h = (_random_plane(rng, p) for _ in range(3))
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
+    for p in (3, 5):
+        for _ in range(30):
+            f, g, h = (_random_plane(rng, p) for _ in range(3))
+            assert plane_mul(plane_mul(f, g), h) == plane_mul(f, plane_mul(g, h))
+            assert plane_mul(f, g + h) == plane_mul(f, g) + plane_mul(f, h)
+            assert plane_mul(f + g, h) == plane_mul(f, h) + plane_mul(g, h)
 
 
 def test_mixed_primes_raise():
     with pytest.raises(AmbientMismatchError):
-        _x(3) * _x(5)
+        plane_mul(_x(3), _x(5))
     with pytest.raises(AmbientMismatchError):
-        QPlaneElement(3, [((0, 0), CycNumber.one(5))])
+        LaurentPoly(3, [(Monomial.one(), CycNumber.one(5))])
 
 
 def test_line_operator_terms():
     p = 3
     op = line_operator(p)
-    assert op.coefficient(0, 1) == CycNumber.one(p)
-    assert op.coefficient(1, 1) == CycNumber.zeta_pow(p, -1)
-    assert op.coefficient(2, 1) == CycNumber.zeta_pow(p, -2)
+    assert op.coefficient(Monomial([("y", 1)])) == CycNumber.one(p)
+    assert op.coefficient(Monomial([("x", 1), ("y", 1)])) == CycNumber.zeta_pow(p, -1)
+    assert op.coefficient(Monomial([("x", 2), ("y", 1)])) == CycNumber.zeta_pow(p, -2)
+    # zeta^-i X^i Y is zeta^-3i Y X^i in the plane
+    assert op == sum(
+        (plane_mul(_y(p), _mono(p, i, 0, CycNumber.zeta_pow(p, -3 * i))) for i in range(p)),
+        LaurentPoly.zero(p),
+    )
 
 
 def test_plane_identity():
@@ -122,19 +142,23 @@ def test_plane_identity():
         assert report.agrees, f"p={p}"
 
 
+def test_plane_identity_needs_the_twist(monkeypatch):
+    # The commutative product is plane_mul with every twist replaced by 1.
+    monkeypatch.setattr(qplane, "plane_mul", LaurentPoly.__mul__)
+    for p in (3, 5, 7):
+        plane = {check.name: check for check in qplane_suite(p)}["plane-identity"]
+        assert not plane.ok, f"p={p}"
+
+
 def test_plane_identity_rhs_shape_p3():
     # Y^3 (1 - X^3)^2 = Y^3 - 2 X^3 Y^3 + X^6 Y^3
     report = qplane_identity_sides(3)
-    assert report.rhs == (
-        QPlaneElement.monomial(3, 0, 3)
-        + QPlaneElement.monomial(3, 3, 3, -2)
-        + QPlaneElement.monomial(3, 6, 3)
-    )
+    assert report.rhs == _mono(3, 0, 3) + _mono(3, 3, 3, -2) + _mono(3, 6, 3)
 
 
 def test_single_generator_power():
     p = 5
-    assert _y(p) ** p == QPlaneElement.monomial(p, 0, p)
+    assert _power(_y(p), p) == _mono(p, 0, p)
 
 
 def test_norm_factor_j0_is_geometric():
@@ -161,7 +185,8 @@ def test_norm_identity_p3_coefficients():
 
 def test_coercion_of_plain_scalars():
     p = 3
-    f = QPlaneElement(p, [((1, 1), 2)])
-    assert f.coefficient(1, 1) == CycNumber.rational(p, 2)
-    g = QPlaneElement(p, [((0, 0), Fraction(1, 2))])
-    assert g + g == QPlaneElement.one(p)
+    f = _mono(p, 1, 1, 2)
+    assert f.coefficient(Monomial([("x", 1), ("y", 1)])) == CycNumber.rational(p, 2)
+    half = LaurentPoly.constant(p, Fraction(1, 2))
+    assert plane_mul(half, half + half) == half
+    assert plane_mul(f, half) == _mono(p, 1, 1)

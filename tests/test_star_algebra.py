@@ -32,7 +32,6 @@ from tatestar.torsion import (
     basis,
     epsilon_exponent,
     index_shift,
-    w_map,
     weil_exponent,
 )
 
@@ -189,7 +188,7 @@ def test_character_gamma_has_trivial_coboundary():
     p = 3
     dom = SymbolicCoefficients(p)
     P, _ = basis(p)
-    gamma = GammaAssignment.from_character(dom, w_map(P))
+    gamma = GammaAssignment(dom, {T: dom.root(weil_exponent(P, T)) for T in all_points(p)})
     rho = coboundary(gamma)
     for s in all_points(p):
         for t in all_points(p):
@@ -285,7 +284,7 @@ def test_algebra_element_basics():
     g = AlgebraElement(dom, [(P, 5)])
     assert (f + g).coefficient(P) == 0      # 2 + 5 = 0 mod 7
     assert (f + g).support() == [Q]
-    assert (f - f).is_zero
+    assert (f + f.scale(dom.q - 1)).is_zero
     assert f.scale(2).coefficient(Q) == 6
     assert AlgebraElement(dom, [(P, 0)]).is_zero
 

@@ -2,19 +2,15 @@ import pytest
 
 from tatestar.errors import AmbientMismatchError
 from tatestar.torsion import (
-    RootOfUnity,
     TorsionPoint,
     all_points,
     basis,
-    epsilon,
     epsilon_exponent,
     generates,
     index_shift,
     nonzero_points,
     point_tables,
     validate_odd_prime,
-    w_map,
-    weil,
     weil_exponent,
 )
 
@@ -37,15 +33,6 @@ def test_point_coordinates_reduce_mod_p():
     pt = TorsionPoint(5, 7, -1)
     assert pt.coords == (2, 4)
     assert str(pt) == "2,4"
-
-
-def test_point_parse_roundtrip_and_errors():
-    assert TorsionPoint.parse("2,1", 3) == TorsionPoint(3, 2, 1)
-    assert TorsionPoint.parse(" 4 , -1 ", 5) == TorsionPoint(5, 4, 4)
-    with pytest.raises(ValueError):
-        TorsionPoint.parse("2", 3)
-    with pytest.raises(ValueError):
-        TorsionPoint.parse("a,b", 3)
 
 
 def test_point_group_operations():
@@ -80,14 +67,14 @@ def test_mixed_primes_raise():
     with pytest.raises(AmbientMismatchError):
         TorsionPoint(3, 1, 0) + TorsionPoint(5, 1, 0)
     with pytest.raises(AmbientMismatchError):
-        weil(TorsionPoint(3, 1, 0), TorsionPoint(5, 0, 1))
+        weil_exponent(TorsionPoint(3, 1, 0), TorsionPoint(5, 0, 1))
 
 
 def test_weil_orientation_convention():
     # e(Q, P) = zeta is the fixed convention
     P, Q = basis(3)
-    assert weil(Q, P) == RootOfUnity(3, 1)
-    assert weil(P, Q) == RootOfUnity(3, 2)
+    assert weil_exponent(Q, P) == 1
+    assert weil_exponent(P, Q) == 2
 
 
 def test_weil_example_p5():
@@ -118,7 +105,7 @@ def test_epsilon_is_square_root_of_weil():
         for s in all_points(p):
             for t in all_points(p):
                 assert (2 * epsilon_exponent(s, t)) % p == weil_exponent(s, t)
-        assert epsilon(Q, P) == RootOfUnity(p, (p + 1) // 2)
+        assert epsilon_exponent(Q, P) == (p + 1) // 2
 
 
 def test_epsilon_on_opposite_points_is_one():
@@ -130,9 +117,9 @@ def test_epsilon_on_opposite_points_is_one():
 def test_w_map_of_P_is_zeta_to_minus_b():
     p = 3
     P, _ = basis(p)
-    table = w_map(P)
+    # the character w_P: T -> e(P, T)
     for t in all_points(p):
-        assert table[t] == RootOfUnity(p, -t.b)
+        assert weil_exponent(P, t) == -t.b % p
 
 
 def test_index_shift_fixes_P_and_moves_Q():
@@ -154,13 +141,3 @@ def test_generates():
     assert not generates(P, 2 * P)
     assert not generates(P, TorsionPoint.zero(p))
 
-
-def test_root_of_unity_arithmetic():
-    a = RootOfUnity(5, 3)
-    b = RootOfUnity(5, 4)
-    assert a * b == RootOfUnity(5, 2)
-    assert a ** 5 == RootOfUnity.one(5)
-    assert a.inverse() * a == RootOfUnity.one(5)
-    assert str(RootOfUnity(5, 0)) == "1"
-    assert str(RootOfUnity(5, 1)) == "zeta"
-    assert str(RootOfUnity(5, 3)) == "zeta^3"
