@@ -158,6 +158,19 @@ def test_one_minus_branches():
     assert one_minus(m.element(-2, 3)) == m.element(-2, -3)
 
 
+def test_zero_signal_is_a_singleton():
+    # 1 - a = 0 is signalled by the one object None, in every model, and
+    # only at a = 1: every other element of valuation 0, 1 or -1 has a 1 - a
+    for p, q in ((3, 7), (5, 11), (7, 29)):
+        m = TameFieldModel.create(p, q)
+        assert one_minus(m.one()) is None
+        assert one_minus(m.element(0, 1)) is None
+        for val in (-1, 0, 1):
+            for unit in range(1, q):
+                if (val, unit) != (0, 1):
+                    assert one_minus(m.element(val, unit)) is not None
+
+
 def test_iota_identifies_roots():
     m = _model37()
     assert iota(m, 1) == PairingValue(3, 0)
