@@ -118,7 +118,7 @@ def intermediate_form(
         return domain.mul(domain.root(half * d * (2 * l - 1) * i), gvals[i])
 
     sums = _walk(domain, factor)
-    support = [(s * P, domain.mul(sums[s], domain.inv(gamma.value(s * P)))) for s in range(p)]
+    support = [(s * P, domain.mul(sums[s], gamma.inverse(s * P))) for s in range(p)]
     return ClosedFormResult("intermediate", AlgebraElement(domain, support))
 
 

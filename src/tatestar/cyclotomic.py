@@ -3,8 +3,13 @@
 Elements are kept in the power basis 1, zeta, ..., zeta^(p-2) as a vector of
 integers over a single positive denominator, reduced with the two relations
 zeta^p = 1 and 1 + zeta + ... + zeta^(p-1) = 0, and normalized so that
-gcd(content, denominator) = 1.  No floating point is used anywhere; the
-integer-vector layout keeps ring operations cheap inside large enumerations.
+gcd(content, denominator) = 1.  No floating point is used anywhere.
+
+Every value the package itself builds lies in Z[zeta], with denominator 1, so
+the ring operations are integer ones: a sum adds the p - 1 coordinates, and a
+product convolves them and folds zeta^(p-1) = -(1 + ... + zeta^(p-2)) back
+into the basis in place.  Normalization stops at once when the denominator
+is 1; the gcd is only taken for values built from Fractions.
 """
 
 from __future__ import annotations
@@ -96,11 +101,14 @@ class CycNumber:
             )
 
     def __add__(self, other) -> CycNumber:
-        other = _coerce(self.p, other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycNumber:
+            other = _coerce(self.p, other)
+            if other is NotImplemented:
+                return NotImplemented
         self._require_same_ambient(other)
         da, db = self.den, other.den
+        if da == db:
+            return CycNumber._make(self.p, [x + y for x, y in zip(self.nums, other.nums)], da)
         nums = [x * db + y * da for x, y in zip(self.nums, other.nums)]
         return CycNumber._make(self.p, nums, da * db)
 
@@ -119,22 +127,34 @@ class CycNumber:
         return -(self - other)
 
     def __mul__(self, other) -> CycNumber:
+        if type(other) is CycNumber:
+            self._require_same_ambient(other)
+            if other.is_one:
+                return self
+            if self.is_one:
+                return other
+            p = self.p
+            n = p - 1
+            conv = [0] * (2 * n - 1)
+            b = other.nums
+            for i, x in enumerate(self.nums):
+                if x:
+                    for j, y in enumerate(b, i):
+                        conv[j] += x * y
+            # zeta^e = zeta^(e-p) for e >= p, then zeta^(p-1) = -(1 + ... + zeta^(p-2))
+            for e in range(p, 2 * n - 1):
+                conv[e - p] += conv[e]
+            top = conv[n]
+            del conv[n:]
+            if top:
+                conv = [c - top for c in conv]
+            return CycNumber._make(p, conv, self.den * other.den)
         if isinstance(other, int):
             return CycNumber._make(self.p, [x * other for x in self.nums], self.den)
         if isinstance(other, Fraction):
             nums = [x * other.numerator for x in self.nums]
             return CycNumber._make(self.p, nums, self.den * other.denominator)
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        self._require_same_ambient(other)
-        n = self.p - 1
-        conv = [0] * (2 * n - 1)
-        a, b = self.nums, other.nums
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        return CycNumber._make(self.p, _reduce_exponents(self.p, conv), self.den * other.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -161,22 +181,20 @@ class CycNumber:
         return result
 
     def inverse(self) -> CycNumber:
-        """Multiplicative inverse, via extended Euclid against 1 + x + ... + x^(p-1)."""
+        """Multiplicative inverse: the product of the other Galois conjugates over the norm."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(zeta_p)")
+        if self.is_one:
+            return self
         p = self.p
-        phi = [Fraction(1)] * p
-        a = [Fraction(x, self.den) for x in self.nums]
-        r0, t0 = _strip(phi), [Fraction(0)]
-        r1, t1 = _strip(a), [Fraction(1)]
-        while r1:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        # r0 is now a nonzero constant c with c = t0 * self (mod phi)
-        c = r0[0]
-        inv = [f / c for f in t0]
-        return CycNumber(p, inv)
+        others = CycNumber.one(p)
+        for k in range(2, p):  # the conjugate zeta -> zeta^k
+            twisted = [0] * p
+            for e, x in enumerate(self.nums):
+                twisted[e * k % p] += x
+            others = others * CycNumber(p, twisted, self.den)
+        norm = self * others  # a nonzero rational, the norm to Q
+        return others * Fraction(norm.den, norm.nums[0])
 
     def to_fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
@@ -220,6 +238,8 @@ class CycNumber:
 
 
 def _normalize(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    if den == 1:
+        return tuple(nums), 1
     if den < 0:
         den = -den
         nums = [-x for x in nums]
@@ -242,42 +262,3 @@ def _coerce(p: int, value):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return CycNumber.rational(p, value)
     return NotImplemented
-
-
-def _strip(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _strip([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _strip(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coeff = rem[k + len(b) - 1] / lead
-        if coeff:
-            q[k] = coeff
-            for j, y in enumerate(b):
-                rem[k + j] -= coeff * y
-    return _strip(q), _strip(rem)

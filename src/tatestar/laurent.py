@@ -2,12 +2,21 @@
 
 Variables are either torsion points (the formal symbols g_T for T != O) or
 plain strings such as "x" and "y".  Exponents are arbitrary integers, and a
-monomial is the finite product of powers of distinct variables, kept sorted
-so that equal monomials are literally equal objects.
+monomial is the finite product of powers of distinct variables.
+
+Inside, a variable is an integer key.  The first time a variable is seen it
+is checked and given the next free key in a module-level intern table (a
+dict, so TorsionPoint(3, 1, 0) and TorsionPoint(5, 1, 0) get different keys).
+A monomial is the tuple of its (key, exponent) pairs sorted by key, so equal
+monomials are equal tuples, and a product merges two integer tuples without
+hashing a variable.  Keys follow the order in which variables were first
+seen, so only the output paths (`Monomial.pairs`, `sort_key`, `to_json`,
+`__str__` and `LaurentPoly.terms`) decode keys, and they sort by variable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -33,19 +42,66 @@ def _check_variable(var: Variable) -> None:
         raise TypeError(f"variable must be a torsion point or a string, got {var!r}")
 
 
+# The intern table, variable -> key and key -> variable.  It only grows, and
+# no output shows a key, so sharing it between callers changes no result.
+_keys: dict[Variable, int] = {}
+_variables: list[Variable] = []
+
+
+def _intern(var: Variable) -> int:
+    key = _keys.get(var)
+    if key is None:
+        _check_variable(var)
+        key = _keys[var] = len(_variables)
+        _variables.append(var)
+    return key
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The product of two key-sorted pair tuples, with zero exponents dropped."""
+    for pair in b:
+        key = pair[0]
+        i = bisect_left(a, (key,))
+        if i < len(a) and a[i][0] == key:
+            exp = a[i][1] + pair[1]
+            a = a[:i] + ((key, exp),) + a[i + 1:] if exp else a[:i] + a[i + 1:]
+        else:
+            a = a[:i] + (pair,) + a[i:]
+    return a
+
+
+def _add_into(terms: dict, items) -> None:
+    """Add (monomial, nonzero coefficient) pairs into terms, dropping sums that cancel."""
+    for mono, c in items:
+        s = terms.get(mono)
+        if s is None:
+            terms[mono] = c
+        else:
+            s = s + c
+            if s.is_zero:
+                del terms[mono]
+            else:
+                terms[mono] = s
+
+
 class Monomial:
     """A product of integer powers of distinct variables."""
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs: Iterable[tuple[Variable, int]] = ()):
-        merged: dict[Variable, int] = {}
+        merged: dict[int, int] = {}
         for var, exp in pairs:
-            _check_variable(var)
-            merged[var] = merged.get(var, 0) + exp
-        items = [(v, e) for v, e in merged.items() if e != 0]
-        items.sort(key=lambda item: _var_sort_key(item[0]))
-        self._pairs = tuple(items)
+            key = _intern(var)
+            merged[key] = merged.get(key, 0) + exp
+        self._pairs = tuple(sorted(item for item in merged.items() if item[1]))
+
+    @classmethod
+    def _of(cls, pairs: tuple) -> Monomial:
+        """The monomial of an already key-sorted tuple of nonzero (key, exponent) pairs."""
+        self = object.__new__(cls)
+        self._pairs = pairs
+        return self
 
     @classmethod
     def one(cls) -> Monomial:
@@ -57,7 +113,10 @@ class Monomial:
 
     @property
     def pairs(self) -> tuple[tuple[Variable, int], ...]:
-        return self._pairs
+        """(variable, exponent) pairs, sorted by variable."""
+        decoded = [(_variables[key], exp) for key, exp in self._pairs]
+        decoded.sort(key=lambda item: _var_sort_key(item[0]))
+        return tuple(decoded)
 
     @property
     def is_one(self) -> bool:
@@ -66,16 +125,20 @@ class Monomial:
     def __mul__(self, other: Monomial) -> Monomial:
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial(self._pairs + other._pairs)
+        if not other._pairs:
+            return self
+        if not self._pairs:
+            return other
+        return Monomial._of(_merge(self._pairs, other._pairs))
 
     def __pow__(self, n: int) -> Monomial:
-        return Monomial([(v, e * n) for v, e in self._pairs])
+        return Monomial._of(tuple((key, exp * n) for key, exp in self._pairs) if n else ())
 
     def inverse(self) -> Monomial:
         return self ** -1
 
     def sort_key(self):
-        return tuple((_var_sort_key(v), e) for v, e in self._pairs)
+        return tuple((_var_sort_key(v), e) for v, e in self.pairs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._pairs == other._pairs
@@ -85,7 +148,7 @@ class Monomial:
 
     def to_json(self) -> list[dict]:
         out = []
-        for var, exp in self._pairs:
+        for var, exp in self.pairs:
             if isinstance(var, TorsionPoint):
                 out.append({"point": str(var), "exp": exp})
             else:
@@ -96,7 +159,7 @@ class Monomial:
         if not self._pairs:
             return "1"
         bits = []
-        for var, exp in self._pairs:
+        for var, exp in self.pairs:
             name = f"g[{var}]" if isinstance(var, TorsionPoint) else var
             bits.append(name if exp == 1 else f"{name}^{exp}")
         return "*".join(bits)
@@ -112,16 +175,9 @@ class LaurentPoly:
 
     def __init__(self, p: int, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
         self.p = p
-        merged: dict[Monomial, CycNumber] = {}
-        for mono, coeff in terms:
-            c = self._coerce_coeff(p, coeff)
-            if mono in merged:
-                c = merged[mono] + c
-            if c.is_zero:
-                merged.pop(mono, None)
-            else:
-                merged[mono] = c
-        self._terms = merged
+        self._terms: dict[Monomial, CycNumber] = {}
+        coerced = ((mono, self._coerce_coeff(p, coeff)) for mono, coeff in terms)
+        _add_into(self._terms, ((mono, c) for mono, c in coerced if not c.is_zero))
 
     @staticmethod
     def _coerce_coeff(p: int, coeff: Coefficient) -> CycNumber:
@@ -172,13 +228,7 @@ class LaurentPoly:
             return NotImplemented
         self._require_same_ambient(other)
         out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+        _add_into(out, other._terms.items())
         return self._from_raw(self.p, out)
 
     __radd__ = __add__
@@ -196,25 +246,19 @@ class LaurentPoly:
         return -(self - other)
 
     def __mul__(self, other) -> LaurentPoly:
-        if isinstance(other, (CycNumber, int, Fraction)):
-            c0 = self._coerce_coeff(self.p, other)
-            if c0.is_zero:
-                return LaurentPoly.zero(self.p)
-            return self._from_raw(self.p, {m: c * c0 for m, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (CycNumber, int, Fraction)):
+                c0 = self._coerce_coeff(self.p, other)
+                if c0.is_zero:
+                    return LaurentPoly.zero(self.p)
+                return self._from_raw(self.p, {m: c * c0 for m, c in self._terms.items()})
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         self._require_same_ambient(other)
         out: dict[Monomial, CycNumber] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1 * m2
-                c = c1 * c2
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
+        right = list(other._terms.items())
+        # a product of two nonzero numbers of the field Q(zeta_p) is nonzero
+        _add_into(out, ((m1 * m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right))
         return self._from_raw(self.p, out)
 
     __rmul__ = __mul__
@@ -247,7 +291,8 @@ class LaurentPoly:
         builder = PolyBuilder(self.p)
         for mono, coeff in self._terms.items():
             image = Monomial.one()
-            for var, exp in mono.pairs:
+            for key, exp in mono._pairs:
+                var = _variables[key]
                 target = mapping.get(var)
                 if target is None:
                     raise SubstitutionError(f"no substitution given for variable {var!r}")
@@ -302,20 +347,15 @@ class PolyBuilder:
 
     def add(self, mono: Monomial, coeff: Coefficient) -> None:
         c = LaurentPoly._coerce_coeff(self.p, coeff)
-        s = self._terms.get(mono)
-        s = c if s is None else s + c
-        if s.is_zero:
-            self._terms.pop(mono, None)
-        else:
-            self._terms[mono] = s
+        if not c.is_zero:
+            _add_into(self._terms, [(mono, c)])
 
     def add_poly(self, poly: LaurentPoly) -> None:
         if poly.p != self.p:
             raise AmbientMismatchError(
                 f"polynomial over prime {poly.p} added to a builder over {self.p}"
             )
-        for mono, coeff in poly._terms.items():
-            self.add(mono, coeff)
+        _add_into(self._terms, poly._terms.items())
 
     def build(self) -> LaurentPoly:
         return LaurentPoly._from_raw(self.p, dict(self._terms))

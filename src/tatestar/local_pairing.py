@@ -53,9 +53,6 @@ class TameFieldModel:
     def one(self) -> TameElement:
         return TameElement(self, 0, 1)
 
-    def uniformizer(self) -> TameElement:
-        return TameElement(self, 1, 1)
-
 
 @dataclass(frozen=True)
 class TameElement:

@@ -33,11 +33,11 @@ def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     p = f.p
     # twisted[b % p] of a right term c2 * X^c Y^d is c2 * zeta^(2bc)
     right = []
-    for m2, c2 in g.terms():
+    for m2, c2 in g._terms.items():
         c = dict(m2.pairs).get("x", 0)
         right.append((m2, [c2 * CycNumber.zeta_pow(p, 2 * b * c) for b in range(p)]))
     out = PolyBuilder(p)
-    for m1, c1 in f.terms():
+    for m1, c1 in f._terms.items():
         b = dict(m1.pairs).get("y", 0) % p
         for m2, twisted in right:
             out.add(m1 * m2, c1 * twisted[b])

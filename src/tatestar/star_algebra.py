@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Union
 
 from .cyclotomic import CycNumber
 from .errors import AmbientMismatchError
-from .laurent import LaurentPoly, Monomial, PolyBuilder
+from .laurent import LaurentPoly, PolyBuilder
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
 from .torsion import (
@@ -221,20 +221,6 @@ class GammaAssignment:
         return cls(domain, values)
 
     @classmethod
-    def multiplicative(cls, p: int) -> GammaAssignment:
-        """gamma(a*P + b*Q) = x^a * y^b on coordinate representatives in [0, p)."""
-        domain = SymbolicCoefficients(p)
-        values: dict[TorsionPoint, Element] = {}
-        for point in all_points(p):
-            mono = Monomial([("x", point.a), ("y", point.b)])
-            values[point] = LaurentPoly(p, [(mono, 1)])
-        return cls(domain, values)
-
-    @classmethod
-    def ones(cls, domain: Domain) -> GammaAssignment:
-        return cls(domain, {point: domain.one() for point in all_points(domain.p)})
-
-    @classmethod
     def random(cls, domain: PrimeFieldCoefficients, rng: random.Random) -> GammaAssignment:
         """Uniform random units at nonzero points (numeric domains only)."""
         values: dict[TorsionPoint, Element] = {}
@@ -246,9 +232,10 @@ class GammaAssignment:
         _require_point_ambient(self.domain, point)
         return self._values[point.index]
 
-    def alpha(self, point: TorsionPoint) -> Element:
-        """The p-th power gamma(T)^p."""
-        return self.domain.power(self.value(point), self.domain.p)
+    def inverse(self, point: TorsionPoint) -> Element:
+        """gamma(T)^-1, as computed when gamma was validated."""
+        _require_point_ambient(self.domain, point)
+        return self._inverses[point.index]
 
 
 class RhoAssignment:
@@ -282,19 +269,10 @@ class RhoAssignment:
         rho._adopt(domain, table)
         return rho
 
-    @classmethod
-    def trivial(cls, domain: Domain) -> RhoAssignment:
-        return cls._from_table(domain, [domain.one()] * domain.p ** 4)
-
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
         _require_point_ambient(self.domain, t1)
         _require_point_ambient(self.domain, t2)
         return self._values[t1.index * self.domain.p ** 2 + t2.index]
-
-    def is_symmetric(self) -> bool:
-        n = self.domain.p ** 2
-        values = self._values
-        return all(values[i * n + j] == values[j * n + i] for i in range(n) for j in range(i))
 
 
 def coboundary(gamma: GammaAssignment) -> RhoAssignment:
@@ -451,5 +429,5 @@ def delta_inverse(point: TorsionPoint, gamma: GammaAssignment) -> AlgebraElement
     inverse is gamma(T)^-1 gamma(-T)^-1 delta_{-T}.
     """
     domain = gamma.domain
-    c = domain.inv(domain.mul(gamma.value(point), gamma.value(-point)))
+    c = domain.mul(gamma.inverse(point), gamma.inverse(-point))
     return AlgebraElement(domain, [(-point, c)])

@@ -6,7 +6,9 @@ originals with vars(owner)[attr], so a renamed or dropped name makes
 one instrumented phase over the package.  Its ring-operation counters and
 planted faults see only calls made through the coefficient domain, so
 `coboundary` and `star` are also checked to make every multiplication there,
-and to invert each gamma value once.
+and a four-way check to invert each gamma value once.  The symbolic ring keys
+monomials by interned integers, so a symbolic four-way check hashes torsion
+points only at the algebra's interface, a few times per point.
 """
 
 import importlib.util
@@ -16,14 +18,18 @@ from pathlib import Path
 import tatestar
 import tatestar.cli
 import tatestar.modular
+from tatestar.closed_forms import build_delta, gamma_form, intermediate_form, rho_form
 from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
     coboundary,
+    delta_inverse,
     star,
+    star_pow,
 )
-from tatestar.torsion import all_points
+from tatestar.suites import _four_way
+from tatestar.torsion import TorsionPoint, all_points, basis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -75,3 +81,36 @@ def test_star_and_coboundary_multiply_through_the_domain():
     star(f, g, rho)
     assert muls[0] - before == 3 * 7 * 4
     assert roots[0] - roots_before == 7 * 4
+
+
+def test_four_way_inverts_each_gamma_value_once():
+    # intermediate_form and delta_inverse read the inverses gamma keeps
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    p = 5
+    domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
+    invs = tracer.cell("star_algebra.domain.inv.calls")
+    gamma = GammaAssignment.random(domain, random.Random(8))
+    P, Q = basis(p)
+    rho = coboundary(gamma)
+    powered = star_pow(build_delta(domain, P, Q), p, rho)
+    inter = intermediate_form(P, Q, gamma)
+    assert powered == inter.element
+    assert gamma_form(P, Q, gamma).o_coefficient == inter.o_coefficient
+    assert rho_form(P, Q, rho).o_coefficient == inter.o_coefficient
+    for point in all_points(p):
+        unit = star(AlgebraElement.delta(domain, point), delta_inverse(point, gamma), rho)
+        assert unit == AlgebraElement.delta(domain, TorsionPoint.zero(p))
+    assert invs[0] == p ** 2
+
+
+def test_symbolic_four_way_hashes_points_a_few_times_per_point():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    p = 5
+    gamma = GammaAssignment.symbolic(p)
+    with tracing.instrument(tatestar, tracer):
+        ok, why = _four_way(gamma)
+    assert ok, why
+    # 68 at p = 5; monomials keyed by points hashed them 77,728 times
+    assert tracer.counts()["torsion.TorsionPoint.hash.calls"] <= 3 * p ** 2

@@ -133,3 +133,29 @@ def test_str_rendering_smoke():
     assert str(CycNumber.one(p)) == "1"
     assert str(CycNumber.zeta_pow(p, 2)) == "zeta^2"
     assert "zeta" in str(CycNumber(p, [1, -1]))
+
+
+def _schoolbook_product(p, a, b):
+    """a * b in Z[x], reduced by long division by 1 + x + ... + x^(p-1), top down."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for e in range(len(prod) - 1, p - 2, -1):
+        lead, prod[e] = prod[e], 0
+        for k in range(e - p + 1, e):
+            prod[k] -= lead
+    return tuple(prod[:p - 1])
+
+
+def test_integer_product_matches_schoolbook_reduction():
+    rng = random.Random(61)
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(300):
+            a, b = ([rng.choice((0, 0, 1, -1, rng.randint(-50, 50))) for _ in range(p - 1)]
+                    for _ in range(2))
+            if rng.random() < 0.2:
+                b = [1] + [0] * (p - 2)
+            product = CycNumber(p, a) * CycNumber(p, b)
+            assert product.den == 1
+            assert product.nums == _schoolbook_product(p, a, b)

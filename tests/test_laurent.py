@@ -5,7 +5,7 @@ import pytest
 
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError, SubstitutionError
-from tatestar.laurent import LaurentPoly, Monomial, PolyBuilder
+from tatestar.laurent import LaurentPoly, Monomial, PolyBuilder, _var_sort_key
 from tatestar.torsion import TorsionPoint, nonzero_points
 
 
@@ -185,3 +185,161 @@ def test_pow_matches_repeated_product():
     f = _random_poly(rng, p, nterms=3)
     assert f ** 3 == f * f * f
     assert f ** 0 == LaurentPoly.one(p)
+
+
+# ------------------------------------------------- differential: a dict reference
+#
+# The reference keys a monomial by its sorted (_var_sort_key(variable), exponent)
+# pairs and holds each coefficient as p - 1 Fraction coordinates in the power
+# basis, so it shares neither the interned integer keys nor CycNumber with the
+# code under test.
+
+
+def _ref_reduce(p, vec):
+    """Coordinates of sum vec[e] zeta^e in the basis 1, ..., zeta^(p-2)."""
+    out = [Fraction(0)] * p
+    for e, c in enumerate(vec):
+        out[e % p] += c
+    return tuple(c - out[p - 1] for c in out[:p - 1])
+
+
+def _ref_merge(keyed_pairs):
+    exps = {}
+    for key, exp in keyed_pairs:
+        exps[key] = exps.get(key, 0) + exp
+    return tuple(sorted((key, exp) for key, exp in exps.items() if exp))
+
+
+def _ref_mono(pairs):
+    return _ref_merge((_var_sort_key(var), exp) for var, exp in pairs)
+
+
+def _ref_add_term(out, mono, coeff):
+    total = tuple(x + y for x, y in zip(out.get(mono, (0,) * len(coeff)), coeff))
+    if any(total):
+        out[mono] = total
+    else:
+        out.pop(mono, None)
+
+
+def _ref_add(p, f, g):
+    out = dict(f)
+    for mono, coeff in g.items():
+        _ref_add_term(out, mono, coeff)
+    return out
+
+
+def _ref_mul(p, f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            conv = [Fraction(0)] * (2 * p - 3)
+            for i, x in enumerate(c1):
+                for j, y in enumerate(c2):
+                    conv[i + j] += x * y
+            _ref_add_term(out, _ref_merge(m1 + m2), _ref_reduce(p, conv))
+    return out
+
+
+def _ref_pow(p, f, n):
+    out = {(): _ref_reduce(p, [1])}
+    for _ in range(n):
+        out = _ref_mul(p, out, f)
+    return out
+
+
+def _ref_of(poly):
+    return {_ref_mono(m.pairs): c.to_fractions() for m, c in poly.terms()}
+
+
+def _random_variables(rng, p):
+    points = list(nonzero_points(p))
+    return rng.sample(points, 4) + ["x", "y", "t"]
+
+
+def _random_term(rng, p, variables, unit=False):
+    """(pairs, coordinates); a unit term has a coefficient r * zeta^k."""
+    pairs = [(rng.choice(variables), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
+    if unit:
+        vec = [0] * p
+        vec[rng.randrange(p)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+    else:
+        vec = [rng.choice((0, rng.randint(-4, 4))) for _ in range(p - 1)]
+    return pairs, vec
+
+
+def _build(p, terms):
+    poly = LaurentPoly(p, [(Monomial(pairs), CycNumber(p, vec)) for pairs, vec in terms])
+    ref = {}
+    for pairs, vec in terms:
+        coeff = _ref_reduce(p, vec)
+        if any(coeff):
+            _ref_add_term(ref, _ref_mono(pairs), coeff)
+    return poly, ref
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_ring_operations_match_the_dict_reference(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        variables = _random_variables(rng, p)
+        (f, rf), (g, rg) = (
+            _build(p, [_random_term(rng, p, variables) for _ in range(rng.randint(0, 5))])
+            for _ in range(2)
+        )
+        assert _ref_of(f) == rf
+        assert _ref_of(f + g) == _ref_add(p, rf, rg)
+        assert _ref_of(f * g) == _ref_mul(p, rf, rg)
+        n = rng.randint(0, 3)
+        assert _ref_of(f ** n) == _ref_pow(p, rf, n)
+
+        # units: one term with coefficient r * zeta^k, inverted and raised to -n
+        (pairs, vec), = [_random_term(rng, p, variables, unit=True)]
+        u, ru = _build(p, [(pairs, vec)])
+        k = next(e for e, c in enumerate(vec) if c)
+        inv_vec = [0] * p
+        inv_vec[-k % p] = 1 / vec[k]
+        ru_inv = _build(p, [([(v, -e) for v, e in pairs], inv_vec)])[1]
+        assert _ref_of(u.inverse()) == ru_inv
+        assert _ref_of(u ** -n) == _ref_pow(p, ru_inv, n)
+        assert _ref_of(u * u.inverse()) == _ref_pow(p, ru, 0)
+
+        # substitute each variable by a random monomial in the string variables
+        targets = {v: [(rng.choice("xyt"), rng.randint(-2, 2)) for _ in range(2)]
+                   for v in variables}
+        image = f.substitute({v: Monomial(pairs) for v, pairs in targets.items()})
+        by_key = {_var_sort_key(v): pairs for v, pairs in targets.items()}
+        expected = {}
+        for mono, coeff in rf.items():
+            pairs = [(w, e * exp) for key, exp in mono for w, e in by_key[key]]
+            _ref_add_term(expected, _ref_mono(pairs), coeff)
+        assert _ref_of(image) == expected
+
+
+def test_monomial_identity_does_not_depend_on_input_order():
+    rng = random.Random(11)
+    variables = _random_variables(rng, 7)
+    for _ in range(50):
+        pairs = [(rng.choice(variables), rng.randint(-3, 3)) for _ in range(5)]
+        shuffled = rng.sample(pairs, len(pairs))
+        assert Monomial(pairs) == Monomial(shuffled)
+        assert hash(Monomial(pairs)) == hash(Monomial(shuffled))
+        assert Monomial(pairs).pairs == Monomial(shuffled).pairs
+
+
+def test_output_order_does_not_depend_on_first_use():
+    # "w2" is seen before "w1", so its interned key is the smaller one
+    late = Monomial.variable("w2") * Monomial.variable("w1", 3)
+    assert late.pairs == (("w1", 3), ("w2", 1))
+    assert str(late) == "w1^3*w2"
+    assert late.to_json() == [{"var": "w1", "exp": 3}, {"var": "w2", "exp": 1}]
+
+
+def test_same_coordinates_over_different_primes_are_different_variables():
+    a3, a5 = TorsionPoint(3, 1, 0), TorsionPoint(5, 1, 0)
+    assert Monomial.variable(a3) != Monomial.variable(a5)
+    # same index a*p + b = 3 in the two point tables
+    assert Monomial.variable(a3) != Monomial.variable(TorsionPoint(5, 0, 3))
+    both = Monomial([(a3, 1), (a5, 2)])
+    assert both.pairs in (((a3, 1), (a5, 2)), ((a5, 2), (a3, 1)))
+    assert Monomial.variable(a3) * Monomial.variable(a5, -1) != Monomial.one()

@@ -103,7 +103,7 @@ def test_element_arithmetic():
 
 def test_class_vector():
     m = _model37()
-    assert m.uniformizer().class_vector() == (1, 0)
+    assert m.element(1, 1).class_vector() == (1, 0)
     assert m.element(0, 3).class_vector() == (0, 1)   # 3 = g^1
     assert m.element(0, 2).class_vector() == (0, 2)   # 2 = 3^2 mod 7
     assert m.element(3, 6).class_vector() == (0, 0)   # 6 = 3^3, both parts p-th powers
@@ -126,7 +126,7 @@ def test_class_vector_is_the_full_log_mod_p(p, q):
 
 def test_hilbert_pinned_values():
     m = _model37()
-    pi = m.uniformizer()
+    pi = m.element(1, 1)
     u3 = m.element(0, 3)
     assert str(hilbert(pi, u3)) == "2/3"
     assert str(hilbert(u3, pi)) == "1/3"
@@ -245,7 +245,7 @@ def test_symbol_vanishing_equals_norm_membership():
 def test_norm_membership_edges():
     m = _model37()
     one = m.one()
-    pi = m.uniformizer()
+    pi = m.element(1, 1)
     # trivial extension: everything is a norm
     assert is_norm_from(m.element(0, 3), one)
     assert is_norm_from(pi, one)
