@@ -1,7 +1,7 @@
 """Exact twisted convolution on elliptic p-torsion and the tame local pairing.
 
 The package has three layers: the torsion group with its symplectic pairing
-and exact Q(zeta_p) coefficients (torsion, cyclotomic, laurent); the twisted
+and exact Z[zeta_p] coefficients (torsion, cyclotomic, laurent); the twisted
 group algebra and its closed-form p-th powers (star_algebra, closed_forms,
 qplane); and the tame local field model where the pairing becomes an explicit
 Hilbert symbol (local_pairing).  Everything is exact; there are no floats.

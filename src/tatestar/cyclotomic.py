@@ -1,25 +1,20 @@
-"""Exact arithmetic in Q(zeta_p) for an odd prime p.
+"""Exact arithmetic in Z[zeta_p] for an odd prime p.
 
-Elements are kept in the power basis 1, zeta, ..., zeta^(p-2) as a vector of
-integers over a single positive denominator, reduced with the two relations
-zeta^p = 1 and 1 + zeta + ... + zeta^(p-1) = 0, and normalized so that
-gcd(content, denominator) = 1.  No floating point is used anywhere.
-
-Every value the package itself builds lies in Z[zeta], with denominator 1, so
-the ring operations are integer ones: a sum adds the p - 1 coordinates, and a
-product convolves them and folds zeta^(p-1) = -(1 + ... + zeta^(p-2)) back
-into the basis in place.  Normalization stops at once when the denominator
-is 1; the gcd is only taken for values built from Fractions.
+Elements are kept as p - 1 integer coordinates in the power basis 1, zeta,
+..., zeta^(p-2), reduced with the two relations zeta^p = 1 and
+1 + zeta + ... + zeta^(p-1) = 0.  No floating point is used anywhere, and
+every coefficient the package builds lies in this ring: a sum adds the
+coordinates, and a product convolves them and folds
+zeta^(p-1) = -(1 + ... + zeta^(p-2)) back into the basis in place.  A
+non-integer coefficient raises TypeError, and only units of Z[zeta_p] are
+inverted.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from operator import index
 
 from .errors import AmbientMismatchError
-
-Rational = int | Fraction
 
 
 def _reduce_exponents(p: int, vec: list) -> list:
@@ -38,53 +33,44 @@ def _reduce_exponents(p: int, vec: list) -> list:
 
 
 class CycNumber:
-    """An element of Q(zeta_p), stored exactly."""
+    """An element of Z[zeta_p], stored exactly."""
 
-    __slots__ = ("p", "nums", "den")
+    __slots__ = ("p", "nums")
 
-    def __init__(self, p: int, coeffs=(), den: Rational = 1):
-        """Build sum(coeffs[e] * zeta^e) / den; coeffs may have any length."""
-        fracs = [Fraction(c) for c in _reduce_exponents(p, list(coeffs))]
-        scale = Fraction(den)
-        if scale == 0:
-            raise ZeroDivisionError("zero denominator")
-        common = 1
-        for f in fracs:
-            common = common * f.denominator // gcd(common, f.denominator)
-        nums = [int(f * common) * scale.denominator for f in fracs]
+    def __init__(self, p: int, coeffs=()):
+        """Build sum(coeffs[e] * zeta^e) from integers; coeffs may have any length."""
         self.p = p
-        self.nums, self.den = _normalize(nums, common * scale.numerator)
+        self.nums = tuple(_reduce_exponents(p, [index(c) for c in coeffs]))
 
     @classmethod
-    def _make(cls, p: int, nums: list[int], den: int) -> CycNumber:
+    def _make(cls, p: int, nums: list[int]) -> CycNumber:
         self = object.__new__(cls)
         self.p = p
-        self.nums, self.den = _normalize(nums, den)
+        self.nums = tuple(nums)
         return self
 
     @classmethod
     def zero(cls, p: int) -> CycNumber:
-        return cls._make(p, [0] * (p - 1), 1)
+        return cls._make(p, [0] * (p - 1))
 
     @classmethod
     def one(cls, p: int) -> CycNumber:
         return cls.rational(p, 1)
 
     @classmethod
-    def rational(cls, p: int, value: Rational) -> CycNumber:
-        f = Fraction(value)
-        nums = [f.numerator] + [0] * (p - 2)
-        return cls._make(p, nums, f.denominator)
+    def rational(cls, p: int, value: int) -> CycNumber:
+        """The integer value as an element of Z[zeta_p]."""
+        return cls._make(p, [index(value)] + [0] * (p - 2))
 
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNumber:
         """The root of unity zeta^k."""
         k %= p
         if k == p - 1:
-            return cls._make(p, [-1] * (p - 1), 1)
+            return cls._make(p, [-1] * (p - 1))
         nums = [0] * (p - 1)
         nums[k] = 1
-        return cls._make(p, nums, 1)
+        return cls._make(p, nums)
 
     @property
     def is_zero(self) -> bool:
@@ -92,7 +78,7 @@ class CycNumber:
 
     @property
     def is_one(self) -> bool:
-        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
+        return self.nums[0] == 1 and not any(self.nums[1:])
 
     def _require_same_ambient(self, other: CycNumber) -> None:
         if self.p != other.p:
@@ -106,16 +92,12 @@ class CycNumber:
             if other is NotImplemented:
                 return NotImplemented
         self._require_same_ambient(other)
-        da, db = self.den, other.den
-        if da == db:
-            return CycNumber._make(self.p, [x + y for x, y in zip(self.nums, other.nums)], da)
-        nums = [x * db + y * da for x, y in zip(self.nums, other.nums)]
-        return CycNumber._make(self.p, nums, da * db)
+        return CycNumber._make(self.p, [x + y for x, y in zip(self.nums, other.nums)])
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNumber:
-        return CycNumber._make(self.p, [-x for x in self.nums], self.den)
+        return CycNumber._make(self.p, [-x for x in self.nums])
 
     def __sub__(self, other) -> CycNumber:
         other = _coerce(self.p, other)
@@ -148,42 +130,21 @@ class CycNumber:
             del conv[n:]
             if top:
                 conv = [c - top for c in conv]
-            return CycNumber._make(p, conv, self.den * other.den)
+            return CycNumber._make(p, conv)
         if isinstance(other, int):
-            return CycNumber._make(self.p, [x * other for x in self.nums], self.den)
-        if isinstance(other, Fraction):
-            nums = [x * other.numerator for x in self.nums]
-            return CycNumber._make(self.p, nums, self.den * other.denominator)
+            return CycNumber._make(self.p, [x * other for x in self.nums])
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> CycNumber:
-        if isinstance(other, int):
-            return CycNumber._make(self.p, list(self.nums), self.den * other)
-        if isinstance(other, Fraction):
-            return self * (1 / other)
-        if isinstance(other, CycNumber):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __pow__(self, n: int) -> CycNumber:
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = CycNumber.one(self.p)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def inverse(self) -> CycNumber:
-        """Multiplicative inverse: the product of the other Galois conjugates over the norm."""
+        """Inverse of a unit: the product of the other Galois conjugates over the norm.
+
+        Raises ValueError when the norm to Z is not +-1, i.e. when the inverse
+        does not lie in Z[zeta_p].
+        """
         if self.is_zero:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_p)")
+            raise ZeroDivisionError("inverse of zero in Z[zeta_p]")
         if self.is_one:
             return self
         p = self.p
@@ -192,43 +153,42 @@ class CycNumber:
             twisted = [0] * p
             for e, x in enumerate(self.nums):
                 twisted[e * k % p] += x
-            others = others * CycNumber(p, twisted, self.den)
-        norm = self * others  # a nonzero rational, the norm to Q
-        return others * Fraction(norm.den, norm.nums[0])
-
-    def to_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
+            others = others * CycNumber(p, twisted)
+        norm = (self * others).nums[0]  # a nonzero integer, the norm to Z
+        if norm not in (1, -1):
+            raise ValueError(f"{self} is not a unit of Z[zeta_{p}]: its norm is {norm}")
+        return others * norm
 
     def to_json(self) -> list[str]:
         """Power-basis coordinates as exact "num/den" strings."""
-        return [f"{f.numerator}/{f.denominator}" for f in self.to_fractions()]
+        return [f"{x}/1" for x in self.nums]
 
     def __eq__(self, other) -> bool:
-        other = _coerce(self.p, other) if not isinstance(other, CycNumber) else other
-        if other is NotImplemented or not isinstance(other, CycNumber):
+        other = _coerce(self.p, other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.p == other.p and self.den == other.den and self.nums == other.nums
+        return self.p == other.p and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.p, self.nums, self.den))
+        return hash((self.p, self.nums))
 
     def __repr__(self) -> str:
         return f"CycNumber({self.p}, {self!s})"
 
     def __str__(self) -> str:
         parts = []
-        for e, f in enumerate(self.to_fractions()):
-            if f == 0:
+        for e, x in enumerate(self.nums):
+            if x == 0:
                 continue
             unit = "1" if e == 0 else ("zeta" if e == 1 else f"zeta^{e}")
             if e == 0:
-                parts.append(str(f))
-            elif f == 1:
+                parts.append(str(x))
+            elif x == 1:
                 parts.append(unit)
-            elif f == -1:
+            elif x == -1:
                 parts.append(f"-{unit}")
             else:
-                parts.append(f"{f}*{unit}")
+                parts.append(f"{x}*{unit}")
         if not parts:
             return "0"
         out = parts[0]
@@ -237,28 +197,9 @@ class CycNumber:
         return out
 
 
-def _normalize(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den == 1:
-        return tuple(nums), 1
-    if den < 0:
-        den = -den
-        nums = [-x for x in nums]
-    g = den
-    for x in nums:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        nums = [x // g for x in nums]
-    if not any(nums):
-        den = 1
-    return tuple(nums), den
-
-
 def _coerce(p: int, value):
     if isinstance(value, CycNumber):
         return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if isinstance(value, int) and not isinstance(value, bool):
         return CycNumber.rational(p, value)
     return NotImplemented

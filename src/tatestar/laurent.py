@@ -1,4 +1,7 @@
-"""Sparse Laurent polynomials over Q(zeta_p) in invertible formal variables.
+"""Sparse Laurent polynomials over Z[zeta_p] in invertible formal variables.
+
+A coefficient is a CycNumber, p - 1 integer coordinates; a plain int is
+accepted where a coefficient is expected, and anything else raises TypeError.
 
 Variables are either torsion points (the formal symbols g_T for T != O) or
 plain strings such as "x" and "y".  Exponents are arbitrary integers, and a
@@ -17,7 +20,6 @@ seen, so only the output paths (`Monomial.pairs`, `sort_key`, `to_json`,
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import Iterable, Union
 
 from .cyclotomic import CycNumber
@@ -25,7 +27,7 @@ from .errors import AmbientMismatchError, SubstitutionError
 from .torsion import TorsionPoint
 
 Variable = Union[TorsionPoint, str]
-Coefficient = Union[CycNumber, int, Fraction]
+Coefficient = Union[CycNumber, int]
 
 
 def _var_sort_key(var: Variable):
@@ -169,7 +171,7 @@ class Monomial:
 
 
 class LaurentPoly:
-    """A finite Q(zeta_p)-linear combination of monomials."""
+    """A finite Z[zeta_p]-linear combination of monomials."""
 
     __slots__ = ("p", "_terms")
 
@@ -247,7 +249,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> LaurentPoly:
         if type(other) is not LaurentPoly:
-            if isinstance(other, (CycNumber, int, Fraction)):
+            if isinstance(other, (CycNumber, int)):
                 c0 = self._coerce_coeff(self.p, other)
                 if c0.is_zero:
                     return LaurentPoly.zero(self.p)
@@ -257,7 +259,7 @@ class LaurentPoly:
         self._require_same_ambient(other)
         out: dict[Monomial, CycNumber] = {}
         right = list(other._terms.items())
-        # a product of two nonzero numbers of the field Q(zeta_p) is nonzero
+        # Z[zeta_p] is a domain, so a product of two nonzero coefficients is nonzero
         _add_into(out, ((m1 * m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right))
         return self._from_raw(self.p, out)
 
@@ -272,8 +274,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> LaurentPoly:
@@ -310,7 +313,7 @@ class LaurentPoly:
     def _coerce_poly(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (CycNumber, int, Fraction)):
+        if isinstance(other, (CycNumber, int)):
             return LaurentPoly.constant(self.p, other)
         return NotImplemented
 

@@ -1,4 +1,4 @@
-"""The quantum plane over Q(zeta_p) and the product identities checked in it.
+"""The quantum plane over Z[zeta_p] and the product identities checked in it.
 
 Generators X, Y satisfy Y*X = zeta^2 * X*Y.  A plane element is a
 LaurentPoly in the variables "x" and "y", read normal-ordered as a sum of

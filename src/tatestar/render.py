@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .closed_forms import ClosedFormResult
 from .cyclotomic import CycNumber
 from .laurent import LaurentPoly, Monomial
@@ -24,28 +22,21 @@ def point_label(point: TorsionPoint) -> str:
     return "+".join(parts) if parts else "O"
 
 
-def _frac_latex(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return f"{sign}\\tfrac{{{abs(f.numerator)}}}{{{f.denominator}}}"
-
-
 def cyc_latex(c: CycNumber) -> str:
     """A cyclotomic number as a LaTeX sum of powers of zeta."""
     parts = []
-    for e, f in enumerate(c.to_fractions()):
-        if f == 0:
+    for e, x in enumerate(c.nums):
+        if x == 0:
             continue
         unit = "" if e == 0 else ("\\zeta" if e == 1 else f"\\zeta^{{{e}}}")
         if not unit:
-            body = _frac_latex(f)
-        elif f == 1:
+            body = str(x)
+        elif x == 1:
             body = unit
-        elif f == -1:
+        elif x == -1:
             body = f"-{unit}"
         else:
-            body = f"{_frac_latex(f)}{unit}"
+            body = f"{x}{unit}"
         parts.append(body)
     if not parts:
         return "0"

@@ -3,7 +3,7 @@
 Elements are finitely supported coefficient functions on the group, and the
 product is convolution twisted by eps (the square root of the symplectic
 pairing) and by a two-cocycle rho.  Coefficients live in one of two domains
-behind the same small interface: exact Laurent polynomials over Q(zeta_p)
+behind the same small interface: exact Laurent polynomials over Z[zeta_p]
 ("symbolic") or the prime field F_q with the root of unity zeta = g^((q-1)/p)
 ("numeric").
 
@@ -40,7 +40,7 @@ Element = Union[LaurentPoly, int]
 
 
 class SymbolicCoefficients:
-    """Laurent polynomials over Q(zeta_p) as a coefficient domain."""
+    """Laurent polynomials over Z[zeta_p] as a coefficient domain."""
 
     kind = "symbolic"
 

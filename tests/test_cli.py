@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import partial
 
@@ -60,6 +61,46 @@ def test_expand_latex(capsys):
     assert out.startswith("\\left(")
     assert "\\delta_{O}" in out
     assert "g_{Q+2P}" in out
+
+
+# sha256 of the stdout of each command, pinned byte for byte
+_STDOUT_SHA256 = {
+    "expand --p 5 --form gamma":
+        "fe19392c6d93e7fc8466392eb2ab3e5f5b3146b1d6cf295e4685d160d6b21077",
+    "expand --p 5 --form gamma --latex":
+        "5935d9569c628063acab9a515ec15227f225c2b7d4069aa9bbd15caec4e1d67b",
+    "expand --p 5 --form intermediate":
+        "119a768d7c3bc15f063337a38a55e72265667a5feb71cefb620166789b4ad648",
+    "expand --p 5 --form intermediate --latex":
+        "5935d9569c628063acab9a515ec15227f225c2b7d4069aa9bbd15caec4e1d67b",
+    "expand --p 5 --form rho":
+        "ee8ebd6cd0c1907836ca287dd5327f66ba930d612497d04d0ac3f0404d3dc840",
+    "expand --p 5 --form rho --latex":
+        "5935d9569c628063acab9a515ec15227f225c2b7d4069aa9bbd15caec4e1d67b",
+    "expand --p 7 --form gamma":
+        "a9d9d9974ea769975aabfd1ba6d0cee18ca0ccc14a0cf0b1ae60ff000e29d1e8",
+    "expand --p 7 --form gamma --latex":
+        "e696fef3d4bfeca200203c09f164de3d04bd575bda4459788bc6ae4c2f0d127a",
+    "expand --p 7 --form intermediate":
+        "16728de5862fad3482e7cce8f136fec47e02c29026ac1c465c1d7691b174eadd",
+    "expand --p 7 --form intermediate --latex":
+        "e696fef3d4bfeca200203c09f164de3d04bd575bda4459788bc6ae4c2f0d127a",
+    "expand --p 7 --form rho":
+        "6588669f08df17426df043ef0affd38f52e389d1d68187c4dfc1faaec6247094",
+    "expand --p 7 --form rho --latex":
+        "e696fef3d4bfeca200203c09f164de3d04bd575bda4459788bc6ae4c2f0d127a",
+    "verify --p 5 --suite all":
+        "8c5f43c5e32f0b7955f6fba5f1ed4da82a5178b6bade71fbc9520ec930cc68eb",
+    "verify --p 7 --suite all":
+        "22593ec46cf24b06be8d672be8a2513d5a0de49efc5de83c9010cce5a2aa59db",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STDOUT_SHA256))
+def test_stdout_is_byte_pinned(capsys, command):
+    code, out, err = _run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[command]
 
 
 def test_expand_rejects_bad_primes(capsys):

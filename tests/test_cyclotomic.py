@@ -1,8 +1,9 @@
-"""Exactness checks for the Q(zeta_p) arithmetic.
+"""Exactness checks for the Z[zeta_p] arithmetic.
 
-The representation is an integer vector over a common denominator, so these
-tests lean on random sweeps to make sure normalization never loses or
-invents content, plus a few identities with known values.
+The representation is p - 1 integer coordinates in the power basis, so these
+tests lean on random sweeps against independent references (the schoolbook
+product, the norm as a product of all conjugates), plus a few identities with
+known values.
 """
 
 import random
@@ -12,17 +13,45 @@ import pytest
 
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
+from tatestar.laurent import LaurentPoly, Monomial, PolyBuilder
 
 
 def _random_cyc(rng, p):
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p - 1)]
-    return CycNumber(p, coeffs)
+    return CycNumber(p, [rng.randint(-9, 9) for _ in range(p - 1)])
+
+
+def _conjugate(a, k):
+    """The image of a under the Galois automorphism zeta -> zeta^k."""
+    twisted = [0] * a.p
+    for e, x in enumerate(a.nums):
+        twisted[e * k % a.p] += x
+    return CycNumber(a.p, twisted)
+
+
+def _norm(a):
+    """The norm of a to Z, as the product of all p - 1 conjugates."""
+    product = CycNumber.one(a.p)
+    for k in range(1, a.p):
+        product = product * _conjugate(a, k)
+    assert not any(product.nums[1:])
+    return product.nums[0]
+
+
+def _random_unit(rng, p):
+    """+-zeta^k times a product of cyclotomic units 1 + zeta + ... + zeta^(a-1), 0 < a < p."""
+    unit = CycNumber.zeta_pow(p, rng.randrange(p)) * rng.choice((-1, 1))
+    for _ in range(rng.randint(0, 3)):
+        unit = unit * CycNumber(p, [1] * rng.randint(1, p - 1))
+    return unit
 
 
 def test_zeta_power_relations():
     for p in (3, 5, 7):
         z = CycNumber.zeta_pow(p, 1)
-        assert z ** p == CycNumber.one(p)
+        power = CycNumber.one(p)
+        for _ in range(p):
+            power = power * z
+        assert power == CycNumber.one(p)
         for a in range(p):
             for b in range(p):
                 assert CycNumber.zeta_pow(p, a) * CycNumber.zeta_pow(p, b) == \
@@ -33,7 +62,7 @@ def test_top_power_folds_into_basis():
     # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
     p = 5
     top = CycNumber.zeta_pow(p, p - 1)
-    assert top.to_fractions() == (-1, -1, -1, -1)
+    assert top.nums == (-1, -1, -1, -1)
 
 
 def test_sum_of_all_roots_is_zero():
@@ -46,7 +75,7 @@ def test_sum_of_all_roots_is_zero():
 
 def test_product_of_conjugate_units_p3():
     z = CycNumber.zeta_pow(3, 1)
-    assert (1 + z) * (1 + z ** 2) == CycNumber.one(3)
+    assert (1 + z) * (1 + z * z) == CycNumber.one(3)
 
 
 def test_ring_axioms_random():
@@ -71,7 +100,14 @@ def test_inverse_random_nonzero():
         a = _random_cyc(rng, p)
         if a.is_zero:
             continue
-        assert a * a.inverse() == CycNumber.one(p)
+        norm = _norm(a)
+        if norm in (1, -1):
+            assert a * a.inverse() == CycNumber.one(p)
+        else:
+            with pytest.raises(ValueError, match=f"norm is {norm}$"):
+                a.inverse()
+        u = _random_unit(rng, p)
+        assert u * u.inverse() == CycNumber.one(p)
         checked += 1
 
 
@@ -83,26 +119,52 @@ def test_inverse_of_zero_raises():
 def test_division_and_negative_powers():
     p = 7
     z = CycNumber.zeta_pow(p, 1)
-    assert z ** -1 == CycNumber.zeta_pow(p, p - 1)
-    x = CycNumber(p, [1, 2, 0, 1, 0, 3])
-    assert (x / x) == CycNumber.one(p)
-    assert x ** -2 * x ** 2 == CycNumber.one(p)
+    assert z.inverse() == CycNumber.zeta_pow(p, p - 1)
+    x = -CycNumber(p, [1, 1, 1]) * CycNumber.zeta_pow(p, 3)  # -zeta^3 (1 - zeta^3) / (1 - zeta)
+    assert x * x.inverse() == CycNumber.one(p)
+    assert x.inverse() * x.inverse() * x * x == CycNumber.one(p)
 
 
 def test_scalar_mixing():
     p = 3
     x = CycNumber(p, [1, 1])
     assert 2 * x == x + x
-    assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
+    assert x * 3 + x * -2 == x
     assert x - 1 == CycNumber(p, [0, 1])
     assert 1 + x == CycNumber(p, [2, 1])
 
 
-def test_normalization_of_denominators():
-    assert CycNumber(3, [Fraction(2, 4)]) == CycNumber(3, [Fraction(1, 2)])
-    assert CycNumber(3, [2, 4], den=2) == CycNumber(3, [1, 2])
-    assert CycNumber(3, [1], den=-2) == CycNumber(3, [Fraction(-1, 2)])
-    assert CycNumber.zero(3).den == 1
+def test_non_integer_coefficients_raise_type_error():
+    half = Fraction(1, 2)
+    for build in (
+        lambda: CycNumber(3, [1, half]),
+        lambda: CycNumber(3, [Fraction(2, 1)]),
+        lambda: CycNumber.rational(3, half),
+        lambda: CycNumber.one(3) * half,
+        lambda: CycNumber.one(3) + half,
+        lambda: LaurentPoly.constant(3, half),
+        lambda: LaurentPoly.variable(3, "x") * half,
+        lambda: half * LaurentPoly.variable(3, "x"),
+        lambda: PolyBuilder(3).add(Monomial.one(), half),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_inverse_of_a_non_unit_raises_value_error():
+    for p in (3, 5, 7):
+        with pytest.raises(ValueError, match=f"norm is {2 ** (p - 1)}$"):
+            CycNumber.rational(p, 2).inverse()
+    # N(1 + 2 zeta) = (2^p + 1) / 3 at p = 3, 5, 7: 3, 11, 43
+    for p, norm in ((3, 3), (5, 11), (7, 43)):
+        with pytest.raises(ValueError, match=f"norm is {norm}$"):
+            CycNumber(p, [1, 2]).inverse()
+
+
+def test_one_plus_zeta_inverts():
+    for p in (3, 5, 7, 11, 13):
+        u = 1 + CycNumber.zeta_pow(p, 1)
+        assert u * u.inverse() == 1
 
 
 def test_equality_and_hash():
@@ -111,7 +173,7 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != CycNumber(5, [1, 0, 2, 1])
     assert CycNumber.one(5) == 1
-    assert CycNumber.rational(5, Fraction(3, 2)) == Fraction(3, 2)
+    assert CycNumber.rational(5, -3) == -3
 
 
 def test_mixed_primes_raise():
@@ -123,7 +185,7 @@ def test_mixed_primes_raise():
 
 def test_json_coordinates():
     assert CycNumber.rational(3, -3).to_json() == ["-3/1", "0/1"]
-    assert CycNumber(3, [Fraction(1, 2), 1]).to_json() == ["1/2", "1/1"]
+    assert CycNumber(3, [2, 1]).to_json() == ["2/1", "1/1"]
     assert CycNumber.zero(3).to_json() == ["0/1", "0/1"]
 
 
@@ -157,5 +219,4 @@ def test_integer_product_matches_schoolbook_reduction():
             if rng.random() < 0.2:
                 b = [1] + [0] * (p - 2)
             product = CycNumber(p, a) * CycNumber(p, b)
-            assert product.den == 1
             assert product.nums == _schoolbook_product(p, a, b)

@@ -77,6 +77,44 @@ def test_verify_exits_1_on_planted_fault(capsys, monkeypatch):
     assert out.splitlines()[-1] == "0/1 checks passed"
 
 
+def _walk_with(next_sum, index_count):
+    """closed_forms._walk with a planted fault.
+
+    Each step sends the running sum s and index i to next_sum(s, i, p) and
+    sums over the indices i < index_count(p).
+    """
+
+    def walk(domain, factor):
+        p = domain.p
+        sums = [factor(1, 0, i) for i in range(p)]
+        for l in range(2, p + 1):
+            accs = [domain.accumulator() for _ in range(p)]
+            for s, partial in enumerate(sums):
+                for i in range(index_count(p)):
+                    accs[next_sum(s, i, p)].add(domain.mul(partial, factor(l, s, i)))
+            sums = [acc.value() for acc in accs]
+        return sums
+
+    return walk
+
+
+_WALK_FAULTS = {
+    "running-sum-off-by-one": _walk_with(lambda s, i, p: (s + i + 1) % p, lambda p: p),
+    "last-index-dropped": _walk_with(lambda s, i, p: (s + i) % p, lambda p: p - 1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_WALK_FAULTS))
+@pytest.mark.parametrize("p, kind", [(5, "symbolic"), (11, "numeric")])
+def test_planted_walk_fault_fails_the_closed_suite(p, kind, fault, monkeypatch):
+    monkeypatch.setattr(closed_forms, "_walk", _WALK_FAULTS[fault])
+    [result] = suites.closed_suite(p, gamma_count=2)
+    assert result.name == f"closed-forms-{kind}"
+    assert not result.ok
+    if kind == "numeric":
+        assert result.detail.startswith("gamma #0: ")
+
+
 def _star_twisted_on_p_q(f, g, rho):
     """star with an extra factor zeta on delta_P * delta_Q, and right everywhere else."""
     domain = f.domain
