@@ -13,10 +13,12 @@ from .closed_forms import (
     gamma_form,
     intermediate_form,
     multiplicative_specialization,
+    norm_form,
+    norm_identity_sides,
     rho_form,
 )
 from .cyclotomic import CycNumber
-from .errors import AmbientMismatchError, BasisError, SubstitutionError
+from .errors import AmbientMismatchError, BasisError
 from .laurent import LaurentPoly, Monomial
 from .local_pairing import (
     PairingValue,
@@ -32,7 +34,6 @@ from .local_pairing import (
 from .qplane import (
     IdentityReport,
     line_operator,
-    norm_identity_sides,
     plane_mul,
     qplane_identity_sides,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "PairingValue",
     "PrimeFieldCoefficients",
     "RhoAssignment",
-    "SubstitutionError",
     "SymbolicCoefficients",
     "TameElement",
     "TameFieldModel",
@@ -81,6 +81,7 @@ __all__ = [
     "is_norm_from",
     "line_operator",
     "multiplicative_specialization",
+    "norm_form",
     "norm_identity_sides",
     "one_minus",
     "plane_mul",

@@ -1,7 +1,7 @@
 """Closed-form expansions of the p-th star power of the line element.
 
 The line element through a basis (P, Q) is Delta = sum_i delta_{Q+iP}.  Its
-p-th twisted power is supported on multiples of P, and three equivalent
+p-th twisted power is supported on multiples of P, and four equivalent
 expansions of it are provided:
 
   * gamma_form: the origin coefficient as a sum over index tuples that are
@@ -9,12 +9,14 @@ expansions of it are provided:
   * intermediate_form: the full element as a sum over all p^p index tuples,
     weighted by powers of eps(Q, P);
   * rho_form: the origin coefficient written purely in terms of the twist rho,
-    as accumulated by the left-associated product of p indicator factors.
+    as accumulated by the left-associated product of p indicator factors;
+  * norm_form: the origin coefficient as the norm prod_k sum_i zeta^(k*i)
+    gamma(Q + iP), a product of p linear forms, in O(p^2) ring operations.
 
-In each form the weight of a tuple (i_1, ..., i_p) is a product of one
-factor per index.  The factor for i_l depends only on l, i_l and the running
-sum s = i_1 + ... + i_{l-1} mod p, and where the tuple lands depends only on
-its final sum.  So no tuple is enumerated: one walk over l = 1..p carries the
+In the first three forms the weight of a tuple (i_1, ..., i_p) is a product
+of one factor per index.  The factor for i_l depends only on l, i_l and the
+running sum s = i_1 + ... + i_{l-1} mod p, and where the tuple lands depends
+only on its final sum.  So no tuple is enumerated: one walk over l = 1..p carries the
 p partial sums indexed by s.  That is a product of p transfer matrices of
 size p x p (the transfer-matrix method), O(p^3) ring operations in all.
 """
@@ -22,12 +24,14 @@ size p x p (the transfer-matrix method), O(p^3) ring operations in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import BasisError
-from .laurent import Monomial
+from .laurent import LaurentPoly, Monomial
 from .qplane import IdentityReport, collapsed_power
 from .star_algebra import AlgebraElement, Domain, Element, GammaAssignment, RhoAssignment
-from .torsion import TorsionPoint, basis, generates, nonzero_points, weil_exponent
+from .star_algebra import SymbolicCoefficients
+from .torsion import TorsionPoint, all_points, basis, generates, weil_exponent
 
 # Largest p whose expansions are computed over the free symbolic gamma.  The
 # walk takes the tuple count out of the cost but not the size of the output:
@@ -146,11 +150,40 @@ def rho_form(P: TorsionPoint, Q: TorsionPoint, rho: RhoAssignment) -> ClosedForm
     return ClosedFormResult("rho", AlgebraElement(domain, [(origin, _walk(domain, factor)[0])]))
 
 
-def multiplicative_specialization(p: int) -> IdentityReport:
-    """Substitute g_{aP+bQ} -> x^a y^b into the gamma form for the standard basis.
+def norm_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> ClosedFormResult:
+    """Origin coefficient of Delta^{*p} as the norm prod_k sum_i zeta^(k*i) gamma(Q + iP).
 
-    The image (lhs) collapses to y^p (1 - x^p)^(p-1) (rhs).
+    Sending gamma(Q + iP) to zeta^i gamma(Q + iP) permutes the p linear forms,
+    so every monomial of their product is balanced, and the weight e(Q,P) of
+    the gamma form only reorders the factors.
     """
-    result = gamma_form(*basis(p), GammaAssignment.symbolic(p))
-    mapping = {T: Monomial([("x", T.a), ("y", T.b)]) for T in nonzero_points(p)}
-    return IdentityReport(result.o_coefficient.substitute(mapping), collapsed_power(p))
+    domain = gamma.domain
+    p = domain.p
+    _require_basis(P, Q)
+    gvals = [gamma.value(Q + i * P) for i in range(p)]
+    forms = []
+    for k in range(p):
+        acc = domain.accumulator()
+        for i, g in enumerate(gvals):
+            acc.add(domain.mul(domain.root(k * i), g))
+        forms.append(acc.value())
+    origin = TorsionPoint.zero(p)
+    return ClosedFormResult("norm", AlgebraElement(domain, [(origin, reduce(domain.mul, forms))]))
+
+
+def _monomial_gamma(p: int) -> GammaAssignment:
+    """The symbolic gamma(aP + bQ) = x^a y^b, a and b in [0, p), on the standard basis."""
+    values = {T: LaurentPoly(p, [(Monomial([("x", T.a), ("y", T.b)]), 1)]) for T in all_points(p)}
+    return GammaAssignment(SymbolicCoefficients(p), values)
+
+
+def multiplicative_specialization(p: int) -> IdentityReport:
+    """The gamma form at gamma(aP + bQ) = x^a y^b (lhs) against y^p (1 - x^p)^(p-1) (rhs)."""
+    result = gamma_form(*basis(p), _monomial_gamma(p))
+    return IdentityReport(result.o_coefficient, collapsed_power(p))
+
+
+def norm_identity_sides(p: int) -> IdentityReport:
+    """The norm form at the same gamma, y^p prod_k sum_i zeta^(k*i) x^i, against the rhs."""
+    result = norm_form(*basis(p), _monomial_gamma(p))
+    return IdentityReport(result.o_coefficient, collapsed_power(p))

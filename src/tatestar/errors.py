@@ -9,7 +9,3 @@ class AmbientMismatchError(ValueError):
 
 class BasisError(ValueError):
     """Raised when a pair of torsion points does not generate the full group."""
-
-
-class SubstitutionError(ValueError):
-    """Raised when a variable substitution is not defined for every variable present."""

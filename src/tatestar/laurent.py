@@ -23,7 +23,7 @@ from bisect import bisect_left
 from typing import Iterable, Union
 
 from .cyclotomic import CycNumber
-from .errors import AmbientMismatchError, SubstitutionError
+from .errors import AmbientMismatchError
 from .torsion import TorsionPoint
 
 Variable = Union[TorsionPoint, str]
@@ -270,14 +270,14 @@ class LaurentPoly:
             return NotImplemented
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        result = LaurentPoly.one(self.p)
+        result = None  # the lowest set bit's power starts it, so no product is 1 * base
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return LaurentPoly.one(self.p) if result is None else result
 
     def inverse(self) -> LaurentPoly:
         """Inverse of a unit, i.e. a single-term element."""
@@ -288,20 +288,6 @@ class LaurentPoly:
             )
         (mono, coeff), = self._terms.items()
         return LaurentPoly(self.p, [(mono.inverse(), coeff.inverse())])
-
-    def substitute(self, mapping: dict[Variable, Monomial]) -> LaurentPoly:
-        """Replace every variable by a monomial (a multiplicative substitution)."""
-        builder = PolyBuilder(self.p)
-        for mono, coeff in self._terms.items():
-            image = Monomial.one()
-            for key, exp in mono._pairs:
-                var = _variables[key]
-                target = mapping.get(var)
-                if target is None:
-                    raise SubstitutionError(f"no substitution given for variable {var!r}")
-                image = image * (target ** exp)
-            builder.add(image, coeff)
-        return builder.build()
 
     @classmethod
     def _from_raw(cls, p: int, terms: dict[Monomial, CycNumber]) -> LaurentPoly:

@@ -187,7 +187,13 @@ def iota(model: TameFieldModel, z: int) -> PairingValue:
 
 
 def qk_split(alpha_p: TameElement, alpha_q: TameElement) -> PairingValue:
-    """The split-reduction pairing value {alpha_P, alpha_Q (1 - alpha_P)^(p-1)}."""
+    """The split-reduction pairing value {alpha_P, alpha_Q (1 - alpha_P)^(p-1)}.
+
+    The second argument is the collapse y^p (1 - x^p)^(p-1) at x^p = alpha_P,
+    y^p = alpha_Q.  Its factor never changes the value, whatever the exponent,
+    so this equals hilbert(alpha_P, alpha_Q): units pair trivially if v(alpha_P) = 0,
+    {a, -a} = 0 if v(alpha_P) < 0, and the factor is 1 if v(alpha_P) > 0.
+    """
     alpha_p._require_same_model(alpha_q)
     p = alpha_p.model.p
     remainder = one_minus(alpha_p)

@@ -1,4 +1,4 @@
-"""The quantum plane over Z[zeta_p] and the product identities checked in it.
+"""The quantum plane over Z[zeta_p] and the product identity checked in it.
 
 Generators X, Y satisfy Y*X = zeta^2 * X*Y.  A plane element is a
 LaurentPoly in the variables "x" and "y", read normal-ordered as a sum of
@@ -45,7 +45,7 @@ def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 
 def collapsed_power(p: int) -> LaurentPoly:
-    """y^p (1 - x^p)^(p-1), the shape both p-th powers of the line collapse to.
+    """y^p (1 - x^p)^(p-1), the right-hand side of every collapse identity.
 
     X^p and Y^p are central in the plane (their twists are powers of
     zeta^p = 1), so this one polynomial is the same element under the
@@ -73,19 +73,3 @@ def qplane_identity_sides(p: int) -> IdentityReport:
         lhs = plane_mul(lhs, factor)
     return IdentityReport(lhs, collapsed_power(p))
 
-
-def norm_factor(p: int, j: int) -> LaurentPoly:
-    """The commutative factor sum_i zeta^(ij) t^i."""
-    return LaurentPoly(
-        p, [(Monomial.variable("t", i), CycNumber.zeta_pow(p, i * j)) for i in range(p)]
-    )
-
-
-def norm_identity_sides(p: int) -> IdentityReport:
-    """prod_{j=0}^{p-1} (sum_i zeta^(ij) t^i) against (1 - t^p)^(p-1)."""
-    lhs = LaurentPoly.one(p)
-    for j in range(p):
-        lhs = lhs * norm_factor(p, j)
-    t = LaurentPoly.variable(p, "t")
-    rhs = (LaurentPoly.one(p) - t ** p) ** (p - 1)
-    return IdentityReport(lhs, rhs)

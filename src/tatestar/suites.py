@@ -16,6 +16,8 @@ from .closed_forms import (
     gamma_form,
     intermediate_form,
     multiplicative_specialization,
+    norm_form,
+    norm_identity_sides,
     rho_form,
 )
 from .local_pairing import (
@@ -27,7 +29,7 @@ from .local_pairing import (
     one_minus,
     unramified_scaling,
 )
-from .qplane import norm_identity_sides, qplane_identity_sides
+from .qplane import qplane_identity_sides
 from .star_algebra import (
     AlgebraElement,
     GammaAssignment,
@@ -135,7 +137,7 @@ def star_suite(p: int, seed: int = 0) -> list[CheckResult]:
 
 
 def _four_way(gamma) -> tuple[bool, str]:
-    """Compare star_pow with the three expansions for one gamma."""
+    """Compare star_pow with the four expansions for one gamma."""
     domain = gamma.domain
     p = domain.p
     P, Q = basis(p)
@@ -154,6 +156,8 @@ def _four_way(gamma) -> tuple[bool, str]:
     rf = rho_form(P, Q, rho)
     if rf.o_coefficient != gf.o_coefficient:
         return False, "rho form origin coefficient differs"
+    if norm_form(P, Q, gamma).o_coefficient != gf.o_coefficient:
+        return False, "norm form origin coefficient differs"
     return True, ""
 
 
@@ -162,7 +166,7 @@ def closed_suite(
     seed: int = 0,
     gamma_count: int = DEFAULT_GAMMA_COUNT,
 ) -> list[CheckResult]:
-    """Equality of the three closed expansions with the direct star power.
+    """Equality of the four closed expansions with the direct star power.
 
     A sweep of random gamma over F_q runs for p >= MAX_SYMBOLIC_PRIME, then the
     exact check on the free symbolic gamma for p <= MAX_SYMBOLIC_PRIME, so
@@ -178,13 +182,8 @@ def closed_suite(
             if not ok:
                 failure = f"gamma #{k}: {why}"
                 break
-        results.append(
-            CheckResult(
-                "closed-forms-numeric",
-                not failure,
-                failure or f"{gamma_count} random gamma over F_{domain.q}",
-            )
-        )
+        detail = failure or f"{gamma_count} random gamma over F_{domain.q}"
+        results.append(CheckResult("closed-forms-numeric", not failure, detail))
     if p <= MAX_SYMBOLIC_PRIME:
         ok, why = _four_way(GammaAssignment.symbolic(p))
         results.append(CheckResult("closed-forms-symbolic", ok, why or "free gamma, exact"))
@@ -192,20 +191,17 @@ def closed_suite(
 
 
 def qplane_suite(p: int) -> list[CheckResult]:
-    """Plane product identity, plus the specialization of the gamma form."""
-    results = []
+    """Plane product identity, plus the gamma form at the monomial gamma."""
     report = qplane_identity_sides(p)
-    results.append(CheckResult("plane-identity", report.agrees, f"product of {p} factors"))
-    if p in (3, 5):
-        spec = multiplicative_specialization(p)
-        results.append(
-            CheckResult("specialization", spec.agrees, "gamma form under g -> x^a y^b")
-        )
-    return results
+    spec = multiplicative_specialization(p)
+    return [
+        CheckResult("plane-identity", report.agrees, f"product of {p} factors"),
+        CheckResult("specialization", spec.agrees, "gamma form under g -> x^a y^b"),
+    ]
 
 
 def norm_suite(p: int) -> list[CheckResult]:
-    """The commutative product identity behind the norm computation."""
+    """The norm form at the monomial gamma against the collapsed power."""
     report = norm_identity_sides(p)
     return [CheckResult("norm-product-identity", report.agrees, f"degree {p * (p - 1)}")]
 

@@ -25,7 +25,7 @@ DEFAULT_MAX_PRIME = 13
 _checked_primes: set[int] = set()
 
 
-def validate_odd_prime(p: int, max_value: int = DEFAULT_MAX_PRIME) -> int:
+def validate_odd_prime(p: int) -> int:
     """Check that p is an odd prime within the size guard and return it."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"p must be an integer, got {p!r}")
@@ -33,9 +33,9 @@ def validate_odd_prime(p: int, max_value: int = DEFAULT_MAX_PRIME) -> int:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p > max_value:
+    if p > DEFAULT_MAX_PRIME:
         raise ValueError(
-            f"p={p} exceeds the guard bound {max_value}; "
+            f"p={p} exceeds the guard bound {DEFAULT_MAX_PRIME}; "
             "the suites are only run and tested up to it"
         )
     return p
@@ -150,12 +150,6 @@ def point_tables(p: int) -> PointTables:
 def all_points(p: int) -> Iterator[TorsionPoint]:
     """All p^2 points, in lexicographic (a, b) order."""
     return iter(point_tables(p).points)
-
-
-def nonzero_points(p: int) -> Iterator[TorsionPoint]:
-    for point in all_points(p):
-        if not point.is_zero:
-            yield point
 
 
 def index_shift(T: TorsionPoint) -> TorsionPoint:

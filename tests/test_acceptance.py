@@ -15,6 +15,7 @@ from tatestar.closed_forms import (
     gamma_form,
     intermediate_form,
     multiplicative_specialization,
+    norm_identity_sides,
     rho_form,
 )
 from tatestar.local_pairing import (
@@ -25,7 +26,7 @@ from tatestar.local_pairing import (
     one_minus,
     unramified_scaling,
 )
-from tatestar.qplane import norm_identity_sides, qplane_identity_sides
+from tatestar.qplane import qplane_identity_sides
 from tatestar.star_algebra import (
     GammaAssignment,
     PrimeFieldCoefficients,

@@ -91,8 +91,9 @@ _STDOUT_SHA256 = {
         "e696fef3d4bfeca200203c09f164de3d04bd575bda4459788bc6ae4c2f0d127a",
     "verify --p 5 --suite all":
         "8c5f43c5e32f0b7955f6fba5f1ed4da82a5178b6bade71fbc9520ec930cc68eb",
+    # 18 checks: qplane:specialization runs at every p <= 13, not only at 3 and 5
     "verify --p 7 --suite all":
-        "22593ec46cf24b06be8d672be8a2513d5a0de49efc5de83c9010cce5a2aa59db",
+        "7a5336449965648519d31b1408c40f7198e1e7c6a35be51d7475af07e60a0778",
 }
 
 

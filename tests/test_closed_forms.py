@@ -1,9 +1,10 @@
-"""The three expansions of the p-th star power against two oracles.
+"""The four expansions of the p-th star power against two oracles.
 
 star_pow over the generic (free symbolic) gamma is one oracle: the
 expansions walk running index sums, the convolution never does, and the two
 must agree coefficient by coefficient.  The other is `_enumerated`, which
-sums the formulas of the three docstrings literally, tuple by tuple.
+sums the formulas of the first three docstrings literally, tuple by tuple;
+the norm form, a product of p linear forms, is checked against its sums.
 """
 
 import random
@@ -12,10 +13,12 @@ from itertools import product
 import pytest
 
 from tatestar.closed_forms import (
+    _monomial_gamma,
     build_delta,
     gamma_form,
     intermediate_form,
     multiplicative_specialization,
+    norm_form,
     rho_form,
 )
 from tatestar.errors import BasisError
@@ -25,7 +28,6 @@ from tatestar.star_algebra import (
     GammaAssignment,
     PrimeFieldCoefficients,
     RhoAssignment,
-    SymbolicCoefficients,
     coboundary,
     star_pow,
 )
@@ -77,11 +79,13 @@ def _trivial_rho(dom):
     return RhoAssignment(dom, {(s, t): dom.one() for s in points for t in points})
 
 
-def _multiplicative_gamma(p):
-    """gamma(a*P + b*Q) = x^a * y^b on coordinate representatives in [0, p)."""
-    dom = SymbolicCoefficients(p)
-    values = {T: LaurentPoly(p, [(Monomial([("x", T.a), ("y", T.b)]), 1)]) for T in all_points(p)}
-    return GammaAssignment(dom, values)
+def _specialized(poly):
+    """A polynomial in the g_T evaluated at g_{aP+bQ} = x^a y^b, term by term."""
+    terms = []
+    for mono, coeff in poly.terms():
+        pairs = [(var, exp * e) for T, exp in mono.pairs for var, e in (("x", T.a), ("y", T.b))]
+        terms.append((Monomial(pairs), coeff))
+    return LaurentPoly(poly.p, terms)
 
 
 def _is_symmetric(rho):
@@ -153,6 +157,7 @@ def test_four_way_agreement_symbolic():
         assert powered == inter.element
         assert gamma_form(P, Q, gamma).o_coefficient == inter.o_coefficient
         assert rho_form(P, Q, rho).o_coefficient == inter.o_coefficient
+        assert norm_form(P, Q, gamma).o_coefficient == inter.o_coefficient
 
 
 def test_star_power_vanishes_off_origin_symbolic():
@@ -180,6 +185,7 @@ def test_nonstandard_bases_agree_with_star_power():
         assert powered == inter.element
         assert gamma_form(P, Q, gamma).o_coefficient == inter.o_coefficient
         assert rho_form(P, Q, rho).o_coefficient == inter.o_coefficient
+        assert norm_form(P, Q, gamma).o_coefficient == inter.o_coefficient
 
 
 def test_rho_form_with_trivial_rho_matches_constant_gamma():
@@ -226,6 +232,7 @@ def test_forms_match_enumeration_symbolic(p, P, Q):
     assert gamma_form(P, Q, gamma).o_coefficient == gamma_sum
     assert intermediate_form(P, Q, gamma).element == inter
     assert rho_form(P, Q, rho).o_coefficient == rho_sum
+    assert norm_form(P, Q, gamma).o_coefficient == gamma_sum
 
 
 @pytest.mark.parametrize(
@@ -284,7 +291,51 @@ def test_specialization_p5():
 
 def test_specialization_equals_multiplicative_gamma_form():
     # substituting after the fact agrees with running the multiplicative gamma
-    p = 3
+    for p in (3, 5):
+        free = gamma_form(*basis(p), GammaAssignment.symbolic(p)).o_coefficient
+        assert _specialized(free) == multiplicative_specialization(p).lhs
+
+
+def test_monomial_gamma_values():
+    gamma = _monomial_gamma(5)
+    x3y = LaurentPoly(5, [(Monomial([("x", 3), ("y", 1)]), 1)])
+    assert gamma.value(TorsionPoint(5, 3, 1)) == x3y
+    assert gamma.value(TorsionPoint.zero(5)) == LaurentPoly.one(5)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_gamma_and_norm_forms_collapse_at_the_monomial_gamma(p):
+    collapsed = multiplicative_specialization(p).rhs
     P, Q = basis(p)
-    direct = gamma_form(P, Q, _multiplicative_gamma(p))
-    assert direct.o_coefficient == multiplicative_specialization(p).lhs
+    assert gamma_form(P, Q, _monomial_gamma(p)).o_coefficient == collapsed
+    assert norm_form(P, Q, _monomial_gamma(p)).o_coefficient == collapsed
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_norm_form_equals_gamma_form_on_random_gammas(p):
+    rng = random.Random(p)
+    dom = PrimeFieldCoefficients(p)
+    P, Q = basis(p)
+    for _ in range(30):
+        gamma = GammaAssignment.random(dom, rng)
+        result = norm_form(P, Q, gamma)
+        assert result.form == "norm"
+        assert result.element.support() in ([], [TorsionPoint.zero(p)])
+        assert result.o_coefficient == gamma_form(P, Q, gamma).o_coefficient
+
+
+def test_norm_form_takes_p_squared_ring_products():
+    # p linear forms of p products each, then p - 1 products between them
+    for p in (5, 13):
+        dom = PrimeFieldCoefficients(p)
+        gamma = GammaAssignment.random(dom, random.Random(p))
+        calls = []
+        mul = dom.mul
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        dom.mul = counted
+        norm_form(*basis(p), gamma)
+        assert len(calls) == p * p + p - 1

@@ -11,6 +11,7 @@ alpha_Q = pi is 1/3.
 
 import pytest
 
+from tatestar import local_pairing
 from tatestar.errors import AmbientMismatchError
 from tatestar.local_pairing import (
     PairingValue,
@@ -191,6 +192,36 @@ def test_qk_split_zero_signal_branch():
     m = _model37()
     for rep in class_representatives(m):
         assert qk_split(m.element(0, 1), rep).is_zero
+
+
+_SPLIT_MODELS = [(3, 7), (5, 11), (7, 29), (11, 23), (13, 53)]
+
+
+def _qk_split_mismatches(p, q):
+    """The class pairs (a, b) with qk_split(a, b) != hilbert(a, b)."""
+    reps = class_representatives(TameFieldModel.create(p, q))
+    return [(a, b) for a in reps for b in reps if qk_split(a, b) != hilbert(a, b)]
+
+
+@pytest.mark.parametrize("p, q", _SPLIT_MODELS)
+def test_qk_split_equals_hilbert_on_every_class_pair(p, q):
+    # {a, (1 - a)^k} = 0 for every k, so the factor (1 - alpha_P)^(p-1) never
+    # changes the value; a wrong exponent cannot show, a wrong 1 - a can
+    assert _qk_split_mismatches(p, q) == []
+
+
+def _one_minus_with_unit_2(a):
+    """one_minus returning the unit [2] in place of 1 when v(a) > 0."""
+    if a.val > 0:
+        return a.model.element(0, 2)
+    return one_minus(a)
+
+
+def test_planted_one_minus_fault_fails_the_qk_split_check(monkeypatch):
+    monkeypatch.setattr(local_pairing, "one_minus", _one_minus_with_unit_2)
+    # [2] = [g^2] is not a cube mod 7, so it pairs nontrivially with every a
+    # of valuation 1 or 2: 54 of the 81 class pairs
+    assert len(_qk_split_mismatches(3, 7)) == 54
 
 
 def test_bilinearity_exhaustive_3_7():

@@ -3,16 +3,11 @@ import random
 import pytest
 
 from tatestar import qplane
+from tatestar.closed_forms import norm_identity_sides
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
 from tatestar.laurent import LaurentPoly, Monomial
-from tatestar.qplane import (
-    line_operator,
-    norm_factor,
-    norm_identity_sides,
-    plane_mul,
-    qplane_identity_sides,
-)
+from tatestar.qplane import line_operator, plane_mul, qplane_identity_sides
 from tatestar.suites import qplane_suite
 
 
@@ -160,12 +155,6 @@ def test_single_generator_power():
     assert _power(_y(p), p) == _mono(p, 0, p)
 
 
-def test_norm_factor_j0_is_geometric():
-    p = 3
-    expected = LaurentPoly(p, [(Monomial.variable("t", i), 1) for i in range(p)])
-    assert norm_factor(p, 0) == expected
-
-
 def test_norm_identity_all_supported_primes():
     for p in (3, 5, 7, 11, 13):
         report = norm_identity_sides(p)
@@ -173,13 +162,12 @@ def test_norm_identity_all_supported_primes():
 
 
 def test_norm_identity_p3_coefficients():
-    # (1 - t^3)^2 = 1 - 2 t^3 + t^6
+    # y^3 (1 - x^3)^2 = y^3 - 2 x^3 y^3 + x^6 y^3
     report = norm_identity_sides(3)
-    t3 = Monomial.variable("t", 3)
-    t6 = Monomial.variable("t", 6)
-    assert report.lhs.coefficient(Monomial.one()) == CycNumber.one(3)
-    assert report.lhs.coefficient(t3) == CycNumber.rational(3, -2)
-    assert report.lhs.coefficient(t6) == CycNumber.one(3)
+    assert len(report.lhs.terms()) == 3
+    assert report.lhs.coefficient(Monomial([("y", 3)])) == CycNumber.one(3)
+    assert report.lhs.coefficient(Monomial([("x", 3), ("y", 3)])) == CycNumber.rational(3, -2)
+    assert report.lhs.coefficient(Monomial([("x", 6), ("y", 3)])) == CycNumber.one(3)
 
 
 def test_coercion_of_plain_scalars():

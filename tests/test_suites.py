@@ -1,13 +1,18 @@
 """The suites: which checks run at each p, and that a planted fault fails them by name."""
 
+import random
+
 import pytest
 
 from tatestar import closed_forms, suites
 from tatestar.cli import main
 from tatestar.closed_forms import ClosedFormResult
 from tatestar.local_pairing import iota
-from tatestar.star_algebra import AlgebraElement, star
+from tatestar.star_algebra import AlgebraElement, GammaAssignment, PrimeFieldCoefficients, star
 from tatestar.torsion import TorsionPoint, basis, weil_exponent
+
+# 2^61 - 1 is prime and 1 mod every p <= 13, since p - 1 divides 60
+WIDE_Q = 2 ** 61 - 1
 
 
 def _gamma_form_off_by_one(P, Q, gamma):
@@ -75,6 +80,81 @@ def test_verify_exits_1_on_planted_fault(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("FAIL closed:closed-forms-symbolic")
     assert out.splitlines()[-1] == "0/1 checks passed"
+
+
+def _norm_form_without_k0(P, Q, gamma):
+    """norm_form with the linear form k = 0, sum_i gamma(Q + iP), left out of the product."""
+    domain = gamma.domain
+    p = domain.p
+    gvals = [gamma.value(Q + i * P) for i in range(p)]
+    value = domain.one()
+    for k in range(1, p):
+        acc = domain.accumulator()
+        for i, g in enumerate(gvals):
+            acc.add(domain.mul(domain.root(k * i), g))
+        value = domain.mul(value, acc.value())
+    return ClosedFormResult("norm", AlgebraElement(domain, [(TorsionPoint.zero(p), value)]))
+
+
+def _plant_norm_fault(monkeypatch):
+    # suites reads norm_form for _four_way; closed_forms for norm_identity_sides
+    monkeypatch.setattr(suites, "norm_form", _norm_form_without_k0)
+    monkeypatch.setattr(closed_forms, "norm_form", _norm_form_without_k0)
+
+
+def _wide_field_failures():
+    """_four_way on 3 seeded random gammas over F_(2^61 - 1) at each p <= 13.
+
+    An origin coefficient is 0 only when one of the p linear forms of the
+    norm vanishes, with probability at most p * 2^-61 per gamma, so each must
+    be nonzero: no sample may pass by comparing 0 with 0.
+    """
+    failures = []
+    for p in (3, 5, 7, 11, 13):
+        domain = PrimeFieldCoefficients(p, WIDE_Q)
+        rng = random.Random(p)
+        for k in range(3):
+            gamma = GammaAssignment.random(domain, rng)
+            ok, why = suites._four_way(gamma)
+            if not ok:
+                failures.append((p, k, why))
+            elif domain.is_zero(suites.norm_form(*basis(p), gamma).o_coefficient):
+                failures.append((p, k, "origin coefficient is 0"))
+    return failures
+
+
+def test_four_forms_agree_on_nonzero_origin_coefficients_over_a_61_bit_field():
+    assert _wide_field_failures() == []
+
+
+def test_planted_norm_fault_fails_the_wide_field_sweep(monkeypatch):
+    _plant_norm_fault(monkeypatch)
+    assert _wide_field_failures()[0] == (3, 0, "norm form origin coefficient differs")
+
+
+def test_planted_norm_fault_fails_the_closed_suite(monkeypatch):
+    _plant_norm_fault(monkeypatch)
+    [symbolic] = suites.closed_suite(5)
+    assert symbolic.name == "closed-forms-symbolic"
+    assert (symbolic.ok, symbolic.detail) == (False, "norm form origin coefficient differs")
+    [numeric] = suites.closed_suite(11)
+    assert numeric.name == "closed-forms-numeric"
+    assert not numeric.ok
+    assert numeric.detail.endswith(": norm form origin coefficient differs")
+
+
+def test_planted_norm_fault_fails_the_norm_suite(monkeypatch):
+    _plant_norm_fault(monkeypatch)
+    for p in (3, 5, 7, 11, 13):
+        [result] = suites.norm_suite(p)
+        assert result.name == "norm-product-identity"
+        assert not result.ok, p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_qplane_suite_checks_the_specialization_at_every_p(p):
+    results = suites.qplane_suite(p)
+    assert [(r.name, r.ok) for r in results] == [("plane-identity", True), ("specialization", True)]
 
 
 def _walk_with(next_sum, index_count):

@@ -8,7 +8,6 @@ from tatestar.torsion import (
     epsilon_exponent,
     generates,
     index_shift,
-    nonzero_points,
     point_tables,
     validate_odd_prime,
     weil_exponent,
@@ -24,9 +23,8 @@ def test_validate_odd_prime_rejects_bad_input():
     for bad in (1, 2, 4, 9, 15, -3):
         with pytest.raises(ValueError):
             validate_odd_prime(bad)
-    with pytest.raises(ValueError):
-        validate_odd_prime(17)  # beyond the default guard
-    assert validate_odd_prime(17, max_value=17) == 17
+    with pytest.raises(ValueError, match="exceeds the guard bound 13"):
+        validate_odd_prime(17)
 
 
 def test_point_coordinates_reduce_mod_p():
@@ -95,7 +93,7 @@ def test_weil_is_bilinear_and_alternating():
 
 def test_weil_nondegenerate():
     for p in (3, 5):
-        for s in nonzero_points(p):
+        for s in [point for point in all_points(p) if not point.is_zero]:
             assert any(weil_exponent(s, t) != 0 for t in all_points(p))
 
 
