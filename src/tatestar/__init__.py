@@ -19,7 +19,7 @@ from .closed_forms import (
 )
 from .cyclotomic import CycNumber
 from .errors import AmbientMismatchError, BasisError
-from .laurent import LaurentPoly, Monomial
+from .laurent import LaurentPoly
 from .local_pairing import (
     PairingValue,
     TameElement,
@@ -61,7 +61,6 @@ __all__ = [
     "GammaAssignment",
     "IdentityReport",
     "LaurentPoly",
-    "Monomial",
     "PairingValue",
     "PrimeFieldCoefficients",
     "RhoAssignment",

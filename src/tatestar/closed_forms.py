@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import BasisError
-from .laurent import LaurentPoly, Monomial
+from .laurent import LaurentPoly
 from .qplane import IdentityReport, collapsed_power
 from .star_algebra import AlgebraElement, Domain, Element, GammaAssignment, RhoAssignment
 from .star_algebra import SymbolicCoefficients
@@ -173,7 +173,7 @@ def norm_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> Close
 
 def _monomial_gamma(p: int) -> GammaAssignment:
     """The symbolic gamma(aP + bQ) = x^a y^b, a and b in [0, p), on the standard basis."""
-    values = {T: LaurentPoly(p, [(Monomial([("x", T.a), ("y", T.b)]), 1)]) for T in all_points(p)}
+    values = {T: LaurentPoly(p, [([("x", T.a), ("y", T.b)], 1)]) for T in all_points(p)}
     return GammaAssignment(SymbolicCoefficients(p), values)
 
 

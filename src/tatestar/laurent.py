@@ -10,11 +10,12 @@ monomial is the finite product of powers of distinct variables.
 Inside, a variable is an integer key.  The first time a variable is seen it
 is checked and given the next free key in a module-level intern table (a
 dict, so TorsionPoint(3, 1, 0) and TorsionPoint(5, 1, 0) get different keys).
-A monomial is the tuple of its (key, exponent) pairs sorted by key, so equal
-monomials are equal tuples, and a product merges two integer tuples without
-hashing a variable.  Keys follow the order in which variables were first
-seen, so only the output paths (`Monomial.pairs`, `sort_key`, `to_json`,
-`__str__` and `LaurentPoly.terms`) decode keys, and they sort by variable.
+A monomial is the tuple of its (key, exponent) pairs sorted by key, and that
+tuple is the term dict's key: equal monomials are equal tuples, and a product
+merges two integer tuples without hashing a variable.  Callers pass and read
+a monomial as (variable, exponent) pairs.  Keys follow the order in which
+variables were first seen, so the output paths (`terms`, `to_json` and
+`__str__`) decode keys with `_decode`, which sorts by variable.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .torsion import TorsionPoint
 
 Variable = Union[TorsionPoint, str]
 Coefficient = Union[CycNumber, int]
+Pairs = Iterable[tuple[Variable, int]]
+# a monomial inside: its key-sorted tuple of nonzero (integer key, exponent) pairs
+Key = tuple[tuple[int, int], ...]
 
 
 def _var_sort_key(var: Variable):
@@ -59,8 +63,26 @@ def _intern(var: Variable) -> int:
     return key
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    """The product of two key-sorted pair tuples, with zero exponents dropped."""
+def _encode(pairs: Pairs) -> Key:
+    """The key tuple of a product of (variable, exponent) pairs."""
+    merged: dict[int, int] = {}
+    for var, exp in pairs:
+        key = _intern(var)
+        merged[key] = merged.get(key, 0) + exp
+    return tuple(sorted(item for item in merged.items() if item[1]))
+
+
+def _decode(mono: Key) -> tuple[tuple[Variable, int], ...]:
+    """(variable, exponent) pairs of a key tuple, sorted by variable."""
+    decoded = [(_variables[key], exp) for key, exp in mono]
+    decoded.sort(key=lambda item: _var_sort_key(item[0]))
+    return tuple(decoded)
+
+
+def _merge(a: Key, b: Key) -> Key:
+    """The product of two key tuples, with zero exponents dropped."""
+    if not a:
+        return b
     for pair in b:
         key = pair[0]
         i = bisect_left(a, (key,))
@@ -86,88 +108,15 @@ def _add_into(terms: dict, items) -> None:
                 terms[mono] = s
 
 
-class Monomial:
-    """A product of integer powers of distinct variables."""
+def _pair_json(var: Variable, exp: int) -> dict:
+    if isinstance(var, TorsionPoint):
+        return {"point": str(var), "exp": exp}
+    return {"var": var, "exp": exp}
 
-    __slots__ = ("_pairs",)
 
-    def __init__(self, pairs: Iterable[tuple[Variable, int]] = ()):
-        merged: dict[int, int] = {}
-        for var, exp in pairs:
-            key = _intern(var)
-            merged[key] = merged.get(key, 0) + exp
-        self._pairs = tuple(sorted(item for item in merged.items() if item[1]))
-
-    @classmethod
-    def _of(cls, pairs: tuple) -> Monomial:
-        """The monomial of an already key-sorted tuple of nonzero (key, exponent) pairs."""
-        self = object.__new__(cls)
-        self._pairs = pairs
-        return self
-
-    @classmethod
-    def one(cls) -> Monomial:
-        return cls()
-
-    @classmethod
-    def variable(cls, var: Variable, exp: int = 1) -> Monomial:
-        return cls([(var, exp)])
-
-    @property
-    def pairs(self) -> tuple[tuple[Variable, int], ...]:
-        """(variable, exponent) pairs, sorted by variable."""
-        decoded = [(_variables[key], exp) for key, exp in self._pairs]
-        decoded.sort(key=lambda item: _var_sort_key(item[0]))
-        return tuple(decoded)
-
-    @property
-    def is_one(self) -> bool:
-        return not self._pairs
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        if not other._pairs:
-            return self
-        if not self._pairs:
-            return other
-        return Monomial._of(_merge(self._pairs, other._pairs))
-
-    def __pow__(self, n: int) -> Monomial:
-        return Monomial._of(tuple((key, exp * n) for key, exp in self._pairs) if n else ())
-
-    def inverse(self) -> Monomial:
-        return self ** -1
-
-    def sort_key(self):
-        return tuple((_var_sort_key(v), e) for v, e in self.pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return hash(self._pairs)
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for var, exp in self.pairs:
-            if isinstance(var, TorsionPoint):
-                out.append({"point": str(var), "exp": exp})
-            else:
-                out.append({"var": var, "exp": exp})
-        return out
-
-    def __str__(self) -> str:
-        if not self._pairs:
-            return "1"
-        bits = []
-        for var, exp in self.pairs:
-            name = f"g[{var}]" if isinstance(var, TorsionPoint) else var
-            bits.append(name if exp == 1 else f"{name}^{exp}")
-        return "*".join(bits)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self!s})"
+def _pair_str(var: Variable, exp: int) -> str:
+    name = f"g[{var}]" if isinstance(var, TorsionPoint) else var
+    return name if exp == 1 else f"{name}^{exp}"
 
 
 class LaurentPoly:
@@ -175,10 +124,10 @@ class LaurentPoly:
 
     __slots__ = ("p", "_terms")
 
-    def __init__(self, p: int, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
+    def __init__(self, p: int, terms: Iterable[tuple[Pairs, Coefficient]] = ()):
         self.p = p
-        self._terms: dict[Monomial, CycNumber] = {}
-        coerced = ((mono, self._coerce_coeff(p, coeff)) for mono, coeff in terms)
+        self._terms: dict[Key, CycNumber] = {}
+        coerced = ((_encode(pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms)
         _add_into(self._terms, ((mono, c) for mono, c in coerced if not c.is_zero))
 
     @staticmethod
@@ -201,18 +150,21 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, p: int, value: Coefficient) -> LaurentPoly:
-        return cls(p, [(Monomial.one(), value)])
+        return cls(p, [((), value)])
 
     @classmethod
     def variable(cls, p: int, var: Variable, exp: int = 1) -> LaurentPoly:
-        return cls(p, [(Monomial.variable(var, exp), 1)])
+        return cls(p, [([(var, exp)], 1)])
 
-    def terms(self) -> list[tuple[Monomial, CycNumber]]:
-        """Terms in the canonical order (lexicographic on variables, then exponents)."""
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
+    def terms(self) -> list[tuple[Pairs, CycNumber]]:
+        """(pairs, coefficient) terms in the canonical order (lexicographic on
+        variables, then exponents)."""
+        decoded = [(_decode(mono), c) for mono, c in self._terms.items()]
+        decoded.sort(key=lambda item: [(_var_sort_key(v), e) for v, e in item[0]])
+        return decoded
 
-    def coefficient(self, mono: Monomial) -> CycNumber:
-        return self._terms.get(mono, CycNumber.zero(self.p))
+    def coefficient(self, pairs: Pairs) -> CycNumber:
+        return self._terms.get(_encode(pairs), CycNumber.zero(self.p))
 
     @property
     def is_zero(self) -> bool:
@@ -257,10 +209,11 @@ class LaurentPoly:
             if not isinstance(other, LaurentPoly):
                 return NotImplemented
         self._require_same_ambient(other)
-        out: dict[Monomial, CycNumber] = {}
+        out: dict[Key, CycNumber] = {}
         right = list(other._terms.items())
         # Z[zeta_p] is a domain, so a product of two nonzero coefficients is nonzero
-        _add_into(out, ((m1 * m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right))
+        _add_into(out, ((_merge(m1, m2), c1 * c2)
+                        for m1, c1 in self._terms.items() for m2, c2 in right))
         return self._from_raw(self.p, out)
 
     __rmul__ = __mul__
@@ -287,10 +240,10 @@ class LaurentPoly:
                 f"this one has {len(self._terms)} terms"
             )
         (mono, coeff), = self._terms.items()
-        return LaurentPoly(self.p, [(mono.inverse(), coeff.inverse())])
+        return self._from_raw(self.p, {tuple((key, -exp) for key, exp in mono): coeff.inverse()})
 
     @classmethod
-    def _from_raw(cls, p: int, terms: dict[Monomial, CycNumber]) -> LaurentPoly:
+    def _from_raw(cls, p: int, terms: dict[Key, CycNumber]) -> LaurentPoly:
         self = object.__new__(cls)
         self.p = p
         self._terms = terms
@@ -310,16 +263,17 @@ class LaurentPoly:
         return self.p == other.p and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.p, tuple(sorted(((m, c) for m, c in self._terms.items()),
-                                          key=lambda item: item[0].sort_key()))))
+        return hash((self.p, frozenset(self._terms.items())))
 
     def to_json(self) -> list[dict]:
-        return [{"coeff": c.to_json(), "monomial": m.to_json()} for m, c in self.terms()]
+        return [{"coeff": c.to_json(), "monomial": [_pair_json(*pair) for pair in pairs]}
+                for pairs, c in self.terms()]
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"({c})*{m}" for m, c in self.terms())
+        return " + ".join(f"({c})*" + ("*".join(_pair_str(*pair) for pair in pairs) or "1")
+                          for pairs, c in self.terms())
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.p}, {self!s})"
@@ -332,12 +286,7 @@ class PolyBuilder:
 
     def __init__(self, p: int):
         self.p = p
-        self._terms: dict[Monomial, CycNumber] = {}
-
-    def add(self, mono: Monomial, coeff: Coefficient) -> None:
-        c = LaurentPoly._coerce_coeff(self.p, coeff)
-        if not c.is_zero:
-            _add_into(self._terms, [(mono, c)])
+        self._terms: dict[Key, CycNumber] = {}
 
     def add_poly(self, poly: LaurentPoly) -> None:
         if poly.p != self.p:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber
-from .laurent import LaurentPoly, Monomial, PolyBuilder
+from .laurent import LaurentPoly, _add_into, _intern, _merge
 from .torsion import validate_odd_prime
 
 
@@ -31,17 +31,17 @@ def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """The plane product f*g of two normal-ordered elements."""
     f._require_same_ambient(g)
     p = f.p
+    x, y = _intern("x"), _intern("y")
     # twisted[b % p] of a right term c2 * X^c Y^d is c2 * zeta^(2bc)
     right = []
     for m2, c2 in g._terms.items():
-        c = dict(m2.pairs).get("x", 0)
+        c = dict(m2).get(x, 0)
         right.append((m2, [c2 * CycNumber.zeta_pow(p, 2 * b * c) for b in range(p)]))
-    out = PolyBuilder(p)
+    out = {}
     for m1, c1 in f._terms.items():
-        b = dict(m1.pairs).get("y", 0) % p
-        for m2, twisted in right:
-            out.add(m1 * m2, c1 * twisted[b])
-    return out.build()
+        b = dict(m1).get(y, 0) % p
+        _add_into(out, ((_merge(m1, m2), c1 * twisted[b]) for m2, twisted in right))
+    return LaurentPoly._from_raw(p, out)
 
 
 def collapsed_power(p: int) -> LaurentPoly:
@@ -60,7 +60,7 @@ def line_operator(p: int) -> LaurentPoly:
     """The element sum_{i=0}^{p-1} zeta^{-i} X^i Y, i.e. sum_i Y X^i zeta^{-3i}."""
     validate_odd_prime(p)
     return LaurentPoly(
-        p, [(Monomial([("x", i), ("y", 1)]), CycNumber.zeta_pow(p, -i)) for i in range(p)]
+        p, [([("x", i), ("y", 1)], CycNumber.zeta_pow(p, -i)) for i in range(p)]
     )
 
 

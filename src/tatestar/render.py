@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .closed_forms import ClosedFormResult
 from .cyclotomic import CycNumber
-from .laurent import LaurentPoly, Monomial
+from .laurent import LaurentPoly, Pairs
 from .local_pairing import PairingValue, TameFieldModel
 from .star_algebra import AlgebraElement
 from .torsion import TorsionPoint
@@ -46,11 +46,12 @@ def cyc_latex(c: CycNumber) -> str:
     return out
 
 
-def monomial_latex(mono: Monomial) -> str:
-    if mono.is_one:
+def monomial_latex(pairs: Pairs) -> str:
+    """A monomial, given as its (variable, exponent) pairs, in LaTeX."""
+    if not pairs:
         return "1"
     bits = []
-    for var, exp in mono.pairs:
+    for var, exp in pairs:
         name = f"g_{{{point_label(var)}}}" if isinstance(var, TorsionPoint) else str(var)
         bits.append(name if exp == 1 else f"{name}^{{{exp}}}")
     return " ".join(bits)

@@ -343,15 +343,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_domain(other)
-        out = dict(self._coeffs)
-        for point, value in other._coeffs.items():
-            if point in out:
-                value = self.domain.add(out[point], value)
-            if self.domain.is_zero(value):
-                out.pop(point, None)
-            else:
-                out[point] = value
-        return AlgebraElement(self.domain, out)
+        return AlgebraElement(self.domain, [*self._coeffs.items(), *other._coeffs.items()])
 
     def scale(self, value: Element) -> AlgebraElement:
         return AlgebraElement(
@@ -368,7 +360,7 @@ class AlgebraElement:
         return self.domain == other.domain and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self.domain, tuple(sorted(self._coeffs.items(), key=lambda kv: kv[0].coords))))
+        return hash((self.domain, frozenset(self._coeffs.items())))
 
     def to_json(self) -> list[dict]:
         return [

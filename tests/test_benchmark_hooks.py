@@ -114,3 +114,25 @@ def test_symbolic_four_way_hashes_points_a_few_times_per_point():
     assert ok, why
     # 68 at p = 5; monomials keyed by points hashed them 77,728 times
     assert tracer.counts()["torsion.TorsionPoint.hash.calls"] <= 3 * p ** 2
+
+
+def test_symbolic_four_way_ring_operation_counts_are_pinned():
+    # every product and sum goes through the patched methods; one that went
+    # around them would lower these counts
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tatestar, tracer):
+        ok, why = _four_way(GammaAssignment.symbolic(5))
+    assert ok, why
+    counts = tracer.counts()
+    assert {name: counts[name] for name in (
+        "laurent.LaurentPoly.mul.calls",
+        "laurent.PolyBuilder.add_poly.calls",
+        "cyclotomic.CycNumber.mul.calls",
+        "cyclotomic.CycNumber.add.calls",
+    )} == {
+        "laurent.LaurentPoly.mul.calls": 2194,
+        "laurent.PolyBuilder.add_poly.calls": 325,
+        "cyclotomic.CycNumber.mul.calls": 5461,
+        "cyclotomic.CycNumber.add.calls": 1895,
+    }

@@ -65,6 +65,18 @@ def test_expand_latex(capsys):
 
 # sha256 of the stdout of each command, pinned byte for byte
 _STDOUT_SHA256 = {
+    "expand --p 3 --form gamma":
+        "f59188f569e24485e1eaf5b4a10b375fe8565c80aa15d0d9d31dd1c68f9d1e10",
+    "expand --p 3 --form gamma --latex":
+        "200c58a22a885a702ccfc5d962751236c6ef5a4ad6f0b65b05f072533cc5fddf",
+    "expand --p 3 --form intermediate":
+        "c0708a34680b2f5489a172197166de0f731d69f071243a38a0aa43920420341e",
+    "expand --p 3 --form intermediate --latex":
+        "200c58a22a885a702ccfc5d962751236c6ef5a4ad6f0b65b05f072533cc5fddf",
+    "expand --p 3 --form rho":
+        "3464fc95296d59768a4a28a247be99c17ca69da9dbdd394339d7ce84bddfdd69",
+    "expand --p 3 --form rho --latex":
+        "200c58a22a885a702ccfc5d962751236c6ef5a4ad6f0b65b05f072533cc5fddf",
     "expand --p 5 --form gamma":
         "fe19392c6d93e7fc8466392eb2ab3e5f5b3146b1d6cf295e4685d160d6b21077",
     "expand --p 5 --form gamma --latex":
@@ -89,11 +101,17 @@ _STDOUT_SHA256 = {
         "6588669f08df17426df043ef0affd38f52e389d1d68187c4dfc1faaec6247094",
     "expand --p 7 --form rho --latex":
         "e696fef3d4bfeca200203c09f164de3d04bd575bda4459788bc6ae4c2f0d127a",
+    "verify --p 3 --suite all":
+        "436133d22fe3cbeae43762bc8c02cf63d893a4cd393929499b57026f7b22cf22",
     "verify --p 5 --suite all":
         "8c5f43c5e32f0b7955f6fba5f1ed4da82a5178b6bade71fbc9520ec930cc68eb",
     # 18 checks: qplane:specialization runs at every p <= 13, not only at 3 and 5
     "verify --p 7 --suite all":
         "7a5336449965648519d31b1408c40f7198e1e7c6a35be51d7475af07e60a0778",
+    "verify --p 11 --suite all":
+        "4fccec33cd8dbc351d9e6346f1cac75e4b95aec2229cf2f3fab4a111708601c5",
+    "verify --p 13 --suite all":
+        "6b3c20bc66104255f56614acea185d7e94afac66bfe4e5d606e1bb97426a99a2",
 }
 
 

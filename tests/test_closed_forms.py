@@ -22,7 +22,7 @@ from tatestar.closed_forms import (
     rho_form,
 )
 from tatestar.errors import BasisError
-from tatestar.laurent import LaurentPoly, Monomial
+from tatestar.laurent import LaurentPoly
 from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
@@ -82,9 +82,9 @@ def _trivial_rho(dom):
 def _specialized(poly):
     """A polynomial in the g_T evaluated at g_{aP+bQ} = x^a y^b, term by term."""
     terms = []
-    for mono, coeff in poly.terms():
-        pairs = [(var, exp * e) for T, exp in mono.pairs for var, e in (("x", T.a), ("y", T.b))]
-        terms.append((Monomial(pairs), coeff))
+    for pairs, coeff in poly.terms():
+        terms.append(([(var, exp * e) for T, exp in pairs for var, e in (("x", T.a), ("y", T.b))],
+                      coeff))
     return LaurentPoly(poly.p, terms)
 
 
@@ -128,7 +128,7 @@ def test_gamma_form_p3_golden():
     P, Q = basis(p)
     result = gamma_form(P, Q, GammaAssignment.symbolic(p))
     coset = [Q, Q + P, Q + 2 * P]
-    expected = LaurentPoly(p, [(Monomial([(t, 1) for t in coset]), -3)])
+    expected = LaurentPoly(p, [([(t, 1) for t in coset], -3)])
     for t in coset:
         expected = expected + LaurentPoly.variable(p, t) ** 3
     assert result.o_coefficient == expected
@@ -298,7 +298,7 @@ def test_specialization_equals_multiplicative_gamma_form():
 
 def test_monomial_gamma_values():
     gamma = _monomial_gamma(5)
-    x3y = LaurentPoly(5, [(Monomial([("x", 3), ("y", 1)]), 1)])
+    x3y = LaurentPoly(5, [([("x", 3), ("y", 1)], 1)])
     assert gamma.value(TorsionPoint(5, 3, 1)) == x3y
     assert gamma.value(TorsionPoint.zero(5)) == LaurentPoly.one(5)
 

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
-from tatestar.laurent import LaurentPoly, Monomial, PolyBuilder, _var_sort_key
+from tatestar.laurent import LaurentPoly, PolyBuilder, _var_sort_key
 from tatestar.torsion import TorsionPoint, all_points
 
 
@@ -20,7 +21,7 @@ def _random_poly(rng, p, nterms=4):
         var = rng.choice(points)
         exp = rng.randint(-3, 3)
         coeff = CycNumber(p, [rng.randint(-5, 5) for _ in range(p - 1)])
-        terms.append((Monomial.variable(var, exp), coeff))
+        terms.append(([(var, exp)], coeff))
     return LaurentPoly(p, terms)
 
 
@@ -28,34 +29,34 @@ def test_monomial_canonical_sorting():
     p = 3
     a = TorsionPoint(p, 0, 1)
     b = TorsionPoint(p, 1, 1)
-    m1 = Monomial([(b, 2), (a, 1)])
-    m2 = Monomial([(a, 1), (b, 2)])
+    m1 = LaurentPoly(p, [([(b, 2), (a, 1)], 1)])
+    m2 = LaurentPoly(p, [([(a, 1), (b, 2)], 1)])
     assert m1 == m2
-    assert m1.pairs == ((a, 1), (b, 2))
+    assert m1.terms() == [(((a, 1), (b, 2)), CycNumber.one(p))]
 
 
 def test_monomial_drops_zero_exponents():
     a = TorsionPoint(3, 1, 0)
-    assert Monomial([(a, 0)]).is_one
-    assert Monomial.variable(a, 2) * Monomial.variable(a, -2) == Monomial.one()
+    assert LaurentPoly.variable(3, a, 0) == LaurentPoly.one(3)
+    assert LaurentPoly.variable(3, a, 2) * LaurentPoly.variable(3, a, -2) == LaurentPoly.one(3)
 
 
 def test_monomial_rejects_origin_variable():
     with pytest.raises(ValueError):
-        Monomial.variable(TorsionPoint.zero(3))
+        LaurentPoly.variable(3, TorsionPoint.zero(3))
 
 
 def test_monomial_power_and_inverse():
     a = TorsionPoint(5, 2, 0)
-    m = Monomial.variable(a, 3)
-    assert m ** 2 == Monomial.variable(a, 6)
-    assert m * m.inverse() == Monomial.one()
+    m = LaurentPoly.variable(5, a, 3)
+    assert m ** 2 == LaurentPoly.variable(5, a, 6)
+    assert m * m.inverse() == LaurentPoly.one(5)
 
 
 def test_string_variables_allowed():
-    m = Monomial([("y", 1), ("x", 2)])
-    assert m.pairs == (("x", 2), ("y", 1))
-    assert m.to_json() == [{"var": "x", "exp": 2}, {"var": "y", "exp": 1}]
+    m = LaurentPoly(3, [([("y", 1), ("x", 2)], 1)])
+    assert m.terms()[0][0] == (("x", 2), ("y", 1))
+    assert m.to_json()[0]["monomial"] == [{"var": "x", "exp": 2}, {"var": "y", "exp": 1}]
 
 
 def test_variable_times_its_inverse_is_one():
@@ -116,21 +117,22 @@ def test_canonical_term_order_in_terms():
         + LaurentPoly.one(p)
     )
     monos = [m for m, _ in poly.terms()]
-    assert monos == [Monomial.one(), Monomial.variable(a, 1), Monomial.variable(a, 3)]
+    assert monos == [(), ((a, 1),), ((a, 3),)]
 
 
 def test_coefficient_lookup():
     p = 3
     a = TorsionPoint(p, 1, 2)
-    poly = LaurentPoly(p, [(Monomial.variable(a, 2), CycNumber.zeta_pow(p, 1))])
-    assert poly.coefficient(Monomial.variable(a, 2)) == CycNumber.zeta_pow(p, 1)
-    assert poly.coefficient(Monomial.one()).is_zero
+    poly = LaurentPoly(p, [([(a, 2)], CycNumber.zeta_pow(p, 1))])
+    assert poly.coefficient([(a, 2)]) == CycNumber.zeta_pow(p, 1)
+    assert poly.coefficient([(a, 1), (a, 1)]) == CycNumber.zeta_pow(p, 1)
+    assert poly.coefficient([]).is_zero
 
 
 def test_zero_coefficients_are_dropped():
     p = 3
     a = TorsionPoint(p, 1, 0)
-    poly = LaurentPoly(p, [(Monomial.variable(a), 1), (Monomial.variable(a), -1)])
+    poly = LaurentPoly(p, [([(a, 1)], 1), ([(a, 1)], -1)])
     assert poly.is_zero
     assert poly == LaurentPoly.zero(p)
 
@@ -140,7 +142,7 @@ def test_builder_accumulates():
     a = TorsionPoint(p, 1, 0)
     builder = PolyBuilder(p)
     for k in range(4):
-        builder.add(Monomial.variable(a), 1)
+        builder.add_poly(LaurentPoly.variable(p, a))
     builder.add_poly(LaurentPoly.one(p))
     assert builder.build() == 4 * LaurentPoly.variable(p, a) + 1
 
@@ -148,7 +150,7 @@ def test_builder_accumulates():
 def test_json_shape():
     p = 3
     a = TorsionPoint(p, 0, 1)
-    poly = LaurentPoly(p, [(Monomial.variable(a, 3), -3)])
+    poly = LaurentPoly(p, [([(a, 3)], -3)])
     assert poly.to_json() == [
         {"coeff": ["-3/1", "0/1"], "monomial": [{"point": "0,1", "exp": 3}]}
     ]
@@ -245,7 +247,7 @@ def _ref_pow(p, f, n):
 
 
 def _ref_of(poly):
-    return {_ref_mono(m.pairs): c.nums for m, c in poly.terms()}
+    return {_ref_mono(pairs): c.nums for pairs, c in poly.terms()}
 
 
 def _random_variables(rng, p):
@@ -265,7 +267,7 @@ def _random_term(rng, p, variables, unit=False):
 
 
 def _build(p, terms):
-    poly = LaurentPoly(p, [(Monomial(pairs), CycNumber(p, vec)) for pairs, vec in terms])
+    poly = LaurentPoly(p, [(pairs, CycNumber(p, vec)) for pairs, vec in terms])
     ref = {}
     for pairs, vec in terms:
         coeff = _ref_reduce(p, vec)
@@ -307,24 +309,37 @@ def test_monomial_identity_does_not_depend_on_input_order():
     for _ in range(50):
         pairs = [(rng.choice(variables), rng.randint(-3, 3)) for _ in range(5)]
         shuffled = rng.sample(pairs, len(pairs))
-        assert Monomial(pairs) == Monomial(shuffled)
-        assert hash(Monomial(pairs)) == hash(Monomial(shuffled))
-        assert Monomial(pairs).pairs == Monomial(shuffled).pairs
+        f, g = LaurentPoly(7, [(pairs, 1)]), LaurentPoly(7, [(shuffled, 1)])
+        assert f == g
+        assert hash(f) == hash(g)
+        assert f.terms() == g.terms()
 
 
 def test_output_order_does_not_depend_on_first_use():
     # "w2" is seen before "w1", so its interned key is the smaller one
-    late = Monomial.variable("w2") * Monomial.variable("w1", 3)
-    assert late.pairs == (("w1", 3), ("w2", 1))
-    assert str(late) == "w1^3*w2"
-    assert late.to_json() == [{"var": "w1", "exp": 3}, {"var": "w2", "exp": 1}]
+    late = LaurentPoly.variable(3, "w2") * LaurentPoly.variable(3, "w1", 3)
+    assert late.terms()[0][0] == (("w1", 3), ("w2", 1))
+    assert str(late) == f"({CycNumber.one(3)})*w1^3*w2"
+    assert late.to_json()[0]["monomial"] == [{"var": "w1", "exp": 3}, {"var": "w2", "exp": 1}]
 
 
 def test_same_coordinates_over_different_primes_are_different_variables():
     a3, a5 = TorsionPoint(3, 1, 0), TorsionPoint(5, 1, 0)
-    assert Monomial.variable(a3) != Monomial.variable(a5)
+    var = partial(LaurentPoly.variable, 3)
+    assert var(a3) != var(a5)
     # same index a*p + b = 3 in the two point tables
-    assert Monomial.variable(a3) != Monomial.variable(TorsionPoint(5, 0, 3))
-    both = Monomial([(a3, 1), (a5, 2)])
-    assert both.pairs in (((a3, 1), (a5, 2)), ((a5, 2), (a3, 1)))
-    assert Monomial.variable(a3) * Monomial.variable(a5, -1) != Monomial.one()
+    assert var(a3) != var(TorsionPoint(5, 0, 3))
+    both = LaurentPoly(3, [([(a3, 1), (a5, 2)], 1)])
+    assert both.terms()[0][0] in (((a3, 1), (a5, 2)), ((a5, 2), (a3, 1)))
+    assert var(a3) * var(a5, -1) != LaurentPoly.one(3)
+
+
+def test_product_terms_are_keyed_by_integer_pair_tuples():
+    p = 5
+    f = LaurentPoly.variable(p, TorsionPoint(p, 1, 0)) + LaurentPoly.variable(p, "x", -2)
+    product = f * (LaurentPoly.variable(p, "y") + 1)
+    assert len(product._terms) == 4
+    for mono in product._terms:
+        assert type(mono) is tuple
+        for pair in mono:
+            assert type(pair) is tuple and [type(n) for n in pair] == [int, int]

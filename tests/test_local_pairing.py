@@ -71,6 +71,7 @@ def test_domain_defaults_to_the_smallest_split_prime():
         (8, "q must be prime, got 8"),
         (11, "q must be 1 mod p so the residue field has p-th roots; got q=11"),
     ],
+    ids=["q-not-prime", "q-not-1-mod-p"],
 )
 def test_domain_and_model_reject_a_bad_q_alike(q, message):
     for build in (PrimeFieldCoefficients, TameFieldModel.create):

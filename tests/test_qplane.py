@@ -6,14 +6,14 @@ from tatestar import qplane
 from tatestar.closed_forms import norm_identity_sides
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
-from tatestar.laurent import LaurentPoly, Monomial
+from tatestar.laurent import LaurentPoly
 from tatestar.qplane import line_operator, plane_mul, qplane_identity_sides
 from tatestar.suites import qplane_suite
 
 
 def _mono(p, a, b, coeff=1):
     """The plane element coeff * X^a Y^b."""
-    return LaurentPoly(p, [(Monomial([("x", a), ("y", b)]), coeff)])
+    return LaurentPoly(p, [([("x", a), ("y", b)], coeff)])
 
 
 def _x(p):
@@ -114,15 +114,15 @@ def test_mixed_primes_raise():
     with pytest.raises(AmbientMismatchError):
         plane_mul(_x(3), _x(5))
     with pytest.raises(AmbientMismatchError):
-        LaurentPoly(3, [(Monomial.one(), CycNumber.one(5))])
+        LaurentPoly(3, [([], CycNumber.one(5))])
 
 
 def test_line_operator_terms():
     p = 3
     op = line_operator(p)
-    assert op.coefficient(Monomial([("y", 1)])) == CycNumber.one(p)
-    assert op.coefficient(Monomial([("x", 1), ("y", 1)])) == CycNumber.zeta_pow(p, -1)
-    assert op.coefficient(Monomial([("x", 2), ("y", 1)])) == CycNumber.zeta_pow(p, -2)
+    assert op.coefficient([("y", 1)]) == CycNumber.one(p)
+    assert op.coefficient([("x", 1), ("y", 1)]) == CycNumber.zeta_pow(p, -1)
+    assert op.coefficient([("x", 2), ("y", 1)]) == CycNumber.zeta_pow(p, -2)
     # zeta^-i X^i Y is zeta^-3i Y X^i in the plane
     assert op == sum(
         (plane_mul(_y(p), _mono(p, i, 0, CycNumber.zeta_pow(p, -3 * i))) for i in range(p)),
@@ -165,15 +165,15 @@ def test_norm_identity_p3_coefficients():
     # y^3 (1 - x^3)^2 = y^3 - 2 x^3 y^3 + x^6 y^3
     report = norm_identity_sides(3)
     assert len(report.lhs.terms()) == 3
-    assert report.lhs.coefficient(Monomial([("y", 3)])) == CycNumber.one(3)
-    assert report.lhs.coefficient(Monomial([("x", 3), ("y", 3)])) == CycNumber.rational(3, -2)
-    assert report.lhs.coefficient(Monomial([("x", 6), ("y", 3)])) == CycNumber.one(3)
+    assert report.lhs.coefficient([("y", 3)]) == CycNumber.one(3)
+    assert report.lhs.coefficient([("x", 3), ("y", 3)]) == CycNumber.rational(3, -2)
+    assert report.lhs.coefficient([("x", 6), ("y", 3)]) == CycNumber.one(3)
 
 
 def test_coercion_of_plain_scalars():
     p = 3
     f = _mono(p, 1, 1, 2)
-    assert f.coefficient(Monomial([("x", 1), ("y", 1)])) == CycNumber.rational(p, 2)
+    assert f.coefficient([("x", 1), ("y", 1)]) == CycNumber.rational(p, 2)
     minus = LaurentPoly.constant(p, -1)
     assert plane_mul(minus, minus + minus) == 2
     assert plane_mul(f, minus) == _mono(p, 1, 1, -2)

@@ -292,6 +292,9 @@ def test_algebra_element_basics():
     assert (f + f.scale(dom.q - 1)).is_zero
     assert f.scale(2).coefficient(Q) == 6
     assert AlgebraElement(dom, [(P, 0)]).is_zero
+    # equal elements hash alike whatever order their points went in
+    assert hash(f + g) == hash(AlgebraElement(dom, [(Q, 3)]))
+    assert hash(f) == hash(AlgebraElement(dom, [(Q, 3), (P, 2)]))
 
 
 def test_algebra_element_json_is_ordered():
