@@ -122,7 +122,6 @@ def cmd_verify(args) -> int:
 
 
 def _build_model(args) -> TameFieldModel:
-    validate_odd_prime(args.p)
     return TameFieldModel.create(args.p, args.q, args.gen)
 
 

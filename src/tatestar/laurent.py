@@ -3,19 +3,17 @@
 A coefficient is a CycNumber, p - 1 integer coordinates; a plain int is
 accepted where a coefficient is expected, and anything else raises TypeError.
 
-Variables are either torsion points (the formal symbols g_T for T != O) or
-plain strings such as "x" and "y".  Exponents are arbitrary integers, and a
+The variables are the formal symbols g_T, one for each nonzero p-torsion
+point T over the polynomial's p.  Exponents are arbitrary integers, and a
 monomial is the finite product of powers of distinct variables.
 
-Inside, a variable is an integer key.  The first time a variable is seen it
-is checked and given the next free key in a module-level intern table (a
-dict, so TorsionPoint(3, 1, 0) and TorsionPoint(5, 1, 0) get different keys).
-A monomial is the tuple of its (key, exponent) pairs sorted by key, and that
-tuple is the term dict's key: equal monomials are equal tuples, and a product
-merges two integer tuples without hashing a variable.  Callers pass and read
-a monomial as (variable, exponent) pairs.  Keys follow the order in which
-variables were first seen, so the output paths (`terms`, `to_json` and
-`__str__`) decode keys with `_decode`, which sorts by variable.
+Inside, a variable is its point's index a*p + b (see torsion.point_tables).
+A monomial is the tuple of its (index, exponent) pairs sorted by index, and
+that tuple is the term dict's key: equal monomials are equal tuples, and a
+product merges two integer tuples without hashing a point.  Callers pass and
+read a monomial as (point, exponent) pairs.  Index order is the (a, b) order
+of the points, so the output paths (`terms`, `to_json` and `__str__`) sort
+the key tuples themselves and `_decode` only looks the points up.
 """
 
 from __future__ import annotations
@@ -25,58 +23,37 @@ from typing import Iterable, Union
 
 from .cyclotomic import CycNumber
 from .errors import AmbientMismatchError
-from .torsion import TorsionPoint
+from .torsion import TorsionPoint, point_tables
 
-Variable = Union[TorsionPoint, str]
 Coefficient = Union[CycNumber, int]
-Pairs = Iterable[tuple[Variable, int]]
-# a monomial inside: its key-sorted tuple of nonzero (integer key, exponent) pairs
+Pairs = Iterable[tuple[TorsionPoint, int]]
+# a monomial inside: its index-sorted tuple of nonzero (point index, exponent) pairs
 Key = tuple[tuple[int, int], ...]
 
 
-def _var_sort_key(var: Variable):
-    if isinstance(var, TorsionPoint):
-        return (0, var.a, var.b, "")
-    return (1, 0, 0, var)
+def _index(p: int, point: TorsionPoint) -> int:
+    """The index of a variable of a polynomial over p, after checking it is one."""
+    if not isinstance(point, TorsionPoint):
+        raise TypeError(f"a variable must be a torsion point, got {point!r}")
+    if point.p != p:
+        raise AmbientMismatchError(f"variable over prime {point.p} in a polynomial over {p}")
+    if point.is_zero:
+        raise ValueError("the origin is not a formal variable")
+    return point.index
 
 
-def _check_variable(var: Variable) -> None:
-    if isinstance(var, TorsionPoint):
-        if var.is_zero:
-            raise ValueError("the origin is not a formal variable")
-    elif not isinstance(var, str):
-        raise TypeError(f"variable must be a torsion point or a string, got {var!r}")
-
-
-# The intern table, variable -> key and key -> variable.  It only grows, and
-# no output shows a key, so sharing it between callers changes no result.
-_keys: dict[Variable, int] = {}
-_variables: list[Variable] = []
-
-
-def _intern(var: Variable) -> int:
-    key = _keys.get(var)
-    if key is None:
-        _check_variable(var)
-        key = _keys[var] = len(_variables)
-        _variables.append(var)
-    return key
-
-
-def _encode(pairs: Pairs) -> Key:
-    """The key tuple of a product of (variable, exponent) pairs."""
+def _encode(p: int, pairs: Pairs) -> Key:
+    """The key tuple of a product of (point, exponent) pairs."""
     merged: dict[int, int] = {}
-    for var, exp in pairs:
-        key = _intern(var)
-        merged[key] = merged.get(key, 0) + exp
+    for point, exp in pairs:
+        index = _index(p, point)
+        merged[index] = merged.get(index, 0) + exp
     return tuple(sorted(item for item in merged.items() if item[1]))
 
 
-def _decode(mono: Key) -> tuple[tuple[Variable, int], ...]:
-    """(variable, exponent) pairs of a key tuple, sorted by variable."""
-    decoded = [(_variables[key], exp) for key, exp in mono]
-    decoded.sort(key=lambda item: _var_sort_key(item[0]))
-    return tuple(decoded)
+def _decode(p: int, mono: Key) -> tuple[tuple[TorsionPoint, int], ...]:
+    """(point, exponent) pairs of a key tuple, in the same order."""
+    return tuple((point_tables(p).points[index], exp) for index, exp in mono)
 
 
 def _merge(a: Key, b: Key) -> Key:
@@ -108,15 +85,8 @@ def _add_into(terms: dict, items) -> None:
                 terms[mono] = s
 
 
-def _pair_json(var: Variable, exp: int) -> dict:
-    if isinstance(var, TorsionPoint):
-        return {"point": str(var), "exp": exp}
-    return {"var": var, "exp": exp}
-
-
-def _pair_str(var: Variable, exp: int) -> str:
-    name = f"g[{var}]" if isinstance(var, TorsionPoint) else var
-    return name if exp == 1 else f"{name}^{exp}"
+def _pair_str(point: TorsionPoint, exp: int) -> str:
+    return f"g[{point}]" if exp == 1 else f"g[{point}]^{exp}"
 
 
 class LaurentPoly:
@@ -127,7 +97,7 @@ class LaurentPoly:
     def __init__(self, p: int, terms: Iterable[tuple[Pairs, Coefficient]] = ()):
         self.p = p
         self._terms: dict[Key, CycNumber] = {}
-        coerced = ((_encode(pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms)
+        coerced = ((_encode(p, pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms)
         _add_into(self._terms, ((mono, c) for mono, c in coerced if not c.is_zero))
 
     @staticmethod
@@ -153,18 +123,16 @@ class LaurentPoly:
         return cls(p, [((), value)])
 
     @classmethod
-    def variable(cls, p: int, var: Variable, exp: int = 1) -> LaurentPoly:
-        return cls(p, [([(var, exp)], 1)])
+    def variable(cls, p: int, point: TorsionPoint, exp: int = 1) -> LaurentPoly:
+        return cls(p, [([(point, exp)], 1)])
 
     def terms(self) -> list[tuple[Pairs, CycNumber]]:
         """(pairs, coefficient) terms in the canonical order (lexicographic on
-        variables, then exponents)."""
-        decoded = [(_decode(mono), c) for mono, c in self._terms.items()]
-        decoded.sort(key=lambda item: [(_var_sort_key(v), e) for v, e in item[0]])
-        return decoded
+        the points' (a, b), then exponents)."""
+        return [(_decode(self.p, mono), self._terms[mono]) for mono in sorted(self._terms)]
 
     def coefficient(self, pairs: Pairs) -> CycNumber:
-        return self._terms.get(_encode(pairs), CycNumber.zero(self.p))
+        return self._terms.get(_encode(self.p, pairs), CycNumber.zero(self.p))
 
     @property
     def is_zero(self) -> bool:
@@ -266,7 +234,8 @@ class LaurentPoly:
         return hash((self.p, frozenset(self._terms.items())))
 
     def to_json(self) -> list[dict]:
-        return [{"coeff": c.to_json(), "monomial": [_pair_json(*pair) for pair in pairs]}
+        return [{"coeff": c.to_json(),
+                 "monomial": [{"point": str(T), "exp": e} for T, e in pairs]}
                 for pairs, c in self.terms()]
 
     def __str__(self) -> str:

@@ -1,9 +1,11 @@
 """The quantum plane over Z[zeta_p] and the product identity checked in it.
 
 Generators X, Y satisfy Y*X = zeta^2 * X*Y.  A plane element is a
-LaurentPoly in the variables "x" and "y", read normal-ordered as a sum of
-terms c * X^a Y^b; `plane_mul` is its product, under which monomials
-multiply by (X^a Y^b)(X^c Y^d) = zeta^(2bc) X^(a+c) Y^(b+d).
+LaurentPoly in the variables g_P and g_Q of the standard basis (P, Q), read
+normal-ordered as a sum of terms c * X^a Y^b with X = g_P and Y = g_Q: the
+same symbols the monomial gamma(aP + bQ) = g_P^a g_Q^b specializes to.
+`plane_mul` is its product, under which monomials multiply by
+(X^a Y^b)(X^c Y^d) = zeta^(2bc) X^(a+c) Y^(b+d).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber
-from .laurent import LaurentPoly, _add_into, _intern, _merge
-from .torsion import validate_odd_prime
+from .errors import AmbientMismatchError
+from .laurent import LaurentPoly, PolyBuilder
+from .torsion import basis, validate_odd_prime
 
 
 @dataclass(frozen=True)
@@ -28,20 +31,26 @@ class IdentityReport:
 
 
 def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The plane product f*g of two normal-ordered elements."""
-    f._require_same_ambient(g)
+    """The plane product f*g of two normal-ordered elements.
+
+    Moving Y^b past X^c twists by zeta^(2bc), so with f_b the terms of f whose
+    Y-exponent is b mod p, f*g is the sum over b of f_b times g with each
+    term's X^c scaled by zeta^(2bc).
+    """
+    if f.p != g.p:
+        raise AmbientMismatchError(f"plane elements over different primes: {f.p} vs {g.p}")
     p = f.p
-    x, y = _intern("x"), _intern("y")
-    # twisted[b % p] of a right term c2 * X^c Y^d is c2 * zeta^(2bc)
-    right = []
-    for m2, c2 in g._terms.items():
-        c = dict(m2).get(x, 0)
-        right.append((m2, [c2 * CycNumber.zeta_pow(p, 2 * b * c) for b in range(p)]))
-    out = {}
-    for m1, c1 in f._terms.items():
-        b = dict(m1).get(y, 0) % p
-        _add_into(out, ((_merge(m1, m2), c1 * twisted[b]) for m2, twisted in right))
-    return LaurentPoly._from_raw(p, out)
+    P, Q = basis(p)
+    parts = [[] for _ in range(p)]
+    for pairs, c in f.terms():
+        parts[dict(pairs).get(Q, 0) % p].append((pairs, c))
+    right = [(pairs, c, dict(pairs).get(P, 0)) for pairs, c in g.terms()]
+    out = PolyBuilder(p)
+    for b, part in enumerate(parts):
+        if part:
+            twisted = [(pairs, c * CycNumber.zeta_pow(p, 2 * b * x)) for pairs, c, x in right]
+            out.add_poly(LaurentPoly(p, part) * LaurentPoly(p, twisted))
+    return out.build()
 
 
 def collapsed_power(p: int) -> LaurentPoly:
@@ -51,17 +60,15 @@ def collapsed_power(p: int) -> LaurentPoly:
     zeta^p = 1), so this one polynomial is the same element under the
     commutative and the plane product.
     """
-    x = LaurentPoly.variable(p, "x")
-    y = LaurentPoly.variable(p, "y")
+    x, y = (LaurentPoly.variable(p, T) for T in basis(p))
     return (y ** p) * ((LaurentPoly.one(p) - x ** p) ** (p - 1))
 
 
 def line_operator(p: int) -> LaurentPoly:
     """The element sum_{i=0}^{p-1} zeta^{-i} X^i Y, i.e. sum_i Y X^i zeta^{-3i}."""
     validate_odd_prime(p)
-    return LaurentPoly(
-        p, [([("x", i), ("y", 1)], CycNumber.zeta_pow(p, -i)) for i in range(p)]
-    )
+    P, Q = basis(p)
+    return LaurentPoly(p, [([(P, i), (Q, 1)], CycNumber.zeta_pow(p, -i)) for i in range(p)])
 
 
 def qplane_identity_sides(p: int) -> IdentityReport:

@@ -47,12 +47,12 @@ def cyc_latex(c: CycNumber) -> str:
 
 
 def monomial_latex(pairs: Pairs) -> str:
-    """A monomial, given as its (variable, exponent) pairs, in LaTeX."""
+    """A monomial, given as its (point, exponent) pairs, in LaTeX."""
     if not pairs:
         return "1"
     bits = []
-    for var, exp in pairs:
-        name = f"g_{{{point_label(var)}}}" if isinstance(var, TorsionPoint) else str(var)
+    for point, exp in pairs:
+        name = f"g_{{{point_label(point)}}}"
         bits.append(name if exp == 1 else f"{name}^{{{exp}}}")
     return " ".join(bits)
 

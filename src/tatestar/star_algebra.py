@@ -69,9 +69,6 @@ class SymbolicCoefficients:
     def inv(self, a: LaurentPoly) -> LaurentPoly:
         return a.inverse()
 
-    def power(self, a: LaurentPoly, n: int) -> LaurentPoly:
-        return a ** n
-
     def is_zero(self, a: LaurentPoly) -> bool:
         return a.is_zero
 
@@ -124,9 +121,6 @@ class PrimeFieldCoefficients:
         if a % self.q == 0:
             raise ZeroDivisionError(f"inverse of 0 mod {self.q}")
         return pow(a, -1, self.q)
-
-    def power(self, a: int, n: int) -> int:
-        return pow(a, n, self.q)
 
     def is_zero(self, a: int) -> bool:
         return a % self.q == 0

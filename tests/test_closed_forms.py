@@ -80,10 +80,12 @@ def _trivial_rho(dom):
 
 
 def _specialized(poly):
-    """A polynomial in the g_T evaluated at g_{aP+bQ} = x^a y^b, term by term."""
+    """A polynomial in the g_T evaluated at g_{aP+bQ} = x^a y^b, term by term,
+    with x = g_P and y = g_Q."""
+    P, Q = basis(poly.p)
     terms = []
     for pairs, coeff in poly.terms():
-        terms.append(([(var, exp * e) for T, exp in pairs for var, e in (("x", T.a), ("y", T.b))],
+        terms.append(([(var, exp * e) for T, exp in pairs for var, e in ((P, T.a), (Q, T.b))],
                       coeff))
     return LaurentPoly(poly.p, terms)
 
@@ -277,8 +279,7 @@ def test_rho_form_of_non_coboundary_rho_matches_star_power():
 
 def test_specialization_p3_explicit():
     report = multiplicative_specialization(3)
-    x = LaurentPoly.variable(3, "x")
-    y = LaurentPoly.variable(3, "y")
+    x, y = (LaurentPoly.variable(3, T) for T in basis(3))
     by_hand = y ** 3 - 2 * (x ** 3 * y ** 3) + x ** 6 * y ** 3
     assert report.rhs == by_hand
     assert report.lhs == by_hand
@@ -298,7 +299,8 @@ def test_specialization_equals_multiplicative_gamma_form():
 
 def test_monomial_gamma_values():
     gamma = _monomial_gamma(5)
-    x3y = LaurentPoly(5, [([("x", 3), ("y", 1)], 1)])
+    P, Q = basis(5)
+    x3y = LaurentPoly(5, [([(P, 3), (Q, 1)], 1)])
     assert gamma.value(TorsionPoint(5, 3, 1)) == x3y
     assert gamma.value(TorsionPoint.zero(5)) == LaurentPoly.one(5)
 

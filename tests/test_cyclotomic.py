@@ -14,6 +14,7 @@ import pytest
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
 from tatestar.laurent import LaurentPoly
+from tatestar.torsion import TorsionPoint
 
 
 def _random_cyc(rng, p):
@@ -143,9 +144,9 @@ def test_non_integer_coefficients_raise_type_error():
         lambda: CycNumber.one(3) * half,
         lambda: CycNumber.one(3) + half,
         lambda: LaurentPoly.constant(3, half),
-        lambda: LaurentPoly.variable(3, "x") * half,
-        lambda: half * LaurentPoly.variable(3, "x"),
-        lambda: LaurentPoly(3, [([("x", 1)], half)]),
+        lambda: LaurentPoly.variable(3, TorsionPoint(3, 1, 0)) * half,
+        lambda: half * LaurentPoly.variable(3, TorsionPoint(3, 1, 0)),
+        lambda: LaurentPoly(3, [([(TorsionPoint(3, 1, 0), 1)], half)]),
     ):
         with pytest.raises(TypeError):
             build()

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
-from tatestar.laurent import LaurentPoly, PolyBuilder, _var_sort_key
+from tatestar.laurent import LaurentPoly, PolyBuilder
 from tatestar.torsion import TorsionPoint, all_points
 
 
@@ -53,10 +52,17 @@ def test_monomial_power_and_inverse():
     assert m * m.inverse() == LaurentPoly.one(5)
 
 
-def test_string_variables_allowed():
-    m = LaurentPoly(3, [([("y", 1), ("x", 2)], 1)])
-    assert m.terms()[0][0] == (("x", 2), ("y", 1))
-    assert m.to_json()[0]["monomial"] == [{"var": "x", "exp": 2}, {"var": "y", "exp": 1}]
+def test_string_variables_raise_type_error():
+    x = TorsionPoint(3, 1, 0)
+    for build in (
+        lambda: LaurentPoly(3, [([("x", 1)], 1)]),
+        lambda: LaurentPoly(3, [([(x, 1), ("y", 2)], 1)]),
+        lambda: LaurentPoly.variable(3, "x"),
+        lambda: LaurentPoly.variable(3, x).coefficient([("x", 1)]),
+        lambda: LaurentPoly.variable(3, (1, 0)),
+    ):
+        with pytest.raises(TypeError, match="must be a torsion point"):
+            build()
 
 
 def test_variable_times_its_inverse_is_one():
@@ -85,7 +91,7 @@ def test_additive_inverse_random():
 
 def test_scalar_and_constant_arithmetic():
     p = 3
-    x = LaurentPoly.variable(p, "x")
+    x = LaurentPoly.variable(p, TorsionPoint(p, 1, 0))
     assert 2 * x - x == x
     assert x * 3 - x * 2 == x
     assert (x + 1) - 1 == x
@@ -94,7 +100,7 @@ def test_scalar_and_constant_arithmetic():
 
 def test_multi_term_inverse_rejected():
     p = 3
-    x = LaurentPoly.variable(p, "x")
+    x = LaurentPoly.variable(p, TorsionPoint(p, 1, 0))
     with pytest.raises(ValueError):
         (x + 1).inverse()
     with pytest.raises(ValueError):
@@ -170,7 +176,7 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     # the result; one more squaring and one product add f^8; no 1 * f^4 and
     # no squaring after the top bit
     p = 13
-    f = LaurentPoly.one(p) - LaurentPoly.variable(p, "x", 13)
+    f = LaurentPoly.one(p) - LaurentPoly.variable(p, TorsionPoint(p, 1, 0), 13)
     expected = LaurentPoly.one(p)
     for _ in range(12):
         expected = expected * f
@@ -187,10 +193,9 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
 
 # ------------------------------------------------- differential: a dict reference
 #
-# The reference keys a monomial by its sorted (_var_sort_key(variable), exponent)
-# pairs and holds each coefficient as p - 1 Fraction coordinates in the power
-# basis, so it shares neither the interned integer keys nor CycNumber with the
-# code under test.
+# The reference keys a monomial by its sorted ((T.a, T.b), exponent) pairs and
+# holds each coefficient as p - 1 Fraction coordinates in the power basis, so it
+# shares neither the point-index keys nor CycNumber with the code under test.
 
 
 def _ref_reduce(p, vec):
@@ -209,7 +214,7 @@ def _ref_merge(keyed_pairs):
 
 
 def _ref_mono(pairs):
-    return _ref_merge((_var_sort_key(var), exp) for var, exp in pairs)
+    return _ref_merge(((T.a, T.b), exp) for T, exp in pairs)
 
 
 def _ref_add_term(out, mono, coeff):
@@ -252,7 +257,7 @@ def _ref_of(poly):
 
 def _random_variables(rng, p):
     points = _nonzero_points(p)
-    return rng.sample(points, 4) + ["x", "y", "t"]
+    return rng.sample(points, 7)
 
 
 def _random_term(rng, p, variables, unit=False):
@@ -316,29 +321,35 @@ def test_monomial_identity_does_not_depend_on_input_order():
 
 
 def test_output_order_does_not_depend_on_first_use():
-    # "w2" is seen before "w1", so its interned key is the smaller one
-    late = LaurentPoly.variable(3, "w2") * LaurentPoly.variable(3, "w1", 3)
-    assert late.terms()[0][0] == (("w1", 3), ("w2", 1))
-    assert str(late) == f"({CycNumber.one(3)})*w1^3*w2"
-    assert late.to_json()[0]["monomial"] == [{"var": "w1", "exp": 3}, {"var": "w2", "exp": 1}]
+    # (2, 1) is seen before (0, 1), but the output follows the points' (a, b)
+    late, early = TorsionPoint(3, 2, 1), TorsionPoint(3, 0, 1)
+    poly = LaurentPoly.variable(3, late) * LaurentPoly.variable(3, early, 3)
+    assert poly.terms()[0][0] == ((early, 3), (late, 1))
+    assert str(poly) == f"({CycNumber.one(3)})*g[0,1]^3*g[2,1]"
+    assert poly.to_json()[0]["monomial"] == [{"point": "0,1", "exp": 3},
+                                             {"point": "2,1", "exp": 1}]
 
 
-def test_same_coordinates_over_different_primes_are_different_variables():
+def test_a_point_over_another_prime_raises_ambient_mismatch():
     a3, a5 = TorsionPoint(3, 1, 0), TorsionPoint(5, 1, 0)
-    var = partial(LaurentPoly.variable, 3)
-    assert var(a3) != var(a5)
-    # same index a*p + b = 3 in the two point tables
-    assert var(a3) != var(TorsionPoint(5, 0, 3))
-    both = LaurentPoly(3, [([(a3, 1), (a5, 2)], 1)])
-    assert both.terms()[0][0] in (((a3, 1), (a5, 2)), ((a5, 2), (a3, 1)))
-    assert var(a3) * var(a5, -1) != LaurentPoly.one(3)
+    # TorsionPoint(5, 0, 3) has the index a*p + b = 3 of a3 in the table over 3
+    for build in (
+        lambda: LaurentPoly.variable(3, a5),
+        lambda: LaurentPoly.variable(3, TorsionPoint(5, 0, 3)),
+        lambda: LaurentPoly(3, [([(a3, 1), (a5, 2)], 1)]),
+        lambda: LaurentPoly.variable(3, a3).coefficient([(a5, 1)]),
+    ):
+        with pytest.raises(AmbientMismatchError, match="variable over prime 5"):
+            build()
 
 
 def test_product_terms_are_keyed_by_integer_pair_tuples():
     p = 5
-    f = LaurentPoly.variable(p, TorsionPoint(p, 1, 0)) + LaurentPoly.variable(p, "x", -2)
-    product = f * (LaurentPoly.variable(p, "y") + 1)
+    f = LaurentPoly.variable(p, TorsionPoint(p, 1, 0)) + LaurentPoly.variable(
+        p, TorsionPoint(p, 2, 3), -2)
+    product = f * (LaurentPoly.variable(p, TorsionPoint(p, 0, 4)) + 1)
     assert len(product._terms) == 4
+    assert ((TorsionPoint(p, 1, 0).index, 1),) in product._terms
     for mono in product._terms:
         assert type(mono) is tuple
         for pair in mono:

@@ -9,11 +9,13 @@ from tatestar.errors import AmbientMismatchError
 from tatestar.laurent import LaurentPoly
 from tatestar.qplane import line_operator, plane_mul, qplane_identity_sides
 from tatestar.suites import qplane_suite
+from tatestar.torsion import basis
 
 
 def _mono(p, a, b, coeff=1):
-    """The plane element coeff * X^a Y^b."""
-    return LaurentPoly(p, [([("x", a), ("y", b)], coeff)])
+    """The plane element coeff * X^a Y^b, X = g_P and Y = g_Q."""
+    P, Q = basis(p)
+    return LaurentPoly(p, [([(P, a), (Q, b)], coeff)])
 
 
 def _x(p):
@@ -119,10 +121,11 @@ def test_mixed_primes_raise():
 
 def test_line_operator_terms():
     p = 3
+    P, Q = basis(p)
     op = line_operator(p)
-    assert op.coefficient([("y", 1)]) == CycNumber.one(p)
-    assert op.coefficient([("x", 1), ("y", 1)]) == CycNumber.zeta_pow(p, -1)
-    assert op.coefficient([("x", 2), ("y", 1)]) == CycNumber.zeta_pow(p, -2)
+    assert op.coefficient([(Q, 1)]) == CycNumber.one(p)
+    assert op.coefficient([(P, 1), (Q, 1)]) == CycNumber.zeta_pow(p, -1)
+    assert op.coefficient([(P, 2), (Q, 1)]) == CycNumber.zeta_pow(p, -2)
     # zeta^-i X^i Y is zeta^-3i Y X^i in the plane
     assert op == sum(
         (plane_mul(_y(p), _mono(p, i, 0, CycNumber.zeta_pow(p, -3 * i))) for i in range(p)),
@@ -163,17 +166,19 @@ def test_norm_identity_all_supported_primes():
 
 def test_norm_identity_p3_coefficients():
     # y^3 (1 - x^3)^2 = y^3 - 2 x^3 y^3 + x^6 y^3
+    P, Q = basis(3)
     report = norm_identity_sides(3)
     assert len(report.lhs.terms()) == 3
-    assert report.lhs.coefficient([("y", 3)]) == CycNumber.one(3)
-    assert report.lhs.coefficient([("x", 3), ("y", 3)]) == CycNumber.rational(3, -2)
-    assert report.lhs.coefficient([("x", 6), ("y", 3)]) == CycNumber.one(3)
+    assert report.lhs.coefficient([(Q, 3)]) == CycNumber.one(3)
+    assert report.lhs.coefficient([(P, 3), (Q, 3)]) == CycNumber.rational(3, -2)
+    assert report.lhs.coefficient([(P, 6), (Q, 3)]) == CycNumber.one(3)
 
 
 def test_coercion_of_plain_scalars():
     p = 3
+    P, Q = basis(p)
     f = _mono(p, 1, 1, 2)
-    assert f.coefficient([("x", 1), ("y", 1)]) == CycNumber.rational(p, 2)
+    assert f.coefficient([(P, 1), (Q, 1)]) == CycNumber.rational(p, 2)
     minus = LaurentPoly.constant(p, -1)
     assert plane_mul(minus, minus + minus) == 2
     assert plane_mul(f, minus) == _mono(p, 1, 1, -2)

@@ -157,7 +157,7 @@ def test_symbolic_gamma_values():
     P = TorsionPoint(3, 1, 0)
     assert gamma.value(P) == LaurentPoly.variable(3, P)
     assert gamma.value(TorsionPoint.zero(3)) == LaurentPoly.one(3)
-    assert gamma.domain.power(gamma.value(P), 3) == LaurentPoly.variable(3, P) ** 3
+    assert gamma.value(P) ** 3 == LaurentPoly.variable(3, P, 3)
 
 
 def test_gamma_random_is_reproducible():
