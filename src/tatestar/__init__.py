@@ -31,12 +31,7 @@ from .local_pairing import (
     qk_split,
     unramified_scaling,
 )
-from .qplane import (
-    IdentityReport,
-    line_operator,
-    plane_mul,
-    qplane_identity_sides,
-)
+from .qplane import collapsed_power, line_operator, plane_mul, qplane_identity_sides
 from .star_algebra import (
     AlgebraElement,
     GammaAssignment,
@@ -59,7 +54,6 @@ __all__ = [
     "ClosedFormResult",
     "CycNumber",
     "GammaAssignment",
-    "IdentityReport",
     "LaurentPoly",
     "PairingValue",
     "PrimeFieldCoefficients",
@@ -71,6 +65,7 @@ __all__ = [
     "basis",
     "build_delta",
     "coboundary",
+    "collapsed_power",
     "delta_inverse",
     "epsilon_exponent",
     "gamma_form",

@@ -20,13 +20,7 @@ import sys
 from .closed_forms import MAX_SYMBOLIC_PRIME, gamma_form, intermediate_form, rho_form
 from .errors import AmbientMismatchError
 from .local_pairing import TameFieldModel, hilbert, qk_split
-from .render import (
-    element_latex,
-    expand_payload,
-    hilbert_payload,
-    pair_payload,
-    poly_latex,
-)
+from .render import element_latex, expand_payload, symbol_payload
 from .star_algebra import GammaAssignment, coboundary
 from .suites import SUITE_NAMES, run_suites
 from .torsion import basis, validate_odd_prime
@@ -61,15 +55,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pair = sub.add_parser("pair", help="evaluate the split-reduction pairing value")
     _add_model_flags(pair)
-    pair.add_argument("--alpha-p", required=True, metavar="n:u", help="the element alpha_P")
-    pair.add_argument("--alpha-q", required=True, metavar="n:u", help="the element alpha_Q")
-    pair.set_defaults(func=cmd_pair)
+    # stored as a and b, the names the hilbert command gives its two elements
+    pair.add_argument("--alpha-p", dest="a", required=True, metavar="n:u",
+                      help="the element alpha_P")
+    pair.add_argument("--alpha-q", dest="b", required=True, metavar="n:u",
+                      help="the element alpha_Q")
+    pair.set_defaults(func=cmd_symbol)
 
     hil = sub.add_parser("hilbert", help="evaluate the degree-p tame symbol")
     _add_model_flags(hil)
     hil.add_argument("--a", required=True, metavar="n:u")
     hil.add_argument("--b", required=True, metavar="n:u")
-    hil.set_defaults(func=cmd_hilbert)
+    hil.set_defaults(func=cmd_symbol)
     return parser
 
 
@@ -98,10 +95,7 @@ def cmd_expand(args) -> int:
     else:
         result = rho_form(P, Q, coboundary(gamma))
     if args.latex:
-        if args.form == "intermediate":
-            print(element_latex(result.element))
-        else:
-            print(f"\\left({poly_latex(result.o_coefficient)}\\right) \\delta_{{O}}")
+        print(element_latex(result.element))
     else:
         print(json.dumps(expand_payload(p, args.form, result), indent=2))
     return 0
@@ -121,25 +115,13 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _build_model(args) -> TameFieldModel:
-    return TameFieldModel.create(args.p, args.q, args.gen)
-
-
-def cmd_pair(args) -> int:
-    model = _build_model(args)
-    alpha_p = model.parse(args.alpha_p)
-    alpha_q = model.parse(args.alpha_q)
-    value = qk_split(alpha_p, alpha_q)
-    print(json.dumps(pair_payload(model, value), indent=2))
-    return 0
-
-
-def cmd_hilbert(args) -> int:
-    model = _build_model(args)
-    a = model.parse(args.a)
-    b = model.parse(args.b)
-    value = hilbert(a, b)
-    print(json.dumps(hilbert_payload(model, value), indent=2))
+def cmd_symbol(args) -> int:
+    """`pair` (qk_split) or `hilbert` of the two elements a and b in the model."""
+    model = TameFieldModel.create(args.p, args.q, args.gen)
+    a, b = model.parse(args.a), model.parse(args.b)
+    # named here, not stored at import, so a wrapped cli.qk_split or cli.hilbert runs
+    value = qk_split(a, b) if args.command == "pair" else hilbert(a, b)
+    print(json.dumps(symbol_payload(args.command, model, value), indent=2))
     return 0
 
 

@@ -28,7 +28,6 @@ from functools import reduce
 
 from .errors import BasisError
 from .laurent import LaurentPoly
-from .qplane import IdentityReport, collapsed_power
 from .star_algebra import AlgebraElement, Domain, Element, GammaAssignment, RhoAssignment
 from .star_algebra import SymbolicCoefficients
 from .torsion import TorsionPoint, all_points, basis, generates, weil_exponent
@@ -179,13 +178,12 @@ def _monomial_gamma(p: int) -> GammaAssignment:
     return GammaAssignment(SymbolicCoefficients(p), values)
 
 
-def multiplicative_specialization(p: int) -> IdentityReport:
-    """The gamma form at gamma(aP + bQ) = x^a y^b (lhs) against y^p (1 - x^p)^(p-1) (rhs)."""
-    result = gamma_form(*basis(p), _monomial_gamma(p))
-    return IdentityReport(result.o_coefficient, collapsed_power(p))
+def multiplicative_specialization(p: int) -> LaurentPoly:
+    """The gamma form at gamma(aP + bQ) = x^a y^b, which collapses to
+    y^p (1 - x^p)^(p-1) (`qplane.collapsed_power`)."""
+    return gamma_form(*basis(p), _monomial_gamma(p)).o_coefficient
 
 
-def norm_identity_sides(p: int) -> IdentityReport:
-    """The norm form at the same gamma, y^p prod_k sum_i zeta^(k*i) x^i, against the rhs."""
-    result = norm_form(*basis(p), _monomial_gamma(p))
-    return IdentityReport(result.o_coefficient, collapsed_power(p))
+def norm_identity_sides(p: int) -> LaurentPoly:
+    """The norm form at the same gamma, y^p prod_k sum_i zeta^(k*i) x^i."""
+    return norm_form(*basis(p), _monomial_gamma(p)).o_coefficient

@@ -93,14 +93,22 @@ def discrete_log(base: int, value: int, q: int, order: int) -> int:
 def split_field(p: int, q: int | None = None, g: int | None = None) -> tuple[int, int, int]:
     """The residue field F_q holding the p-th roots of unity, as (q, g, zeta).
 
-    q must be a prime with q = 1 mod p and defaults to the smallest one; g must
-    be a primitive root mod q and defaults to the smallest one.  zeta is the
-    p-th root of unity g^((q-1)/p).
+    q must be a prime below 3.2 * 10^23 with q = 1 mod p and defaults to the
+    smallest one; g must be a primitive root mod q and defaults to the smallest
+    one.  zeta is the p-th root of unity g^((q-1)/p).
     """
     if q is None:
         q = p + 1
         while not is_prime(q):
             q += p
+    # Below the bound of _BASES, is_prime is exact and Pollard rho splits q - 1
+    # in under a second; above it a composite q could pass is_prime, and q - 1
+    # could keep rho running for hours.
+    if q >= 318665857834031151167461:
+        raise ValueError(
+            "q must be below 318665857834031151167461 (about 3.2 * 10^23), where the "
+            f"Miller-Rabin primality test is exact; got q={q}"
+        )
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if q % p != 1:

@@ -10,24 +10,10 @@ same symbols the monomial gamma(aP + bQ) = g_P^a g_Q^b specializes to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import CycNumber
 from .errors import AmbientMismatchError
 from .laurent import LaurentPoly, PolyBuilder
 from .torsion import basis, validate_odd_prime
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of a verified identity, kept for display."""
-
-    lhs: LaurentPoly
-    rhs: LaurentPoly
-
-    @property
-    def agrees(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -71,12 +57,12 @@ def line_operator(p: int) -> LaurentPoly:
     return LaurentPoly(p, [([(P, i), (Q, 1)], CycNumber.zeta_pow(p, -i)) for i in range(p)])
 
 
-def qplane_identity_sides(p: int) -> IdentityReport:
-    """The left-associated plane product of p factors line_operator(p), against
-    Y^p (1 - X^p)^(p-1)."""
+def qplane_identity_sides(p: int) -> LaurentPoly:
+    """The left-associated plane product of p factors line_operator(p), the
+    left-hand side of the identity with collapsed_power(p)."""
     factor = line_operator(p)
     lhs = factor
     for _ in range(p - 1):
         lhs = plane_mul(lhs, factor)
-    return IdentityReport(lhs, collapsed_power(p))
+    return lhs
 

@@ -22,6 +22,13 @@ def point_label(point: TorsionPoint) -> str:
     return "+".join(parts) if parts else "O"
 
 
+def _signed_join(parts: list[str]) -> str:
+    """LaTeX summands joined by " + ", or by a space before a negative one."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" {x}" if x.startswith("-") else f" + {x}" for x in parts[1:])
+
+
 def cyc_latex(c: CycNumber) -> str:
     """A cyclotomic number as a LaTeX sum of powers of zeta."""
     parts = []
@@ -38,12 +45,7 @@ def cyc_latex(c: CycNumber) -> str:
         else:
             body = f"{x}{unit}"
         parts.append(body)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" {part}" if part.startswith("-") else f" + {part}"
-    return out
+    return _signed_join(parts)
 
 
 def monomial_latex(pairs: Pairs) -> str:
@@ -58,11 +60,8 @@ def monomial_latex(pairs: Pairs) -> str:
 
 
 def poly_latex(poly: LaurentPoly) -> str:
-    terms = poly.terms()
-    if not terms:
-        return "0"
     bits = []
-    for mono, coeff in terms:
+    for mono, coeff in poly.terms():
         c = cyc_latex(coeff)
         m = monomial_latex(mono)
         if m == "1":
@@ -74,24 +73,16 @@ def poly_latex(poly: LaurentPoly) -> str:
         else:
             wrapped = c if ("+" not in c and " - " not in c) else f"\\left({c}\\right)"
             bits.append(f"{wrapped}\\, {m}")
-    out = bits[0]
-    for bit in bits[1:]:
-        out += f" {bit}" if bit.startswith("-") else f" + {bit}"
-    return out
+    return _signed_join(bits)
 
 
 def element_latex(element: AlgebraElement) -> str:
-    items = element.items()
-    if not items:
-        return "0"
-    bits = []
-    for point, coeff in items:
-        if isinstance(coeff, LaurentPoly):
-            body = poly_latex(coeff)
-        else:
-            body = str(coeff)
-        bits.append(f"\\left({body}\\right) \\delta_{{{point_label(point)}}}")
-    return " + ".join(bits)
+    """An element with Laurent polynomial coefficients, as a sum of indicators."""
+    bits = [
+        f"\\left({poly_latex(coeff)}\\right) \\delta_{{{point_label(point)}}}"
+        for point, coeff in element.items()
+    ]
+    return " + ".join(bits) or "0"
 
 
 def expand_payload(p: int, form: str, result: ClosedFormResult) -> dict:
@@ -103,13 +94,10 @@ def expand_payload(p: int, form: str, result: ClosedFormResult) -> dict:
     return payload
 
 
-def model_payload(model: TameFieldModel) -> dict:
-    return {"p": model.p, "q": model.q, "g": model.g, "zeta": model.zeta}
-
-
-def pair_payload(model: TameFieldModel, value: PairingValue) -> dict:
-    return {"value": str(value), "model": model_payload(model), "convention": CONVENTION}
-
-
-def hilbert_payload(model: TameFieldModel, value: PairingValue) -> dict:
-    return {"value": str(value), "model": model_payload(model)}
+def symbol_payload(command: str, model: TameFieldModel, value: PairingValue) -> dict:
+    """The JSON of `pair` or `hilbert`; only `pair` states the pairing convention."""
+    model_json = {"p": model.p, "q": model.q, "g": model.g, "zeta": model.zeta}
+    payload = {"value": str(value), "model": model_json}
+    if command == "pair":
+        payload["convention"] = CONVENTION
+    return payload

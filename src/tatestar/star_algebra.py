@@ -307,10 +307,6 @@ class AlgebraElement:
         self._coeffs = table
 
     @classmethod
-    def zero(cls, domain: Domain) -> AlgebraElement:
-        return cls(domain)
-
-    @classmethod
     def delta(cls, domain: Domain, point: TorsionPoint) -> AlgebraElement:
         """The indicator delta_T."""
         return cls(domain, [(point, domain.one())])

@@ -26,7 +26,7 @@ from tatestar.local_pairing import (
     one_minus,
     unramified_scaling,
 )
-from tatestar.qplane import qplane_identity_sides
+from tatestar.qplane import collapsed_power, qplane_identity_sides
 from tatestar.star_algebra import (
     GammaAssignment,
     PrimeFieldCoefficients,
@@ -87,15 +87,15 @@ def test_criterion_2_symbolic_p7():
 
 def test_criterion_3_specialization_and_plane_identity():
     start = time.time()
-    ok = all(multiplicative_specialization(p).agrees for p in (3, 5))
-    ok = ok and all(qplane_identity_sides(p).agrees for p in (3, 5, 7, 11))
+    ok = all(multiplicative_specialization(p) == collapsed_power(p) for p in (3, 5))
+    ok = ok and all(qplane_identity_sides(p) == collapsed_power(p) for p in (3, 5, 7, 11))
     _report(3, "multiplicative specialization and plane identity",
             ok, time.time() - start, 60.0)
 
 
 def test_criterion_4_norm_identity():
     start = time.time()
-    ok = all(norm_identity_sides(p).agrees for p in (3, 5, 7, 11, 13))
+    ok = all(norm_identity_sides(p) == collapsed_power(p) for p in (3, 5, 7, 11, 13))
     _report(4, "norm product identity, p in {3, 5, 7, 11, 13}",
             ok, time.time() - start, 10.0)
 

@@ -58,6 +58,23 @@ def test_instrument_wraps_and_restores_the_package():
         assert dict(vars(module)) == names
 
 
+def test_cli_symbol_commands_call_the_wrapped_symbols(capsys):
+    # instrument swaps cli.hilbert and cli.qk_split; a command that kept the
+    # functions it saw at import would go around the wrappers
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    names = ("local_pairing.hilbert.calls", "local_pairing.qk_split.calls")
+    with tracing.instrument(tatestar, tracer):
+        model = ["--p", "3", "--q", "7"]
+        assert tatestar.cli.main(["hilbert", *model, "--a", "1:1", "--b", "0:3"]) == 0
+        after_hilbert = [tracer.counts()[name] for name in names]
+        # qk_split(0:3, 1:1) calls hilbert once, through local_pairing
+        assert tatestar.cli.main(["pair", *model, "--alpha-p", "0:3", "--alpha-q", "1:1"]) == 0
+    capsys.readouterr()
+    assert after_hilbert == [1, 0]
+    assert [tracer.counts()[name] for name in names] == [2, 1]
+
+
 def test_star_and_coboundary_multiply_through_the_domain():
     tracing = _load_tracing()
     tracer = tracing.Tracer()

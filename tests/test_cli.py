@@ -268,6 +268,38 @@ def test_verify_local_at_a_61_bit_prime(capsys):
     assert out.endswith("7/7 checks passed\n")
 
 
+# The largest prime q = 1 mod 3 below 318665857834031151167461, the bound up to
+# which the Miller-Rabin test is exact and so the largest q split_field accepts.
+_Q_BELOW_BOUND = 318665857834031151167263
+
+
+def test_verify_local_past_2_to_the_63(capsys):
+    # rng.sample(range(1, q), 64) took len() of the range, which overflows here
+    code, out, err = _run(
+        capsys, "verify", "--p", "3", "--q", str(_Q_BELOW_BOUND), "--suite", "local"
+    )
+    assert (code, err) == (0, "")
+    assert f"64 random units of {_Q_BELOW_BOUND - 1}" in out
+    assert out.endswith("7/7 checks passed\n")
+
+
+def test_hilbert_just_below_the_exact_primality_bound(capsys):
+    code, out, err = _run(
+        capsys, "hilbert", "--p", "3", "--q", str(_Q_BELOW_BOUND), "--a", "1:1", "--b", "0:3"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["model"]["q"] == _Q_BELOW_BOUND
+
+
+# The bound itself, a strong pseudoprime to all twelve bases, and a q whose q - 1
+# is 6 times two 60-bit primes, which Pollard rho did not split in 30 s.
+@pytest.mark.parametrize("q", [318665857834031151167461, 5217488142485159139375364863261581263])
+def test_q_at_or_past_the_exact_primality_bound_exits_2(capsys, q):
+    code, out, err = _run(capsys, "hilbert", "--p", "3", "--q", str(q), "--a", "1:1", "--b", "0:3")
+    assert (code, out) == (2, "")
+    assert "q must be below 318665857834031151167461" in err
+
+
 def test_huge_prime_p_is_rejected_by_the_guard(capsys):
     code, _, err = _run(capsys, "verify", "--p", str(2 ** 61 - 1), "--suite", "star")
     assert code == 2

@@ -23,6 +23,7 @@ from tatestar.closed_forms import (
 )
 from tatestar.errors import BasisError
 from tatestar.laurent import LaurentPoly
+from tatestar.qplane import collapsed_power
 from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
@@ -278,23 +279,21 @@ def test_rho_form_of_non_coboundary_rho_matches_star_power():
 
 
 def test_specialization_p3_explicit():
-    report = multiplicative_specialization(3)
     x, y = (LaurentPoly.variable(3, T) for T in basis(3))
     by_hand = y ** 3 - 2 * (x ** 3 * y ** 3) + x ** 6 * y ** 3
-    assert report.rhs == by_hand
-    assert report.lhs == by_hand
-    assert report.agrees
+    assert collapsed_power(3) == by_hand
+    assert multiplicative_specialization(3) == by_hand
 
 
 def test_specialization_p5():
-    assert multiplicative_specialization(5).agrees
+    assert multiplicative_specialization(5) == collapsed_power(5)
 
 
 def test_specialization_equals_multiplicative_gamma_form():
     # substituting after the fact agrees with running the multiplicative gamma
     for p in (3, 5):
         free = gamma_form(*basis(p), GammaAssignment.symbolic(p)).o_coefficient
-        assert _specialized(free) == multiplicative_specialization(p).lhs
+        assert _specialized(free) == multiplicative_specialization(p)
 
 
 def test_monomial_gamma_values():
@@ -307,7 +306,7 @@ def test_monomial_gamma_values():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_gamma_and_norm_forms_collapse_at_the_monomial_gamma(p):
-    collapsed = multiplicative_specialization(p).rhs
+    collapsed = collapsed_power(p)
     P, Q = basis(p)
     assert gamma_form(P, Q, _monomial_gamma(p)).o_coefficient == collapsed
     assert norm_form(P, Q, _monomial_gamma(p)).o_coefficient == collapsed
