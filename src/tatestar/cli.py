@@ -18,12 +18,18 @@ import os
 import sys
 
 from .closed_forms import MAX_SYMBOLIC_PRIME, gamma_form, intermediate_form, rho_form
-from .errors import AmbientMismatchError
 from .local_pairing import TameFieldModel, hilbert, qk_split
 from .render import element_latex, expand_payload, symbol_payload
 from .star_algebra import GammaAssignment, coboundary
 from .suites import SUITE_NAMES, run_suites
 from .torsion import basis, validate_odd_prime
+
+# form name -> its expansion over the basis (P, Q) and gamma
+_FORMS = {
+    "gamma": gamma_form,
+    "intermediate": intermediate_form,
+    "rho": lambda P, Q, gamma: rho_form(P, Q, coboundary(gamma)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     expand.add_argument(
         "--form",
-        choices=("gamma", "intermediate", "rho"),
+        choices=tuple(_FORMS),
         default="gamma",
         help="which expansion to print (default gamma)",
     )
@@ -86,18 +92,11 @@ def cmd_expand(args) -> int:
             f"has 32,066 terms already at p=11); only p <= {MAX_SYMBOLIC_PRIME} is supported "
             "here (use `verify --suite closed` for the larger primes)"
         )
-    P, Q = basis(p)
-    gamma = GammaAssignment.symbolic(p)
-    if args.form == "gamma":
-        result = gamma_form(P, Q, gamma)
-    elif args.form == "intermediate":
-        result = intermediate_form(P, Q, gamma)
-    else:
-        result = rho_form(P, Q, coboundary(gamma))
+    result = _FORMS[args.form](*basis(p), GammaAssignment.symbolic(p))
     if args.latex:
         print(element_latex(result.element))
     else:
-        print(json.dumps(expand_payload(p, args.form, result), indent=2))
+        print(json.dumps(expand_payload(p, result), indent=2))
     return 0
 
 
@@ -132,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (ValueError, AmbientMismatchError) as exc:
+    except ValueError as exc:  # AmbientMismatchError and BasisError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

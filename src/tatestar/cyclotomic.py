@@ -109,31 +109,31 @@ class CycNumber:
         return -(self - other)
 
     def __mul__(self, other) -> CycNumber:
-        if type(other) is CycNumber:
-            self._require_same_ambient(other)
-            if other.is_one:
-                return self
-            if self.is_one:
-                return other
-            p = self.p
-            n = p - 1
-            conv = [0] * (2 * n - 1)
-            b = other.nums
-            for i, x in enumerate(self.nums):
-                if x:
-                    for j, y in enumerate(b, i):
-                        conv[j] += x * y
-            # zeta^e = zeta^(e-p) for e >= p, then zeta^(p-1) = -(1 + ... + zeta^(p-2))
-            for e in range(p, 2 * n - 1):
-                conv[e - p] += conv[e]
-            top = conv[n]
-            del conv[n:]
-            if top:
-                conv = [c - top for c in conv]
-            return CycNumber._make(p, conv)
-        if isinstance(other, int):
-            return CycNumber._make(self.p, [x * other for x in self.nums])
-        return NotImplemented
+        if type(other) is not CycNumber:
+            other = _coerce(self.p, other)
+            if other is NotImplemented:
+                return NotImplemented
+        self._require_same_ambient(other)
+        if other.is_one:
+            return self
+        if self.is_one:
+            return other
+        p = self.p
+        n = p - 1
+        conv = [0] * (2 * n - 1)
+        b = other.nums
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        # zeta^e = zeta^(e-p) for e >= p, then zeta^(p-1) = -(1 + ... + zeta^(p-2))
+        for e in range(p, 2 * n - 1):
+            conv[e - p] += conv[e]
+        top = conv[n]
+        del conv[n:]
+        if top:
+            conv = [c - top for c in conv]
+        return CycNumber._make(p, conv)
 
     __rmul__ = __mul__
 
@@ -158,10 +158,6 @@ class CycNumber:
         if norm not in (1, -1):
             raise ValueError(f"{self} is not a unit of Z[zeta_{p}]: its norm is {norm}")
         return others * norm
-
-    def to_json(self) -> list[str]:
-        """Power-basis coordinates as exact "num/den" strings."""
-        return [f"{x}/1" for x in self.nums]
 
     def __eq__(self, other) -> bool:
         other = _coerce(self.p, other)

@@ -12,7 +12,7 @@ A monomial is the tuple of its (index, exponent) pairs sorted by index, and
 that tuple is the term dict's key: equal monomials are equal tuples, and a
 product merges two integer tuples without hashing a point.  Callers pass and
 read a monomial as (point, exponent) pairs.  Index order is the (a, b) order
-of the points, so the output paths (`terms`, `to_json` and `__str__`) sort
+of the points, so the output paths (`terms` and `__str__`) sort
 the key tuples themselves and `_decode` only looks the points up.
 """
 
@@ -169,12 +169,8 @@ class LaurentPoly:
 
     def __mul__(self, other) -> LaurentPoly:
         if type(other) is not LaurentPoly:
-            if isinstance(other, (CycNumber, int)):
-                c0 = self._coerce_coeff(self.p, other)
-                if c0.is_zero:
-                    return LaurentPoly.zero(self.p)
-                return self._from_raw(self.p, {m: c * c0 for m, c in self._terms.items()})
-            if not isinstance(other, LaurentPoly):
+            other = self._coerce_poly(other)
+            if other is NotImplemented:
                 return NotImplemented
         self._require_same_ambient(other)
         out: dict[Key, CycNumber] = {}
@@ -232,11 +228,6 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         return hash((self.p, frozenset(self._terms.items())))
-
-    def to_json(self) -> list[dict]:
-        return [{"coeff": c.to_json(),
-                 "monomial": [{"point": str(T), "exp": e} for T, e in pairs]}
-                for pairs, c in self.terms()]
 
     def __str__(self) -> str:
         if not self._terms:

@@ -150,12 +150,15 @@ def hilbert(a: TameElement, b: TameElement) -> PairingValue:
 
 
 def _tame_symbol(a: TameElement, b: TameElement, d: int) -> PairingValue:
-    """The tame formula over the residue field of q^d elements: h0^((q^d-1)/p), read as k/p."""
+    """The tame formula over the residue field of q^d elements: h0^((q^d-1)/p), read as k/p.
+
+    The formula's sign (-1)^(v(a)v(b)) is left out of h0: q is an odd prime
+    with q = 1 mod p and p is odd, so (q^d - 1)/p is even and raises it to 1.
+    """
     a._require_same_model(b)
     model = a.model
     p, q = model.p, model.q
-    sign = -1 if (a.val * b.val) % 2 else 1
-    h0 = sign * pow(a.unit, b.val, q) * pow(b.unit, -a.val, q) % q
+    h0 = pow(a.unit, b.val, q) * pow(b.unit, -a.val, q) % q
     h = pow(h0, (q ** d - 1) // p, q)
     return PairingValue(p, discrete_log(model.zeta, h, q, p))
 

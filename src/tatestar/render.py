@@ -1,4 +1,4 @@
-"""JSON payloads and LaTeX strings for the command-line output."""
+"""Every JSON payload and LaTeX string the command line prints."""
 
 from __future__ import annotations
 
@@ -60,6 +60,7 @@ def monomial_latex(pairs: Pairs) -> str:
 
 
 def poly_latex(poly: LaurentPoly) -> str:
+    """A polynomial in LaTeX; a coefficient with two or more summands is parenthesized."""
     bits = []
     for mono, coeff in poly.terms():
         c = cyc_latex(coeff)
@@ -71,7 +72,7 @@ def poly_latex(poly: LaurentPoly) -> str:
         elif c == "-1":
             bits.append(f"-{m}")
         else:
-            wrapped = c if ("+" not in c and " - " not in c) else f"\\left({c}\\right)"
+            wrapped = f"\\left({c}\\right)" if sum(map(bool, coeff.nums)) > 1 else c
             bits.append(f"{wrapped}\\, {m}")
     return _signed_join(bits)
 
@@ -85,12 +86,21 @@ def element_latex(element: AlgebraElement) -> str:
     return " + ".join(bits) or "0"
 
 
-def expand_payload(p: int, form: str, result: ClosedFormResult) -> dict:
-    payload: dict = {"p": p, "form": form, "convention": CONVENTION}
-    if form == "intermediate":
-        payload["element"] = result.element.to_json()
+def poly_json(poly: LaurentPoly) -> list[dict]:
+    """The terms in canonical order, each coefficient as exact "num/den" coordinates."""
+    return [{"coeff": [f"{x}/1" for x in c.nums],
+             "monomial": [{"point": str(T), "exp": e} for T, e in pairs]}
+            for pairs, c in poly.terms()]
+
+
+def expand_payload(p: int, result: ClosedFormResult) -> dict:
+    """The JSON of `expand`: the element for the intermediate form, else its origin coefficient."""
+    payload: dict = {"p": p, "form": result.form, "convention": CONVENTION}
+    if result.form == "intermediate":
+        payload["element"] = [{"point": str(T), "coeff": poly_json(c)}
+                              for T, c in result.element.items()]
     else:
-        payload["terms"] = result.o_coefficient.to_json()
+        payload["terms"] = poly_json(result.o_coefficient)
     return payload
 
 

@@ -75,9 +75,6 @@ class SymbolicCoefficients:
     def accumulator(self) -> _SymbolicAccumulator:
         return _SymbolicAccumulator(self.p)
 
-    def element_to_json(self, a: LaurentPoly):
-        return a.to_json()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolicCoefficients) and other.p == self.p
 
@@ -130,9 +127,6 @@ class PrimeFieldCoefficients:
 
     def accumulator(self) -> _NumericAccumulator:
         return _NumericAccumulator(self.q)
-
-    def element_to_json(self, a: int):
-        return a
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeFieldCoefficients) and (other.p, other.q) == (self.p, self.q)
@@ -351,12 +345,6 @@ class AlgebraElement:
 
     def __hash__(self) -> int:
         return hash((self.domain, frozenset(self._coeffs.items())))
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"point": str(point), "coeff": self.domain.element_to_json(c)}
-            for point, c in self.items()
-        ]
 
     def __str__(self) -> str:
         if self.is_zero:

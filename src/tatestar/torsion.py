@@ -108,8 +108,7 @@ def basis(p: int) -> tuple[TorsionPoint, TorsionPoint]:
 
 def generates(P: TorsionPoint, Q: TorsionPoint) -> bool:
     """Whether (P, Q) is a basis of the full group."""
-    P._require_same_ambient(Q)
-    return (P.a * Q.b - P.b * Q.a) % P.p != 0
+    return weil_exponent(P, Q) != 0
 
 
 def weil_exponent(S: TorsionPoint, T: TorsionPoint) -> int:

@@ -7,7 +7,7 @@ one instrumented phase over the package.  Its ring-operation counters and
 planted faults see only calls made through the coefficient domain, so
 `coboundary` and `star` are also checked to make every multiplication there,
 and a four-way check to invert each gamma value once.  The symbolic ring keys
-monomials by interned integers, so a symbolic four-way check hashes torsion
+monomials by point indices, so a symbolic four-way check hashes torsion
 points only at the algebra's interface, a few times per point.
 """
 
@@ -23,6 +23,7 @@ from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
+    SymbolicCoefficients,
     coboundary,
     delta_inverse,
     star,
@@ -73,6 +74,18 @@ def test_cli_symbol_commands_call_the_wrapped_symbols(capsys):
     capsys.readouterr()
     assert after_hilbert == [1, 0]
     assert [tracer.counts()[name] for name in names] == [2, 1]
+
+
+def test_a_domain_is_its_ring_operations():
+    # what counting_domain wraps or reads, the domain's kind and the numeric
+    # domain's unit sampler: a domain writes no output and holds no other helper
+    ring = {"zero", "one", "root", "add", "mul", "inv", "is_zero", "accumulator", "kind"}
+
+    def public(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+
+    assert public(SymbolicCoefficients) == ring
+    assert public(PrimeFieldCoefficients) == ring | {"random_unit"}
 
 
 def test_star_and_coboundary_multiply_through_the_domain():

@@ -14,6 +14,7 @@ import pytest
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
 from tatestar.laurent import LaurentPoly
+from tatestar.render import poly_json
 from tatestar.torsion import TorsionPoint
 
 
@@ -133,6 +134,11 @@ def test_scalar_mixing():
     assert x * 3 + x * -2 == x
     assert x - 1 == CycNumber(p, [0, 1])
     assert 1 + x == CycNumber(p, [2, 1])
+    assert x * 0 == CycNumber.zero(p)
+    # a bool is not taken for an integer, by * as by +
+    for op in (lambda: x * True, lambda: x + True):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_non_integer_coefficients_raise_type_error():
@@ -185,9 +191,15 @@ def test_mixed_primes_raise():
 
 
 def test_json_coordinates():
-    assert CycNumber.rational(3, -3).to_json() == ["-3/1", "0/1"]
-    assert CycNumber(3, [2, 1]).to_json() == ["2/1", "1/1"]
-    assert CycNumber.zero(3).to_json() == ["0/1", "0/1"]
+    def coords(c):
+        (term,) = poly_json(LaurentPoly.constant(3, c))
+        return term["coeff"]
+
+    assert coords(CycNumber.rational(3, -3)) == ["-3/1", "0/1"]
+    assert coords(CycNumber(3, [2, 1])) == ["2/1", "1/1"]
+    assert coords(CycNumber.zeta_pow(3, 2)) == ["-1/1", "-1/1"]
+    # a zero coefficient is never a term, so it is never written
+    assert poly_json(LaurentPoly.constant(3, CycNumber.zero(3))) == []
 
 
 def test_str_rendering_smoke():

@@ -6,6 +6,7 @@ import pytest
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
 from tatestar.laurent import LaurentPoly, PolyBuilder
+from tatestar.render import poly_json
 from tatestar.torsion import TorsionPoint, all_points
 
 
@@ -94,6 +95,9 @@ def test_scalar_and_constant_arithmetic():
     x = LaurentPoly.variable(p, TorsionPoint(p, 1, 0))
     assert 2 * x - x == x
     assert x * 3 - x * 2 == x
+    assert (x * 0).is_zero and (0 * x).is_zero
+    zeta = CycNumber.zeta_pow(p, 1)
+    assert x * zeta == LaurentPoly(p, [([(TorsionPoint(p, 1, 0), 1)], zeta)])
     assert (x + 1) - 1 == x
     assert LaurentPoly.constant(p, 0).is_zero
 
@@ -157,7 +161,7 @@ def test_json_shape():
     p = 3
     a = TorsionPoint(p, 0, 1)
     poly = LaurentPoly(p, [([(a, 3)], -3)])
-    assert poly.to_json() == [
+    assert poly_json(poly) == [
         {"coeff": ["-3/1", "0/1"], "monomial": [{"point": "0,1", "exp": 3}]}
     ]
 
@@ -326,8 +330,8 @@ def test_output_order_does_not_depend_on_first_use():
     poly = LaurentPoly.variable(3, late) * LaurentPoly.variable(3, early, 3)
     assert poly.terms()[0][0] == ((early, 3), (late, 1))
     assert str(poly) == f"({CycNumber.one(3)})*g[0,1]^3*g[2,1]"
-    assert poly.to_json()[0]["monomial"] == [{"point": "0,1", "exp": 3},
-                                             {"point": "2,1", "exp": 1}]
+    assert poly_json(poly)[0]["monomial"] == [{"point": "0,1", "exp": 3},
+                                              {"point": "2,1", "exp": 1}]
 
 
 def test_a_point_over_another_prime_raises_ambient_mismatch():

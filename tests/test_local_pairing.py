@@ -9,6 +9,8 @@ absorbed by the even exponent.  The split-reduction value for alpha_P = [3],
 alpha_Q = pi is 1/3.
 """
 
+import random
+
 import pytest
 
 from tatestar import local_pairing
@@ -297,6 +299,29 @@ def test_unramified_scaling_matches_multiplication():
                     assert unramified_scaling(a, b, d) == d * base
     with pytest.raises(ValueError):
         unramified_scaling(m.one(), m.one(), 0)
+
+
+def _symbol_with_sign(a, b, d):
+    """The tame formula with its sign (-1)^(v(a)v(b)), the root read off by search."""
+    p, q, zeta = a.model.p, a.model.q, a.model.zeta
+    sign = -1 if a.val * b.val % 2 else 1
+    h0 = sign * pow(a.unit, b.val, q) * pow(b.unit, -a.val, q) % q
+    h = pow(h0, (q ** d - 1) // p, q)
+    return PairingValue(p, next(k for k in range(p) if pow(zeta, k, q) == h))
+
+
+@pytest.mark.parametrize("p, q", [(3, 7), (13, 53), (3, 2 ** 61 - 1)])
+def test_symbol_agrees_with_the_signed_formula_at_odd_valuations(p, q):
+    # v(a)v(b) odd makes the sign -1; the even exponent (q^d - 1)/p raises it to 1
+    rng = random.Random(p * q)
+    m = TameFieldModel.create(p, q)
+    odd = range(1 - 2 * p, 2 * p, 2)
+    for _ in range(40):
+        a = m.element(rng.choice(odd), rng.randrange(1, q))
+        b = m.element(rng.choice(odd), rng.randrange(1, q))
+        assert hilbert(a, b) == _symbol_with_sign(a, b, 1)
+        for d in (2, 3):
+            assert unramified_scaling(a, b, d) == _symbol_with_sign(a, b, d)
 
 
 def test_class_representatives_cover_all_classes():
