@@ -19,6 +19,7 @@ import sys
 
 from .closed_forms import MAX_SYMBOLIC_PRIME, gamma_form, intermediate_form, rho_form
 from .local_pairing import TameFieldModel, hilbert, qk_split
+from .modular import split_field
 from .render import element_latex, expand_payload, symbol_payload
 from .star_algebra import GammaAssignment, coboundary
 from .suites import SUITE_NAMES, run_suites
@@ -102,6 +103,8 @@ def cmd_expand(args) -> int:
 
 def cmd_verify(args) -> int:
     p = validate_odd_prime(args.p)
+    if args.q is not None:
+        split_field(p, args.q)  # a bad q exits 2 before any suite runs
     outcomes = run_suites(args.suite, p, q=args.q, seed=args.seed)
     failures = 0
     for suite_name, check in outcomes:

@@ -30,7 +30,7 @@ from .errors import BasisError
 from .laurent import LaurentPoly
 from .star_algebra import AlgebraElement, Domain, Element, GammaAssignment, RhoAssignment
 from .star_algebra import SymbolicCoefficients
-from .torsion import TorsionPoint, all_points, basis, generates, weil_exponent
+from .torsion import TorsionPoint, all_points, basis, epsilon_exponent, generates, weil_exponent
 
 # Largest p whose expansions are computed over the free symbolic gamma.  The
 # walk takes the tuple count out of the cost but not the size of the output:
@@ -52,16 +52,17 @@ class ClosedFormResult:
         return self.element.coefficient(origin)
 
 
-def _require_basis(P: TorsionPoint, Q: TorsionPoint) -> None:
+def _coset(P: TorsionPoint, Q: TorsionPoint) -> list[TorsionPoint]:
+    """The p points Q + iP, i = 0..p-1, after checking that (P, Q) is a basis."""
     if not generates(P, Q):
         raise BasisError(f"({P}) and ({Q}) do not generate the p-torsion group")
+    return [Q + i * P for i in range(P.p)]
 
 
 def build_delta(domain: Domain, P: TorsionPoint, Q: TorsionPoint) -> AlgebraElement:
     """The line element sum_i delta_{Q+iP} with unit coefficients."""
-    _require_basis(P, Q)
     one = domain.one()
-    return AlgebraElement(domain, [(Q + i * P, one) for i in range(domain.p)])
+    return AlgebraElement(domain, [(T, one) for T in _coset(P, Q)])
 
 
 def _walk(domain: Domain, factor) -> list[Element]:
@@ -90,9 +91,8 @@ def gamma_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> Clos
     """
     domain = gamma.domain
     p = domain.p
-    _require_basis(P, Q)
+    gvals = [gamma.value(T) for T in _coset(P, Q)]
     d = weil_exponent(Q, P)
-    gvals = [gamma.value(Q + i * P) for i in range(p)]
 
     def factor(l, s, i):
         return domain.mul(domain.root(d * l * i), gvals[i])
@@ -112,13 +112,11 @@ def intermediate_form(
     """
     domain = gamma.domain
     p = domain.p
-    _require_basis(P, Q)
-    half = (p + 1) // 2
-    d = weil_exponent(Q, P)
-    gvals = [gamma.value(Q + i * P) for i in range(p)]
+    gvals = [gamma.value(T) for T in _coset(P, Q)]
+    e = epsilon_exponent(Q, P)
 
     def factor(l, s, i):
-        return domain.mul(domain.root(half * d * (2 * l - 1) * i), gvals[i])
+        return domain.mul(domain.root(e * (2 * l - 1) * i), gvals[i])
 
     sums = _walk(domain, factor)
     support = [(s * P, domain.mul(sums[s], gamma.inverse(s * P))) for s in range(p)]
@@ -134,9 +132,8 @@ def rho_form(P: TorsionPoint, Q: TorsionPoint, rho: RhoAssignment) -> ClosedForm
     """
     domain = rho.domain
     p = domain.p
-    _require_basis(P, Q)
+    coset = _coset(P, Q)
     d = weil_exponent(Q, P)
-    coset = [Q + i * P for i in range(p)]
     partial = [[j * Q + s * P for s in range(p)] for j in range(p)]
 
     def factor(l, s, i):
@@ -158,8 +155,7 @@ def norm_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> Close
     """
     domain = gamma.domain
     p = domain.p
-    _require_basis(P, Q)
-    gvals = [gamma.value(Q + i * P) for i in range(p)]
+    gvals = [gamma.value(T) for T in _coset(P, Q)]
     forms = []
     for k in range(p):
         acc = domain.accumulator()

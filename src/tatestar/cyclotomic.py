@@ -156,7 +156,7 @@ class CycNumber:
             others = others * CycNumber(p, twisted)
         norm = (self * others).nums[0]  # a nonzero integer, the norm to Z
         if norm not in (1, -1):
-            raise ValueError(f"{self} is not a unit of Z[zeta_{p}]: its norm is {norm}")
+            raise ValueError(f"{self!r} is not a unit of Z[zeta_{p}]: its norm is {norm}")
         return others * norm
 
     def __eq__(self, other) -> bool:
@@ -169,31 +169,12 @@ class CycNumber:
         return hash((self.p, self.nums))
 
     def __repr__(self) -> str:
-        return f"CycNumber({self.p}, {self!s})"
-
-    def __str__(self) -> str:
-        parts = []
-        for e, x in enumerate(self.nums):
-            if x == 0:
-                continue
-            unit = "1" if e == 0 else ("zeta" if e == 1 else f"zeta^{e}")
-            if e == 0:
-                parts.append(str(x))
-            elif x == 1:
-                parts.append(unit)
-            elif x == -1:
-                parts.append(f"-{unit}")
-            else:
-                parts.append(f"{x}*{unit}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
+        return f"CycNumber({self.p}, {list(self.nums)})"
 
 
 def _coerce(p: int, value):
+    """The scalar rule of CycNumber and LaurentPoly: a CycNumber as it is, an int
+    (not a bool) as a rational, anything else NotImplemented."""
     if isinstance(value, CycNumber):
         return value
     if isinstance(value, int) and not isinstance(value, bool):

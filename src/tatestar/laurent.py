@@ -1,7 +1,8 @@
 """Sparse Laurent polynomials over Z[zeta_p] in invertible formal variables.
 
-A coefficient is a CycNumber, p - 1 integer coordinates; a plain int is
-accepted where a coefficient is expected, and anything else raises TypeError.
+A coefficient is a CycNumber, p - 1 integer coordinates; a plain int (not a
+bool) is accepted where a coefficient is expected, by the scalar rule CycNumber
+uses (`cyclotomic._coerce`), and anything else raises TypeError.
 
 The variables are the formal symbols g_T, one for each nonzero p-torsion
 point T over the polynomial's p.  Exponents are arbitrary integers, and a
@@ -12,8 +13,8 @@ A monomial is the tuple of its (index, exponent) pairs sorted by index, and
 that tuple is the term dict's key: equal monomials are equal tuples, and a
 product merges two integer tuples without hashing a point.  Callers pass and
 read a monomial as (point, exponent) pairs.  Index order is the (a, b) order
-of the points, so the output paths (`terms` and `__str__`) sort
-the key tuples themselves and `_decode` only looks the points up.
+of the points, so the output path `terms` sorts the key tuples themselves and
+`_decode` only looks the points up.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Union
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _coerce
 from .errors import AmbientMismatchError
 from .torsion import TorsionPoint, point_tables
 
@@ -85,10 +86,6 @@ def _add_into(terms: dict, items) -> None:
                 terms[mono] = s
 
 
-def _pair_str(point: TorsionPoint, exp: int) -> str:
-    return f"g[{point}]" if exp == 1 else f"g[{point}]^{exp}"
-
-
 class LaurentPoly:
     """A finite Z[zeta_p]-linear combination of monomials."""
 
@@ -102,13 +99,12 @@ class LaurentPoly:
 
     @staticmethod
     def _coerce_coeff(p: int, coeff: Coefficient) -> CycNumber:
-        if isinstance(coeff, CycNumber):
-            if coeff.p != p:
-                raise AmbientMismatchError(
-                    f"coefficient over prime {coeff.p} in a polynomial over {p}"
-                )
-            return coeff
-        return CycNumber.rational(p, coeff)
+        c = _coerce(p, coeff)
+        if c is NotImplemented:
+            raise TypeError(f"a coefficient must be a CycNumber or an int, got {coeff!r}")
+        if c.p != p:
+            raise AmbientMismatchError(f"coefficient over prime {c.p} in a polynomial over {p}")
+        return c
 
     @classmethod
     def zero(cls, p: int) -> LaurentPoly:
@@ -216,27 +212,20 @@ class LaurentPoly:
     def _coerce_poly(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (CycNumber, int)):
-            return LaurentPoly.constant(self.p, other)
-        return NotImplemented
+        c = _coerce(self.p, other)
+        return c if c is NotImplemented else LaurentPoly.constant(self.p, c)
 
     def __eq__(self, other) -> bool:
         other = self._coerce_poly(other)
-        if other is NotImplemented or not isinstance(other, LaurentPoly):
+        if other is NotImplemented:
             return NotImplemented
         return self.p == other.p and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.p, frozenset(self._terms.items())))
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({c})*" + ("*".join(_pair_str(*pair) for pair in pairs) or "1")
-                          for pairs, c in self.terms())
-
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.p}, {self!s})"
+        return f"LaurentPoly({self.p}, {self.terms()!r})"
 
 
 class PolyBuilder:

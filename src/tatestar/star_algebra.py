@@ -346,13 +346,8 @@ class AlgebraElement:
     def __hash__(self) -> int:
         return hash((self.domain, frozenset(self._coeffs.items())))
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"({c})*delta[{point}]" for point, c in self.items())
-
     def __repr__(self) -> str:
-        return f"AlgebraElement({self!s})"
+        return f"AlgebraElement({self.domain!r}, {self.items()!r})"
 
 
 def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraElement:

@@ -210,6 +210,15 @@ def test_pair_rejects_bad_model(capsys):
     assert "1 mod p" in err
 
 
+@pytest.mark.parametrize("q, suite, message", [
+    (8, "star", "error: q must be prime, got 8\n"),
+    (7, "all", "error: q must be 1 mod p so the residue field has p-th roots; got q=7\n"),
+], ids=["star", "all"])
+def test_verify_checks_q_before_any_suite_runs(capsys, q, suite, message):
+    code, out, err = _run(capsys, "verify", "--p", "5", "--q", str(q), "--suite", suite)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_pair_rejects_bad_element(capsys):
     code, _, err = _run(
         capsys, "pair", "--p", "3", "--q", "7", "--alpha-p", "nope", "--alpha-q", "1:1"

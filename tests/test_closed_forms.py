@@ -118,12 +118,19 @@ def test_build_delta_support_and_coefficients():
     assert all(delta.coefficient(Q + i * P) == 1 for i in range(p))
 
 
-def test_build_delta_rejects_degenerate_pairs():
+@pytest.mark.parametrize("build", [
+    lambda P, Q, gamma: build_delta(gamma.domain, P, Q),
+    gamma_form,
+    intermediate_form,
+    lambda P, Q, gamma: rho_form(P, Q, coboundary(gamma)),
+    norm_form,
+], ids=["build_delta", "gamma_form", "intermediate_form", "rho_form", "norm_form"])
+def test_degenerate_pairs_are_rejected(build):
     p = 3
     P, _ = basis(p)
-    dom = PrimeFieldCoefficients(p, 7)
+    gamma = GammaAssignment.random(PrimeFieldCoefficients(p, 7), random.Random(0))
     with pytest.raises(BasisError):
-        build_delta(dom, P, 2 * P)
+        build(P, 2 * P, gamma)
 
 
 def test_gamma_form_p3_golden():

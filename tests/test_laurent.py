@@ -100,6 +100,11 @@ def test_scalar_and_constant_arithmetic():
     assert x * zeta == LaurentPoly(p, [([(TorsionPoint(p, 1, 0), 1)], zeta)])
     assert (x + 1) - 1 == x
     assert LaurentPoly.constant(p, 0).is_zero
+    # a bool is not taken for an integer, as in CycNumber
+    for op in (lambda: x * True, lambda: True * x, lambda: x + True,
+               lambda: LaurentPoly(p, [((), True)])):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_multi_term_inverse_rejected():
@@ -329,7 +334,6 @@ def test_output_order_does_not_depend_on_first_use():
     late, early = TorsionPoint(3, 2, 1), TorsionPoint(3, 0, 1)
     poly = LaurentPoly.variable(3, late) * LaurentPoly.variable(3, early, 3)
     assert poly.terms()[0][0] == ((early, 3), (late, 1))
-    assert str(poly) == f"({CycNumber.one(3)})*g[0,1]^3*g[2,1]"
     assert poly_json(poly)[0]["monomial"] == [{"point": "0,1", "exp": 3},
                                               {"point": "2,1", "exp": 1}]
 

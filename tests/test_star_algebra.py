@@ -13,6 +13,7 @@ import random
 import pytest
 
 from tatestar.closed_forms import build_delta
+from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
 from tatestar.laurent import LaurentPoly
 from tatestar.star_algebra import (
@@ -301,6 +302,27 @@ def test_algebra_element_json_is_ordered():
     dom = PrimeFieldCoefficients(3, 7)
     f = AlgebraElement(dom, [(TorsionPoint(3, 2, 0), 1), (TorsionPoint(3, 0, 1), 4)])
     assert f.items() == [(TorsionPoint(3, 0, 1), 4), (TorsionPoint(3, 2, 0), 1)]
+
+
+def test_reprs_rebuild_the_value():
+    p = 5
+    names = {cls.__name__: cls for cls in (CycNumber, LaurentPoly, TorsionPoint, AlgebraElement,
+                                           SymbolicCoefficients, PrimeFieldCoefficients)}
+    zeta = CycNumber.zeta_pow(p, 1)
+    x = LaurentPoly.variable(p, TorsionPoint(p, 1, 0))
+    y = LaurentPoly.variable(p, TorsionPoint(p, 2, 3), -2)
+    symbolic, numeric = SymbolicCoefficients(p), PrimeFieldCoefficients(p)
+    values = [
+        CycNumber.zero(p), CycNumber.zeta_pow(p, p - 1), CycNumber(p, [1, -2, 0, 3]),
+        LaurentPoly.zero(p), LaurentPoly.constant(p, 7), y, zeta * x + 3 * y - 1,
+        AlgebraElement(symbolic),
+        AlgebraElement(symbolic, [(TorsionPoint.zero(p), y), (TorsionPoint(p, 0, 1), x + zeta)]),
+        AlgebraElement(numeric),
+        AlgebraElement(numeric, [(TorsionPoint(p, 1, 1), 4), (TorsionPoint(p, 0, 2), 9)]),
+    ]
+    assert repr(values[2]) == "CycNumber(5, [1, -2, 0, 3])"
+    for value in values:
+        assert eval(repr(value), names) == value
 
 
 def test_map_points_shifts_indicators():
