@@ -55,7 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--p", type=int, required=True)
-    verify.add_argument("--q", type=int, default=None, help="residue prime for the local suite")
+    verify.add_argument(
+        "--q",
+        type=int,
+        default=None,
+        help="residue prime, q = 1 mod p, of every numeric sweep (default: smallest)",
+    )
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)

@@ -17,6 +17,17 @@ the tables of index sums and eps exponents instead of adding and hashing
 points.  TorsionPoint appears only at the interface: as the keys of
 AlgebraElement and the arguments of `value`.  Every ring operation still
 goes through the domain's methods.
+
+A dense numeric product under a rho made by `coboundary` goes through the
+clock-and-shift matrices instead (Weyl 1927; Schwinger 1960).  With
+U = diag(zeta^-r), V e_r = e_(r+1) and W(a, b) = zeta^(h*a*b) U^a V^b for
+h = (p+1)/2, W(S) W(T) = eps(S, T) W(S + T) (torsion.clock_shift_phases), so
+Phi(f) = sum_T f(T) gamma(T) W(T) turns the twisted convolution into a p x p
+matrix product M, and f *_rho g (T) = tr(W(T)^-1 M) / (p gamma(T)) reads it
+back.  That is O(p^3) ring operations against the loop's 3*m*n for supports
+of sizes m and n, and `star` takes it when m*n > 2*p^3.  Sparse products
+(Delta and its powers, indicators), a rho given by its table and the symbolic
+domain, where Z[zeta_p] has no 1/p, stay on the loop.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from .modular import split_field
 from .torsion import (
     TorsionPoint,
     all_points,
+    clock_shift_phases,
     point_tables,
     validate_odd_prime,
 )
@@ -98,6 +110,8 @@ class PrimeFieldCoefficients:
         self.p = validate_odd_prime(p)
         self.q, self.g, self.zeta = split_field(p, q)
         self._roots = [pow(self.zeta, k, self.q) for k in range(p)]
+        # 1/p for the trace inverse of the clock-and-shift star, kept out of inv's count
+        self._p_inverse = pow(p, -1, self.q)
 
     def zero(self) -> int:
         return 0
@@ -227,9 +241,13 @@ class GammaAssignment:
 
 
 class RhoAssignment:
-    """A normalized symmetric twist on pairs of points: rho(O, T) = rho(T, O) = 1."""
+    """A normalized symmetric twist on pairs of points: rho(O, T) = rho(T, O) = 1.
 
-    __slots__ = ("domain", "_values")
+    `_gamma` is the gamma of a rho made by `coboundary`, and None for a rho
+    built from an explicit table.
+    """
+
+    __slots__ = ("domain", "_values", "_gamma")
 
     def __init__(self, domain: Domain, values: Mapping[tuple[TorsionPoint, TorsionPoint], Element]):
         table: list[Element] = []
@@ -241,7 +259,9 @@ class RhoAssignment:
                 table.append(values[key])
         self._adopt(domain, table)
 
-    def _adopt(self, domain: Domain, table: list[Element]) -> None:
+    def _adopt(
+        self, domain: Domain, table: list[Element], gamma: GammaAssignment | None = None
+    ) -> None:
         """Take the flat table, entry i*n + j at (point i, point j), once it is normalized."""
         n = domain.p ** 2
         one = domain.one()
@@ -250,11 +270,14 @@ class RhoAssignment:
                 raise ValueError(f"rho is not normalized at the origin against {point}")
         self.domain = domain
         self._values = table
+        self._gamma = gamma
 
     @classmethod
-    def _from_table(cls, domain: Domain, table: list[Element]) -> RhoAssignment:
+    def _from_table(
+        cls, domain: Domain, table: list[Element], gamma: GammaAssignment
+    ) -> RhoAssignment:
         rho = cls.__new__(cls)
-        rho._adopt(domain, table)
+        rho._adopt(domain, table, gamma)
         return rho
 
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
@@ -274,7 +297,7 @@ def coboundary(gamma: GammaAssignment) -> RhoAssignment:
     for i, g1 in enumerate(values):
         row = sums[i * n:(i + 1) * n]
         table += [mul(mul(g1, g2), inverse[k]) for g2, k in zip(values, row)]
-    return RhoAssignment._from_table(domain, table)
+    return RhoAssignment._from_table(domain, table, gamma)
 
 
 class AlgebraElement:
@@ -356,6 +379,12 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
     f._require_same_domain(g)
     if rho.domain != domain:
         raise AmbientMismatchError("rho over a different coefficient domain")
+    if (
+        rho._gamma is not None
+        and domain.kind == "numeric"
+        and len(f._coeffs) * len(g._coeffs) > 2 * domain.p ** 3
+    ):
+        return _clock_shift_star(f, g, rho._gamma)
     mul, add, root = domain.mul, domain.add, domain.root
     tables = point_tables(domain.p)
     sums, eps, twists = tables.sums, tables.eps, rho._values
@@ -373,6 +402,68 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
     return AlgebraElement(
         domain, [(point, c) for point, c in zip(tables.points, out) if c is not None]
     )
+
+
+def _clock_shift_star(
+    f: AlgebraElement, g: AlgebraElement, gamma: GammaAssignment
+) -> AlgebraElement:
+    """f *_rho g for rho = coboundary(gamma), as the matrix product Phi(f) Phi(g).
+
+    The coefficient at T is tr(W(T)^-1 M) / (p gamma(T)) for M = Phi(f) Phi(g).
+    W(T) for T = aP + bQ has the entry zeta^phase(T, c) at (c + b, c), so
+    W(T)^-1 has zeta^-phase(T, c) at (c, c + b) and the trace reads the
+    diagonal M[c + b][c].  Each step takes p^3 ring operations.
+    """
+    domain = f.domain
+    p = domain.p
+    mul, root = domain.mul, domain.root
+    phases = clock_shift_phases(p)
+    columns = list(zip(*_phi(g, gamma, phases)))
+    product = []
+    for row in _phi(f, gamma, phases):
+        out_row = []
+        for column in columns:
+            acc = domain.accumulator()
+            add = acc.add
+            for x, y in zip(row, column):
+                add(mul(x, y))
+            out_row.append(acc.value())
+        product.append(out_row)
+    p_inverse = domain._p_inverse
+    coeffs = []
+    for point, phase, gamma_inverse in zip(point_tables(p).points, phases, gamma._inverses):
+        diagonal = product[point.b:] + product[:point.b]
+        acc = domain.accumulator()
+        add = acc.add
+        for c, row in enumerate(diagonal):
+            add(mul(root(-phase[c]), row[c]))
+        coeffs.append((point, mul(mul(acc.value(), p_inverse), gamma_inverse)))
+    return AlgebraElement(domain, coeffs)
+
+
+def _phi(
+    f: AlgebraElement, gamma: GammaAssignment, phases: tuple[tuple[int, ...], ...]
+) -> list[list[Element]]:
+    """The rows of Phi(f) = sum_T f(T) gamma(T) W(T)."""
+    domain = f.domain
+    p = domain.p
+    mul, root, values = domain.mul, domain.root, gamma._values
+    # diagonal b holds the entries (c + b, c) of every W(aP + bQ)
+    diagonals: list[list[tuple[tuple[int, ...], Element]]] = [[] for _ in range(p)]
+    for point, value in f._coeffs.items():
+        i = point.index
+        diagonals[point.b].append((phases[i], mul(value, values[i])))
+    rows = [[domain.zero()] * p for _ in range(p)]
+    for b, terms in enumerate(diagonals):
+        if not terms:
+            continue
+        for c in range(p):
+            acc = domain.accumulator()
+            add = acc.add
+            for phase, weight in terms:
+                add(mul(weight, root(phase[c])))
+            rows[(c + b) % p][c] = acc.value()
+    return rows
 
 
 def star_pow(f: AlgebraElement, n: int, rho: RhoAssignment) -> AlgebraElement:

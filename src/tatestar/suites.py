@@ -69,8 +69,11 @@ def _sweep(name: str, cases, holds, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def star_suite(p: int, seed: int = 0) -> list[CheckResult]:
-    """Indicator product laws, unit, inverses, commutation, associativity, shift."""
+def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
+    """Indicator product laws, unit, inverses, commutation, associativity, shift.
+
+    p = 3 runs exhaustively over the free symbolic gamma, so q is used from p = 5.
+    """
     rng = random.Random(seed)
     if p == 3:
         gamma = GammaAssignment.symbolic(p)
@@ -80,7 +83,7 @@ def star_suite(p: int, seed: int = 0) -> list[CheckResult]:
         ]
         sweep = "exhaustive over all point pairs"
     else:
-        domain = PrimeFieldCoefficients(p)
+        domain = PrimeFieldCoefficients(p, q)
         gamma = GammaAssignment.random(domain, rng)
         points = list(all_points(p))
         pairs = [(rng.choice(points), rng.choice(points)) for _ in range(100)]
@@ -163,18 +166,19 @@ def _four_way(gamma) -> tuple[bool, str]:
 
 def closed_suite(
     p: int,
+    q: int | None = None,
     seed: int = 0,
     gamma_count: int = DEFAULT_GAMMA_COUNT,
 ) -> list[CheckResult]:
     """Equality of the four closed expansions with the direct star power.
 
-    A sweep of random gamma over F_q runs for p >= MAX_SYMBOLIC_PRIME, then the
-    exact check on the free symbolic gamma for p <= MAX_SYMBOLIC_PRIME, so
-    p = MAX_SYMBOLIC_PRIME runs both.
+    A sweep of random gamma over F_q (default: the smallest split prime) runs
+    for p >= MAX_SYMBOLIC_PRIME, then the exact check on the free symbolic
+    gamma for p <= MAX_SYMBOLIC_PRIME, so p = MAX_SYMBOLIC_PRIME runs both.
     """
     results = []
     if p >= MAX_SYMBOLIC_PRIME:
-        domain = PrimeFieldCoefficients(p)
+        domain = PrimeFieldCoefficients(p, q)
         rng = random.Random(seed)
         failure = ""
         for k in range(gamma_count):
@@ -296,8 +300,8 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
 # Each suite as a call (p, q, seed).  The lambdas read the suite from the
 # module globals when called, so a patched suite is the one that runs.
 _SUITES = {
-    "star": lambda p, q, seed: star_suite(p, seed),
-    "closed": lambda p, q, seed: closed_suite(p, seed),
+    "star": lambda p, q, seed: star_suite(p, q, seed),
+    "closed": lambda p, q, seed: closed_suite(p, q, seed),
     "qplane": lambda p, q, seed: qplane_suite(p),
     "norm": lambda p, q, seed: norm_suite(p),
     "local": lambda p, q, seed: local_suite(p, q, seed),

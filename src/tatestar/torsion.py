@@ -8,7 +8,9 @@ root e^((p+1)/2) of the pairing, the twist used by the star product.
 Inside the hot loops a point is its index i = a*p + b, its place in
 `all_points(p)`.  `point_tables(p)` holds, once per p, the n = p^2 points in
 that order, and two flat n x n tables read at i*n + j: the index of the sum of
-points i and j, and the exponent of eps between them.
+points i and j, and the exponent of eps between them.  `clock_shift_phases(p)`
+holds the exponents of the clock-and-shift matrices W(T), which represent the
+eps-twisted group algebra as p x p matrices.
 """
 
 from __future__ import annotations
@@ -144,6 +146,23 @@ def point_tables(p: int) -> PointTables:
     sums = tuple((s.a + t.a) % p * p + (s.b + t.b) % p for s in points for t in points)
     eps = tuple(half * (s.b * t.a - s.a * t.b) % p for s in points for t in points)
     return PointTables(p, points, sums, eps)
+
+
+@lru_cache(maxsize=None)
+def clock_shift_phases(p: int) -> tuple[tuple[int, ...], ...]:
+    """The zeta exponents of the clock-and-shift matrices W(T), T = aP + bQ.
+
+    With U = diag(zeta^-r), V e_r = e_(r+1) and h = (p+1)/2,
+    W(a, b) = zeta^(h*a*b) U^a V^b, so that W(S) W(T) = eps(S, T) W(S + T).
+    Column c of W(a, b) has one nonzero entry, zeta^k at row c + b, and
+    `phases[i][c]` is that k for the point of index i = a*p + b.
+    """
+    half = (p + 1) // 2
+    return tuple(
+        tuple((half * a * b - a * (c + b)) % p for c in range(p))
+        for a in range(p)
+        for b in range(p)
+    )
 
 
 def all_points(p: int) -> Iterator[TorsionPoint]:

@@ -6,7 +6,8 @@ originals with vars(owner)[attr], so a renamed or dropped name makes
 one instrumented phase over the package.  Its ring-operation counters and
 planted faults see only calls made through the coefficient domain, so
 `coboundary` and `star` are also checked to make every multiplication there,
-and a four-way check to invert each gamma value once.  The symbolic ring keys
+on the generic loop and on the clock-and-shift path for dense numeric
+products, and a four-way check to invert each gamma value once.  The symbolic ring keys
 monomials by point indices, so a symbolic four-way check hashes torsion
 points only at the algebra's interface, a few times per point.
 """
@@ -19,10 +20,12 @@ import tatestar
 import tatestar.cli
 import tatestar.modular
 from tatestar.closed_forms import build_delta, gamma_form, intermediate_form, rho_form
+from tatestar.laurent import LaurentPoly
 from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
+    RhoAssignment,
     SymbolicCoefficients,
     coboundary,
     delta_inverse,
@@ -111,6 +114,66 @@ def test_star_and_coboundary_multiply_through_the_domain():
     star(f, g, rho)
     assert muls[0] - before == 3 * 7 * 4
     assert roots[0] - roots_before == 7 * 4
+
+
+_RING_OPS = ("mul", "add", "root", "acc_add")
+
+
+def _ring_counts(tracer, run):
+    """The domain's ring-operation calls made by run(), by operation."""
+    cells = [tracer.cell(f"star_algebra.domain.{op}.calls") for op in _RING_OPS]
+    before = [cell[0] for cell in cells]
+    run()
+    return {op: cell[0] - start for op, cell, start in zip(_RING_OPS, cells, before)}
+
+
+def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
+    # p = 13: Phi of each factor (p^2 weights, p^3 phase products, summed by
+    # accumulators), the p^3 matrix product, and the p^3 trace inverse with
+    # two scalings per point; the generic loop makes 3 * p^4 = 85,683 muls
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    p = 13
+    domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
+    rng = random.Random(9)
+    rho = coboundary(GammaAssignment.random(domain, rng))
+    points = list(all_points(p))
+    f, g = (AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in points])
+            for _ in range(2))
+    invs = tracer.cell("star_algebra.domain.inv.calls")[0]
+    counts = _ring_counts(tracer, lambda: star(f, g, rho))
+    assert counts == {"mul": 9464, "add": 0, "root": 6591, "acc_add": 8788}
+    assert counts["mul"] == 4 * p ** 3 + 4 * p ** 2
+    assert tracer.cell("star_algebra.domain.inv.calls")[0] == invs
+
+
+def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
+    # each pair of terms costs 3 muls: the coefficients, the twist, and both
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    p = 5
+    domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
+    rng = random.Random(10)
+    rho = coboundary(GammaAssignment.random(domain, rng))
+    points = list(all_points(p))
+    explicit = RhoAssignment(domain, {(s, t): rho.value(s, t) for s in points for t in points})
+
+    def element(domain, support):
+        return AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in support])
+
+    dense, sparse = element(domain, points), element(domain, rng.sample(points, 10))
+    # m * n = 2 * p^3 exactly is not past the bound
+    assert _ring_counts(tracer, lambda: star(sparse, dense, rho))["mul"] == 3 * 10 * 25
+    assert _ring_counts(tracer, lambda: star(dense, dense, explicit))["mul"] == 3 * 25 * 25
+
+    p = 3
+    symbolic = tracing.counting_domain(SymbolicCoefficients, tracer)(p)
+    points = list(all_points(p))
+    gamma = GammaAssignment(symbolic, {t: LaurentPoly.variable(p, t) if t.index else symbolic.one()
+                                       for t in points})
+    rho = coboundary(gamma)
+    f = AlgebraElement(symbolic, [(t, symbolic.root(t.a) + 2) for t in points])
+    assert _ring_counts(tracer, lambda: star(f, f, rho))["mul"] == 3 * 9 * 9
 
 
 def test_four_way_inverts_each_gamma_value_once():

@@ -178,6 +178,23 @@ def test_verify_closed_runs_at_large_p(capsys, monkeypatch):
     ]
 
 
+def test_verify_star_sweeps_over_the_given_q(capsys):
+    code, out, _ = _run(capsys, "verify", "--p", "5", "--q", "31", "--suite", "star")
+    assert code == 0
+    assert out.splitlines()[0] == "ok   star:indicator-product  (100 random point pairs over F_31)"
+
+
+def test_verify_closed_sweeps_over_the_given_q(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "closed_suite", partial(suites.closed_suite, gamma_count=2))
+    code, out, _ = _run(capsys, "verify", "--p", "7", "--q", "43", "--suite", "closed")
+    assert code == 0
+    assert out.splitlines() == [
+        "ok   closed:closed-forms-numeric  (2 random gamma over F_43)",
+        "ok   closed:closed-forms-symbolic  (free gamma, exact)",
+        "2/2 checks passed",
+    ]
+
+
 def test_pair_golden(capsys):
     code, out, _ = _run(
         capsys, "pair", "--p", "3", "--q", "7", "--alpha-p", "0:3", "--alpha-q", "1:1"

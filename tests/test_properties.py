@@ -17,6 +17,7 @@ from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
+    RhoAssignment,
     coboundary,
     star,
 )
@@ -65,6 +66,27 @@ def test_star_is_associative_on_dense_elements(data):
     rho = coboundary(gamma)
     f, g, h = (data.draw(_dense(gamma.domain)) for _ in range(3))
     assert star(star(f, g, rho), h, rho) == star(f, star(g, h, rho), rho)
+
+
+@st.composite
+def _supported(draw, domain):
+    """An element with drawn units on a drawn support of 1 to p^2 points."""
+    points = draw(st.permutations(list(all_points(domain.p))))
+    size = draw(st.integers(1, len(points)))
+    return AlgebraElement(domain, [(point, draw(_units)) for point in points[:size]])
+
+
+@_SETTINGS
+@given(st.data())
+def test_clock_shift_star_matches_the_generic_loop(data):
+    # the explicit rho has the coboundary's table but no gamma, so star takes
+    # the generic loop there; the drawn m * n falls on both sides of 2 p^3
+    gamma = data.draw(_gammas(primes=(5, 7)))
+    domain, points = gamma.domain, list(all_points(gamma.domain.p))
+    rho = coboundary(gamma)
+    explicit = RhoAssignment(domain, {(s, t): rho.value(s, t) for s in points for t in points})
+    f, g = data.draw(_supported(domain)), data.draw(_supported(domain))
+    assert star(f, g, rho) == star(f, g, explicit)
 
 
 @_SETTINGS

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from tatestar import star_algebra
 from tatestar.closed_forms import build_delta
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
@@ -31,6 +32,7 @@ from tatestar.torsion import (
     TorsionPoint,
     all_points,
     basis,
+    clock_shift_phases,
     epsilon_exponent,
     index_shift,
     weil_exponent,
@@ -241,6 +243,29 @@ def test_star_matches_reference_on_dense_elements(p, seed):
     sparse = AlgebraElement(domain, [(TorsionPoint(p, 1, 2), domain.one())])
     assert star(sparse, f, rho) == _reference_star(sparse, f, reference)
     assert star(f, sparse, rho) == _reference_star(f, sparse, reference)
+
+
+def test_planted_phase_fault_changes_the_dense_product(monkeypatch):
+    # h + 1 for h scales W(a, b) by zeta^(a*b), so W(S) W(T) picks up an extra
+    # zeta^-(a_S b_T + a_T b_S) and the matrix product is another twist; the
+    # explicit rho has the same table but no gamma, so it keeps the loop
+    p = 7
+    gamma = _gamma(p, 12)
+    rho, points = coboundary(gamma), list(all_points(p))
+    domain = gamma.domain
+    explicit = RhoAssignment(domain, {(s, t): rho.value(s, t) for s in points for t in points})
+    rng = random.Random(13)
+    f, g = _dense(domain, rng), _dense(domain, rng)
+    assert star(f, g, rho) == star(f, g, explicit)
+
+    def faulty_phases(p):
+        return tuple(
+            tuple((k + point.a * point.b) % p for k in row)
+            for point, row in zip(all_points(p), clock_shift_phases(p))
+        )
+
+    monkeypatch.setattr(star_algebra, "clock_shift_phases", faulty_phases)
+    assert star(f, g, rho) != star(f, g, explicit)
 
 
 def test_star_drops_a_coefficient_that_cancels():

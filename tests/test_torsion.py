@@ -5,6 +5,7 @@ from tatestar.torsion import (
     TorsionPoint,
     all_points,
     basis,
+    clock_shift_phases,
     epsilon_exponent,
     generates,
     index_shift,
@@ -139,3 +140,18 @@ def test_generates():
     assert not generates(P, 2 * P)
     assert not generates(P, TorsionPoint.zero(p))
 
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_clock_shift_matrices_multiply_with_the_eps_twist(p):
+    # W(T) sends e_c to zeta^phases[T][c] e_(c + b_T), so W(S) W(T) sends e_c
+    # to zeta^(phases[T][c] + phases[S][c + b_T]) e_(c + b_S + b_T); the law
+    # W(S) W(T) = eps(S, T) W(S + T) is then an identity of exponents mod p
+    phases = clock_shift_phases(p)
+    points = list(all_points(p))
+    for s in points:
+        phase_s = phases[s.index]
+        for t in points:
+            phase_t, e = phases[t.index], epsilon_exponent(s, t)
+            lhs = [(phase_t[c] + phase_s[(c + t.b) % p]) % p for c in range(p)]
+            assert lhs == [(e + k) % p for k in phases[(s + t).index]], (s, t)
