@@ -120,8 +120,6 @@ def split_field(p: int, q: int | None = None, g: int | None = None) -> tuple[int
 
     if g is None:
         g = next(x for x in range(2, q) if generates(x))
-    else:
-        g %= q
-        if g == 0 or not generates(g):
-            raise ValueError(f"g={g} is not a primitive root mod {q}")
-    return q, g, pow(g, (q - 1) // p, q)
+    elif g % q == 0 or not generates(g):
+        raise ValueError(f"g={g} is not a primitive root mod {q}")
+    return q, g % q, pow(g, (q - 1) // p, q)

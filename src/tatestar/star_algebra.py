@@ -28,6 +28,12 @@ back.  That is O(p^3) ring operations against the loop's 3*m*n for supports
 of sizes m and n, and `star` takes it when m*n > 2*p^3.  Sparse products
 (Delta and its powers, indicators), a rho given by its table and the symbolic
 domain, where Z[zeta_p] has no 1/p, stay on the loop.
+
+A domain is only its ring operations and one entry rule, `coerce`: over F_q
+an int (not a bool) reduced into [0, q), symbolically a LaurentPoly over p
+or an int or CycNumber as the constant; anything else raises TypeError.
+AlgebraElement, GammaAssignment and RhoAssignment take every value through
+it, so equal elements compare and hash equal.
 """
 
 from __future__ import annotations
@@ -51,26 +57,43 @@ from .torsion import (
 Element = Union[LaurentPoly, int]
 
 
-class SymbolicCoefficients:
-    """Laurent polynomials over Z[zeta_p] as a coefficient domain."""
+class _Domain:
+    """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
+    for k < p) and _key, which it compares and hashes by: (p,) or (p, q)."""
 
-    kind = "symbolic"
+    def zero(self) -> Element:
+        return self._zero
+
+    def one(self) -> Element:
+        return self._one
+
+    def root(self, k: int) -> Element:
+        """The constant zeta^k."""
+        return self._roots[k % self.p]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Domain) and other._key == self._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
+class SymbolicCoefficients(_Domain):
+    """Laurent polynomials over Z[zeta_p] as a coefficient domain."""
 
     def __init__(self, p: int):
         self.p = validate_odd_prime(p)
+        self._key = (self.p,)
         self._roots = [LaurentPoly.constant(p, CycNumber.zeta_pow(p, k)) for k in range(p)]
         self._zero = LaurentPoly.zero(p)
         self._one = LaurentPoly.one(p)
 
-    def zero(self) -> LaurentPoly:
-        return self._zero
-
-    def one(self) -> LaurentPoly:
-        return self._one
-
-    def root(self, k: int) -> LaurentPoly:
-        """The constant zeta^k."""
-        return self._roots[k % self.p]
+    def coerce(self, value) -> LaurentPoly:
+        """A LaurentPoly over p as it is; an int or CycNumber as the constant."""
+        if not isinstance(value, LaurentPoly):
+            return LaurentPoly.constant(self.p, value)
+        _require_ambient(self, value, "coefficient")
+        return value
 
     def add(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return a + b
@@ -87,40 +110,31 @@ class SymbolicCoefficients:
     def accumulator(self) -> _SymbolicAccumulator:
         return _SymbolicAccumulator(self.p)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolicCoefficients) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p))
-
     def __repr__(self) -> str:
         return f"SymbolicCoefficients(p={self.p})"
 
 
-class PrimeFieldCoefficients:
+class PrimeFieldCoefficients(_Domain):
     """F_q with the p-th root of unity zeta = g^((q-1)/p), as a coefficient domain.
 
     q must be a prime with q = 1 mod p (default: the smallest), and g is the
     smallest primitive root mod q; see modular.split_field.
     """
 
-    kind = "numeric"
-
     def __init__(self, p: int, q: int | None = None):
         self.p = validate_odd_prime(p)
         self.q, self.g, self.zeta = split_field(p, q)
+        self._key = (self.p, self.q)
         self._roots = [pow(self.zeta, k, self.q) for k in range(p)]
+        self._zero, self._one = 0, 1
         # 1/p for the trace inverse of the clock-and-shift star, kept out of inv's count
         self._p_inverse = pow(p, -1, self.q)
 
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def root(self, k: int) -> int:
-        return self._roots[k % self.p]
+    def coerce(self, value) -> int:
+        """An int (not a bool), reduced into [0, q)."""
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"a coefficient in F_{self.q} must be an int, got {value!r}")
+        return value % self.q
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
@@ -129,24 +143,15 @@ class PrimeFieldCoefficients:
         return a * b % self.q
 
     def inv(self, a: int) -> int:
-        if a % self.q == 0:
+        if a == 0:
             raise ZeroDivisionError(f"inverse of 0 mod {self.q}")
         return pow(a, -1, self.q)
 
     def is_zero(self, a: int) -> bool:
-        return a % self.q == 0
-
-    def random_unit(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.q)
+        return a == 0
 
     def accumulator(self) -> _NumericAccumulator:
         return _NumericAccumulator(self.q)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeFieldCoefficients) and (other.p, other.q) == (self.p, self.q)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p, self.q))
 
     def __repr__(self) -> str:
         return f"PrimeFieldCoefficients(p={self.p}, q={self.q})"
@@ -182,10 +187,11 @@ class _NumericAccumulator:
 Domain = Union[SymbolicCoefficients, PrimeFieldCoefficients]
 
 
-def _require_point_ambient(domain: Domain, point: TorsionPoint) -> None:
-    if point.p != domain.p:
+def _require_ambient(domain: Domain, value, what: str = "point") -> None:
+    """Reject a point (or a symbolic coefficient) over another prime than the domain."""
+    if value.p != domain.p:
         raise AmbientMismatchError(
-            f"point over prime {point.p} used with a coefficient domain over {domain.p}"
+            f"{what} over prime {value.p} used with a coefficient domain over {domain.p}"
         )
 
 
@@ -200,7 +206,7 @@ class GammaAssignment:
         for point in all_points(domain.p):
             if point not in values:
                 raise ValueError(f"gamma is missing a value at {point}")
-            table.append(values[point])
+            table.append(domain.coerce(values[point]))
         if table[0] != domain.one():
             raise ValueError("gamma must take the value 1 at the origin")
         inverses: list[Element] = []
@@ -227,16 +233,16 @@ class GammaAssignment:
         """Uniform random units at nonzero points (numeric domains only)."""
         values: dict[TorsionPoint, Element] = {}
         for point in all_points(domain.p):
-            values[point] = domain.one() if point.is_zero else domain.random_unit(rng)
+            values[point] = domain.one() if point.is_zero else rng.randrange(1, domain.q)
         return cls(domain, values)
 
     def value(self, point: TorsionPoint) -> Element:
-        _require_point_ambient(self.domain, point)
+        _require_ambient(self.domain, point)
         return self._values[point.index]
 
     def inverse(self, point: TorsionPoint) -> Element:
         """gamma(T)^-1, as computed when gamma was validated."""
-        _require_point_ambient(self.domain, point)
+        _require_ambient(self.domain, point)
         return self._inverses[point.index]
 
 
@@ -256,7 +262,7 @@ class RhoAssignment:
                 key = (t1, t2)
                 if key not in values:
                     raise ValueError(f"rho is missing a value at ({t1}; {t2})")
-                table.append(values[key])
+                table.append(domain.coerce(values[key]))
         self._adopt(domain, table)
 
     def _adopt(
@@ -281,8 +287,8 @@ class RhoAssignment:
         return rho
 
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
-        _require_point_ambient(self.domain, t1)
-        _require_point_ambient(self.domain, t2)
+        _require_ambient(self.domain, t1)
+        _require_ambient(self.domain, t2)
         return self._values[t1.index * self.domain.p ** 2 + t2.index]
 
 
@@ -314,7 +320,8 @@ class AlgebraElement:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         table: dict[TorsionPoint, Element] = {}
         for point, value in items:
-            _require_point_ambient(domain, point)
+            _require_ambient(domain, point)
+            value = domain.coerce(value)
             if point in table:
                 value = domain.add(table[point], value)
             if domain.is_zero(value):
@@ -329,7 +336,7 @@ class AlgebraElement:
         return cls(domain, [(point, domain.one())])
 
     def coefficient(self, point: TorsionPoint) -> Element:
-        _require_point_ambient(self.domain, point)
+        _require_ambient(self.domain, point)
         return self._coeffs.get(point, self.domain.zero())
 
     def support(self) -> list[TorsionPoint]:
@@ -381,7 +388,7 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
         raise AmbientMismatchError("rho over a different coefficient domain")
     if (
         rho._gamma is not None
-        and domain.kind == "numeric"
+        and isinstance(domain, PrimeFieldCoefficients)
         and len(f._coeffs) * len(g._coeffs) > 2 * domain.p ** 3
     ):
         return _clock_shift_star(f, g, rho._gamma)

@@ -164,29 +164,25 @@ def _four_way(gamma) -> tuple[bool, str]:
     return True, ""
 
 
-def closed_suite(
-    p: int,
-    q: int | None = None,
-    seed: int = 0,
-    gamma_count: int = DEFAULT_GAMMA_COUNT,
-) -> list[CheckResult]:
+def closed_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Equality of the four closed expansions with the direct star power.
 
-    A sweep of random gamma over F_q (default: the smallest split prime) runs
-    for p >= MAX_SYMBOLIC_PRIME, then the exact check on the free symbolic
-    gamma for p <= MAX_SYMBOLIC_PRIME, so p = MAX_SYMBOLIC_PRIME runs both.
+    A sweep of DEFAULT_GAMMA_COUNT random gamma over F_q (default: the
+    smallest split prime) runs for p >= MAX_SYMBOLIC_PRIME, then the exact
+    check on the free symbolic gamma for p <= MAX_SYMBOLIC_PRIME, so
+    p = MAX_SYMBOLIC_PRIME runs both.
     """
     results = []
     if p >= MAX_SYMBOLIC_PRIME:
         domain = PrimeFieldCoefficients(p, q)
         rng = random.Random(seed)
         failure = ""
-        for k in range(gamma_count):
+        for k in range(DEFAULT_GAMMA_COUNT):
             ok, why = _four_way(GammaAssignment.random(domain, rng))
             if not ok:
                 failure = f"gamma #{k}: {why}"
                 break
-        detail = failure or f"{gamma_count} random gamma over F_{domain.q}"
+        detail = failure or f"{DEFAULT_GAMMA_COUNT} random gamma over F_{domain.q}"
         results.append(CheckResult("closed-forms-numeric", not failure, detail))
     if p <= MAX_SYMBOLIC_PRIME:
         ok, why = _four_way(GammaAssignment.symbolic(p))
@@ -297,14 +293,13 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
     ]
 
 
-# Each suite as a call (p, q, seed).  The lambdas read the suite from the
-# module globals when called, so a patched suite is the one that runs.
+# Each suite as a call (p, q, seed).
 _SUITES = {
-    "star": lambda p, q, seed: star_suite(p, q, seed),
-    "closed": lambda p, q, seed: closed_suite(p, q, seed),
+    "star": star_suite,
+    "closed": closed_suite,
     "qplane": lambda p, q, seed: qplane_suite(p),
     "norm": lambda p, q, seed: norm_suite(p),
-    "local": lambda p, q, seed: local_suite(p, q, seed),
+    "local": local_suite,
 }
 SUITE_NAMES = tuple(_SUITES)
 

@@ -9,11 +9,15 @@ planted faults see only calls made through the coefficient domain, so
 on the generic loop and on the clock-and-shift path for dense numeric
 products, and a four-way check to invert each gamma value once.  The symbolic ring keys
 monomials by point indices, so a symbolic four-way check hashes torsion
-points only at the algebra's interface, a few times per point.
+points only at the algebra's interface, a few times per point.  Last, each
+closed-p7 operation must make at least as many domain products as the
+product perfbench/selftest.py breaks, or its planted fault could not fire.
 """
 
+import ast
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import tatestar
@@ -35,18 +39,27 @@ from tatestar.star_algebra import (
 from tatestar.suites import _four_way
 from tatestar.torsion import TorsionPoint, all_points, basis
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
+def _literal(path, name):
+    """The value of a top-level `name = <literal>` in a file, read without running it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no {name} in {path}")
+
+
 def test_instrument_wraps_and_restores_the_package():
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     lp, md = tatestar.local_pairing, tatestar.modular
     before = {module: dict(vars(module)) for module in (lp, md, tatestar.star_algebra)}
     tracer = tracing.Tracer()
@@ -65,7 +78,7 @@ def test_instrument_wraps_and_restores_the_package():
 def test_cli_symbol_commands_call_the_wrapped_symbols(capsys):
     # instrument swaps cli.hilbert and cli.qk_split; a command that kept the
     # functions it saw at import would go around the wrappers
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     names = ("local_pairing.hilbert.calls", "local_pairing.qk_split.calls")
     with tracing.instrument(tatestar, tracer):
@@ -80,19 +93,19 @@ def test_cli_symbol_commands_call_the_wrapped_symbols(capsys):
 
 
 def test_a_domain_is_its_ring_operations():
-    # what counting_domain wraps or reads, the domain's kind and the numeric
-    # domain's unit sampler: a domain writes no output and holds no other helper
-    ring = {"zero", "one", "root", "add", "mul", "inv", "is_zero", "accumulator", "kind"}
+    # what counting_domain wraps or reads, and the entry rule `coerce`: a
+    # domain writes no output and holds no other helper, inherited or its own
+    ring = {"zero", "one", "root", "add", "mul", "inv", "is_zero", "accumulator", "coerce"}
 
     def public(cls):
-        return {name for name in vars(cls) if not name.startswith("_")}
+        return {name for name in dir(cls) if not name.startswith("_")}
 
     assert public(SymbolicCoefficients) == ring
-    assert public(PrimeFieldCoefficients) == ring | {"random_unit"}
+    assert public(PrimeFieldCoefficients) == ring
 
 
 def test_star_and_coboundary_multiply_through_the_domain():
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(5)
     muls, roots, invs = (
@@ -108,8 +121,8 @@ def test_star_and_coboundary_multiply_through_the_domain():
     # validating gamma inverts each value once, and coboundary reuses them
     assert invs[0] == len(points)
 
-    f = AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in rng.sample(points, 7)])
-    g = AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in rng.sample(points, 4)])
+    f = AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in rng.sample(points, 7)])
+    g = AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in rng.sample(points, 4)])
     before, roots_before = muls[0], roots[0]
     star(f, g, rho)
     assert muls[0] - before == 3 * 7 * 4
@@ -131,14 +144,14 @@ def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
     # p = 13: Phi of each factor (p^2 weights, p^3 phase products, summed by
     # accumulators), the p^3 matrix product, and the p^3 trace inverse with
     # two scalings per point; the generic loop makes 3 * p^4 = 85,683 muls
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     p = 13
     domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
     rng = random.Random(9)
     rho = coboundary(GammaAssignment.random(domain, rng))
     points = list(all_points(p))
-    f, g = (AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in points])
+    f, g = (AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in points])
             for _ in range(2))
     invs = tracer.cell("star_algebra.domain.inv.calls")[0]
     counts = _ring_counts(tracer, lambda: star(f, g, rho))
@@ -149,7 +162,7 @@ def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
 
 def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
     # each pair of terms costs 3 muls: the coefficients, the twist, and both
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     p = 5
     domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
@@ -159,7 +172,7 @@ def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
     explicit = RhoAssignment(domain, {(s, t): rho.value(s, t) for s in points for t in points})
 
     def element(domain, support):
-        return AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in support])
+        return AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in support])
 
     dense, sparse = element(domain, points), element(domain, rng.sample(points, 10))
     # m * n = 2 * p^3 exactly is not past the bound
@@ -178,7 +191,7 @@ def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
 
 def test_four_way_inverts_each_gamma_value_once():
     # intermediate_form and delta_inverse read the inverses gamma keeps
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     p = 5
     domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
@@ -198,7 +211,7 @@ def test_four_way_inverts_each_gamma_value_once():
 
 
 def test_symbolic_four_way_hashes_points_a_few_times_per_point():
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     p = 5
     gamma = GammaAssignment.symbolic(p)
@@ -212,7 +225,7 @@ def test_symbolic_four_way_hashes_points_a_few_times_per_point():
 def test_symbolic_four_way_ring_operation_counts_are_pinned():
     # every product and sum goes through the patched methods; one that went
     # around them would lower these counts
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     with tracing.instrument(tatestar, tracer):
         ok, why = _four_way(GammaAssignment.symbolic(5))
@@ -229,3 +242,24 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned():
         "cyclotomic.CycNumber.mul.calls": 5461,
         "cyclotomic.CycNumber.add.calls": 1895,
     }
+
+
+def test_each_closed_p7_operation_reaches_the_self_tests_planted_mul_fault():
+    # perfbench/selftest.py breaks domain product number FAULT_AT of each
+    # closed-p7 operation and expects every operation to fail; an operation
+    # that made fewer products would pass with the fault planted
+    selftest = PERFBENCH / "selftest.py"
+    fault_at, seed = _literal(selftest, "FAULT_AT"), _literal(selftest, "SEED")
+    tracing, workloads = _load_perfbench("tracing"), _load_perfbench("workloads")
+    wl = workloads.WORKLOADS["closed-p7"]
+    tracer = tracing.Tracer()
+    domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(*wl.domain[1:])
+    # seeded as perfbench/run.py's setup seeds a workload's inputs
+    ctx = wl.build(tatestar, domain, random.Random(f"{wl.name}/{seed}"))
+    muls = tracer.cell("star_algebra.domain.mul.calls")
+    made = []
+    for inp in ctx.inputs[:8]:
+        before = muls[0]
+        wl.op(tatestar, ctx, inp)
+        made.append(muls[0] - before)
+    assert min(made) >= fault_at, made

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from functools import partial
 
 import pytest
 
@@ -169,7 +168,7 @@ def test_verify_rejects_unknown_suite():
 
 
 def test_verify_closed_runs_at_large_p(capsys, monkeypatch):
-    monkeypatch.setattr(suites, "closed_suite", partial(suites.closed_suite, gamma_count=2))
+    monkeypatch.setattr(suites, "DEFAULT_GAMMA_COUNT", 2)
     code, out, _ = _run(capsys, "verify", "--p", "11", "--suite", "closed")
     assert code == 0
     assert out.splitlines() == [
@@ -185,7 +184,7 @@ def test_verify_star_sweeps_over_the_given_q(capsys):
 
 
 def test_verify_closed_sweeps_over_the_given_q(capsys, monkeypatch):
-    monkeypatch.setattr(suites, "closed_suite", partial(suites.closed_suite, gamma_count=2))
+    monkeypatch.setattr(suites, "DEFAULT_GAMMA_COUNT", 2)
     code, out, _ = _run(capsys, "verify", "--p", "7", "--q", "43", "--suite", "closed")
     assert code == 0
     assert out.splitlines() == [
@@ -249,6 +248,15 @@ def test_hilbert_command(capsys):
     payload = json.loads(out)
     assert payload["value"] == "2/3"
     assert payload["model"]["zeta"] == 2
+
+
+@pytest.mark.parametrize("q, gen", [(7, 9), (13, 13)])
+def test_a_bad_generator_is_named_as_given(capsys, q, gen):
+    # 9 = 2 and 13 = 0 mod q; the message names the g on the command line
+    code, out, err = _run(
+        capsys, "hilbert", "--p", "3", "--q", str(q), "--gen", str(gen), "--a", "1:1", "--b", "0:3"
+    )
+    assert (code, out, err) == (2, "", f"error: g={gen} is not a primitive root mod {q}\n")
 
 
 def test_hilbert_with_generator_override(capsys):

@@ -105,7 +105,7 @@ def _random_twist(dom, rng, symmetric=True):
             if symmetric and (t2, t1) in values:
                 values[(t1, t2)] = values[(t2, t1)]
             else:
-                values[(t1, t2)] = 1 if t1.is_zero or t2.is_zero else dom.random_unit(rng)
+                values[(t1, t2)] = 1 if t1.is_zero or t2.is_zero else rng.randrange(1, dom.q)
     return RhoAssignment(dom, values)
 
 

@@ -90,8 +90,8 @@ def _dense(domain, rng):
     """An element supported on every point, with random units (or random monomials)."""
     p = domain.p
     points = list(all_points(p))
-    if domain.kind == "numeric":
-        return AlgebraElement(domain, [(t, domain.random_unit(rng)) for t in points])
+    if isinstance(domain, PrimeFieldCoefficients):
+        return AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in points])
     return AlgebraElement(domain, [
         (t, domain.root(rng.randrange(p)) * LaurentPoly.variable(p, rng.choice(points[1:]))
          + rng.randint(1, 3))
@@ -131,6 +131,54 @@ def test_domains_compare_by_parameters():
     assert SymbolicCoefficients(3) != SymbolicCoefficients(5)
     assert PrimeFieldCoefficients(3, 7) == PrimeFieldCoefficients(3, 7)
     assert PrimeFieldCoefficients(3, 7) != PrimeFieldCoefficients(3, 13)
+
+
+# ---------------------------------------------------------------- entry rule
+
+
+def test_equal_residues_give_equal_elements():
+    dom = PrimeFieldCoefficients(3, 7)
+    T = TorsionPoint(3, 1, 0)
+    a, b = AlgebraElement(dom, [(T, -1)]), AlgebraElement(dom, [(T, 6)])
+    assert a == b and hash(a) == hash(b)
+    assert a.coefficient(T) == 6
+    assert AlgebraElement(dom, [(T, dom.q)]).is_zero
+
+
+def test_gamma_and_rho_read_the_origin_value_as_a_residue():
+    dom = PrimeFieldCoefficients(3, 7)
+    points = list(all_points(3))
+    origin = TorsionPoint.zero(3)
+    gamma = GammaAssignment(dom, {t: dom.q + 1 if t.is_zero else 2 for t in points})
+    assert gamma.value(origin) == 1
+    rho = RhoAssignment(dom, {
+        (s, t): dom.q + 1 if s.is_zero or t.is_zero else 3 for s in points for t in points
+    })
+    assert rho.value(origin, points[4]) == rho.value(points[4], origin) == 1
+
+
+def test_an_int_or_cyclotomic_coefficient_is_a_symbolic_constant():
+    dom = SymbolicCoefficients(3)
+    T = TorsionPoint(3, 1, 0)
+    assert AlgebraElement(dom, [(T, 2)]) == AlgebraElement(dom, [(T, LaurentPoly.constant(3, 2))])
+    assert AlgebraElement(dom, [(T, CycNumber.zeta_pow(3, 1))]).coefficient(T) == dom.root(1)
+    assert AlgebraElement(dom, [(T, 0)]).is_zero
+    with pytest.raises(AmbientMismatchError):
+        AlgebraElement(dom, [(T, LaurentPoly.one(5))])
+    with pytest.raises(AmbientMismatchError):
+        AlgebraElement(dom, [(T, CycNumber.one(5))])
+
+
+@pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("dom", [PrimeFieldCoefficients(3, 7), SymbolicCoefficients(3)],
+                         ids=["numeric", "symbolic"])
+def test_a_float_or_bool_coefficient_is_rejected(dom, value):
+    with pytest.raises(TypeError):
+        AlgebraElement(dom, [(TorsionPoint(3, 1, 0), value)])
+    values = {t: dom.one() for t in all_points(3)}
+    values[TorsionPoint(3, 0, 1)] = value
+    with pytest.raises(TypeError):
+        GammaAssignment(dom, values)
 
 
 # ---------------------------------------------------------------- gamma / rho
@@ -451,7 +499,7 @@ def test_associativity_for_coboundary_twists():
 
     def sparse():
         chosen = rng.sample(points, 3)
-        return AlgebraElement(dom, [(pt, dom.random_unit(rng)) for pt in chosen])
+        return AlgebraElement(dom, [(pt, rng.randrange(1, dom.q)) for pt in chosen])
 
     for _ in range(40):
         f, g, h = sparse(), sparse(), sparse()

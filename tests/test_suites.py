@@ -43,18 +43,20 @@ def test_closed_suite_sweeps_numerically_then_symbolically(p, kinds, monkeypatch
     seen = []
 
     def record(gamma):
-        seen.append(gamma.domain.kind)
+        seen.append("numeric" if isinstance(gamma.domain, PrimeFieldCoefficients) else "symbolic")
         return True, ""
 
     monkeypatch.setattr(suites, "_four_way", record)
-    results = suites.closed_suite(p, gamma_count=2)
+    monkeypatch.setattr(suites, "DEFAULT_GAMMA_COUNT", 2)
+    results = suites.closed_suite(p)
     assert seen == kinds
     assert [r.name for r in results] == [f"closed-forms-{kind}" for kind in dict.fromkeys(kinds)]
 
 
 @pytest.mark.parametrize("p", [11, 13])
-def test_closed_suite_passes_at_large_p(p):
-    [result] = suites.closed_suite(p, gamma_count=2)
+def test_closed_suite_passes_at_large_p(p, monkeypatch):
+    monkeypatch.setattr(suites, "DEFAULT_GAMMA_COUNT", 2)
+    [result] = suites.closed_suite(p)
     assert result.ok, result
 
 
@@ -68,7 +70,8 @@ def test_planted_fault_fails_symbolic_check(monkeypatch):
 
 def test_planted_fault_fails_numeric_check_and_names_the_gamma(monkeypatch):
     monkeypatch.setattr(suites, "gamma_form", _gamma_form_off_by_one)
-    [result] = suites.closed_suite(11, gamma_count=3)
+    monkeypatch.setattr(suites, "DEFAULT_GAMMA_COUNT", 3)
+    [result] = suites.closed_suite(11)
     assert result.name == "closed-forms-numeric"
     assert not result.ok
     assert result.detail == "gamma #0: gamma form origin coefficient differs"
@@ -188,7 +191,8 @@ _WALK_FAULTS = {
 @pytest.mark.parametrize("p, kind", [(5, "symbolic"), (11, "numeric")])
 def test_planted_walk_fault_fails_the_closed_suite(p, kind, fault, monkeypatch):
     monkeypatch.setattr(closed_forms, "_walk", _WALK_FAULTS[fault])
-    [result] = suites.closed_suite(p, gamma_count=2)
+    monkeypatch.setattr(suites, "DEFAULT_GAMMA_COUNT", 2)
+    [result] = suites.closed_suite(p)
     assert result.name == f"closed-forms-{kind}"
     assert not result.ok
     if kind == "numeric":
