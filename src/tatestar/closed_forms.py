@@ -19,6 +19,11 @@ running sum s = i_1 + ... + i_{l-1} mod p, and where the tuple lands depends
 only on its final sum.  So no tuple is enumerated: one walk over l = 1..p carries the
 p partial sums indexed by s.  That is a product of p transfer matrices of
 size p x p (the transfer-matrix method), O(p^3) ring operations in all.
+In gamma_form and intermediate_form the factor does not depend on s, so each
+step is a cyclic convolution with one row of p factors, built once per l
+(`convolve`): over F_q one packed big-integer product, symbolically p^2 ring
+products.  rho_form reads rho at the running sum and stays on the generic
+walk.
 """
 
 from __future__ import annotations
@@ -83,6 +88,16 @@ def _walk(domain: Domain, factor) -> list[Element]:
     return sums
 
 
+def _convolution_walk(domain: Domain, factor) -> list[Element]:
+    """_walk for a factor(l, i) that does not depend on the running sum.
+
+    Each step is then the cyclic convolution of the partial sums with the
+    row factor(l, .), built once per l.
+    """
+    p = domain.p
+    return reduce(domain.convolve, [[factor(l, i) for i in range(p)] for l in range(1, p + 1)])
+
+
 def gamma_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> ClosedFormResult:
     """Origin coefficient of Delta^{*p} from gamma data on the coset Q + <P>.
 
@@ -94,11 +109,12 @@ def gamma_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> Clos
     gvals = [gamma.value(T) for T in _coset(P, Q)]
     d = weil_exponent(Q, P)
 
-    def factor(l, s, i):
+    def factor(l, i):
         return domain.mul(domain.root(d * l * i), gvals[i])
 
     origin = TorsionPoint.zero(p)
-    return ClosedFormResult("gamma", AlgebraElement(domain, [(origin, _walk(domain, factor)[0])]))
+    value = _convolution_walk(domain, factor)[0]
+    return ClosedFormResult("gamma", AlgebraElement(domain, [(origin, value)]))
 
 
 def intermediate_form(
@@ -115,10 +131,10 @@ def intermediate_form(
     gvals = [gamma.value(T) for T in _coset(P, Q)]
     e = epsilon_exponent(Q, P)
 
-    def factor(l, s, i):
+    def factor(l, i):
         return domain.mul(domain.root(e * (2 * l - 1) * i), gvals[i])
 
-    sums = _walk(domain, factor)
+    sums = _convolution_walk(domain, factor)
     support = [(s * P, domain.mul(sums[s], gamma.inverse(s * P))) for s in range(p)]
     return ClosedFormResult("intermediate", AlgebraElement(domain, support))
 

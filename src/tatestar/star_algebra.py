@@ -15,8 +15,8 @@ a list indexed by i, kept with the inverses its validation computes, rho a
 flat list indexed by i*n + j with n = p^2, and `coboundary` and `star` read
 the tables of index sums and eps exponents instead of adding and hashing
 points.  TorsionPoint appears only at the interface: as the keys of
-AlgebraElement and the arguments of `value`.  Every ring operation still
-goes through the domain's methods.
+AlgebraElement and the arguments of `value`.  All arithmetic goes through
+the domain: its ring operations, and over F_q its packed kernels.
 
 A dense numeric product under a rho made by `coboundary` goes through the
 clock-and-shift matrices instead (Weyl 1927; Schwinger 1960).  With
@@ -24,22 +24,30 @@ U = diag(zeta^-r), V e_r = e_(r+1) and W(a, b) = zeta^(h*a*b) U^a V^b for
 h = (p+1)/2, W(S) W(T) = eps(S, T) W(S + T) (torsion.clock_shift_phases), so
 Phi(f) = sum_T f(T) gamma(T) W(T) turns the twisted convolution into a p x p
 matrix product M, and f *_rho g (T) = tr(W(T)^-1 M) / (p gamma(T)) reads it
-back.  That is O(p^3) ring operations against the loop's 3*m*n for supports
-of sizes m and n, and `star` takes it when m*n > 2*p^3.  Sparse products
-(Delta and its powers, indicators), a rho given by its table and the symbolic
-domain, where Z[zeta_p] has no 1/p, stay on the loop.
+back.  Each of the three steps is p linear combinations of p vectors of
+length p, and F_q packs a vector into one int (Kronecker substitution), so a
+product costs 4p packed combinations, O(p^2) big-integer operations, and no
+ring operation, against the loop's 3*m*n products for supports of sizes m
+and n.  `star` takes it when m*n > 8*p^2, where it is the faster of the two.
+Sparse products (Delta and its powers, indicators), a rho given by its table
+and the symbolic domain, where Z[zeta_p] has no 1/p, stay on the loop.
 
-A domain is only its ring operations and one entry rule, `coerce`: over F_q
+A domain is its ring operations and one entry rule, `coerce`: over F_q
 an int (not a bool) reduced into [0, q), symbolically a LaurentPoly over p
 or an int or CycNumber as the constant; anything else raises TypeError.
 AlgebraElement, GammaAssignment and RhoAssignment take every value through
-it, so equal elements compare and hash equal.
+it, so equal elements compare and hash equal; a product is already made of
+domain values and is not taken through it again.  Both domains convolve
+length-p lists, F_q as one packed product, and F_q adds the packed kernels
+`mul_each`, `pack` and `combine`; a packed slot of (p*(q-1)^2).bit_length()
+bits holds any sum of p products of residues.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .cyclotomic import CycNumber
 from .errors import AmbientMismatchError
@@ -59,7 +67,8 @@ Element = Union[LaurentPoly, int]
 
 class _Domain:
     """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
-    for k < p) and _key, which it compares and hashes by: (p,) or (p, q)."""
+    for k < p) and _key, which it compares and hashes by: (p,) or (p, q).
+    `convolve` is p^2 ring products here, and one packed product over F_q."""
 
     def zero(self) -> Element:
         return self._zero
@@ -70,6 +79,15 @@ class _Domain:
     def root(self, k: int) -> Element:
         """The constant zeta^k."""
         return self._roots[k % self.p]
+
+    def convolve(self, a: Sequence[Element], b: Sequence[Element]) -> list[Element]:
+        """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
+        p = self.p
+        accs = [self.accumulator() for _ in range(p)]
+        for s, x in enumerate(a):
+            for i, y in enumerate(b):
+                accs[(s + i) % p].add(self.mul(x, y))
+        return [acc.value() for acc in accs]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _Domain) and other._key == self._key
@@ -129,6 +147,12 @@ class PrimeFieldCoefficients(_Domain):
         self._zero, self._one = 0, 1
         # 1/p for the trace inverse of the clock-and-shift star, kept out of inv's count
         self._p_inverse = pow(p, -1, self.q)
+        # one slot of a packed vector holds a sum of p products of residues
+        self._width = _slot_width(p, self.q)
+        self._mask = (1 << self._width) - 1
+        self._slots = range(0, p * self._width, self._width)
+        # (phase table, packed root vectors) of the clock-and-shift star, built on first use
+        self._clock_shift = None
 
     def coerce(self, value) -> int:
         """An int (not a bool), reduced into [0, q)."""
@@ -153,8 +177,43 @@ class PrimeFieldCoefficients(_Domain):
     def accumulator(self) -> _NumericAccumulator:
         return _NumericAccumulator(self.q)
 
+    def mul_each(self, a: Iterable[int], b: Iterable[int]) -> list[int]:
+        """The products a[k] * b[k]."""
+        q = self.q
+        return [x * y % q for x, y in zip(a, b)]
+
+    def pack(self, values: Sequence[int]) -> int:
+        """Residues as one int, the k-th in the k-th slot of `_width` bits (Kronecker
+        substitution), so that a product of packed ints adds the slots' products."""
+        packed = 0
+        for value in reversed(values):
+            packed = packed << self._width | value
+        return packed
+
+    def combine(self, weights: Iterable[int], packed: Iterable[int]) -> list[int]:
+        """sum_k weights[k] * packed[k] over at most p packed vectors: its p residues."""
+        return self._unpack(sum(map(operator.mul, weights, packed)))
+
+    def convolve(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """The cyclic convolution of two length-p lists, as one packed product.
+
+        Slot p + t of pack(a) * pack(b + b) is sum_s a_s b_(p + t - s), a
+        sum of p products, and p + t - s runs over t + 1..t + p.
+        """
+        return self._unpack(self.pack(a) * self.pack([*b, *b]) >> self._slots.stop)
+
+    def _unpack(self, packed: int) -> list[int]:
+        """The first p slots, each reduced mod q."""
+        q, mask = self.q, self._mask
+        return [(packed >> shift & mask) % q for shift in self._slots]
+
     def __repr__(self) -> str:
         return f"PrimeFieldCoefficients(p={self.p}, q={self.q})"
+
+
+def _slot_width(p: int, q: int) -> int:
+    """Bits per packed slot: a sum of p products of residues is at most p*(q-1)^2."""
+    return (p * (q - 1) ** 2).bit_length()
 
 
 class _SymbolicAccumulator:
@@ -331,6 +390,18 @@ class AlgebraElement:
         self._coeffs = table
 
     @classmethod
+    def _from_products(
+        cls, domain: Domain, items: Iterable[tuple[TorsionPoint, Element]]
+    ) -> AlgebraElement:
+        """The element of values made by the domain's operations, at distinct points of
+        its p: they are already canonical, so only the zeros are dropped."""
+        element = cls.__new__(cls)
+        element.domain = domain
+        is_zero = domain.is_zero
+        element._coeffs = {point: value for point, value in items if not is_zero(value)}
+        return element
+
+    @classmethod
     def delta(cls, domain: Domain, point: TorsionPoint) -> AlgebraElement:
         """The indicator delta_T."""
         return cls(domain, [(point, domain.one())])
@@ -360,7 +431,7 @@ class AlgebraElement:
         return AlgebraElement(self.domain, [*self._coeffs.items(), *other._coeffs.items()])
 
     def scale(self, value: Element) -> AlgebraElement:
-        return AlgebraElement(
+        return AlgebraElement._from_products(
             self.domain, [(point, self.domain.mul(value, c)) for point, c in self._coeffs.items()]
         )
 
@@ -389,7 +460,7 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
     if (
         rho._gamma is not None
         and isinstance(domain, PrimeFieldCoefficients)
-        and len(f._coeffs) * len(g._coeffs) > 2 * domain.p ** 3
+        and len(f._coeffs) * len(g._coeffs) > 8 * domain.p ** 2
     ):
         return _clock_shift_star(f, g, rho._gamma)
     mul, add, root = domain.mul, domain.add, domain.root
@@ -406,7 +477,7 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
             s = sums[k]
             total = out[s]
             out[s] = value if total is None else add(total, value)
-    return AlgebraElement(
+    return AlgebraElement._from_products(
         domain, [(point, c) for point, c in zip(tables.points, out) if c is not None]
     )
 
@@ -419,58 +490,59 @@ def _clock_shift_star(
     The coefficient at T is tr(W(T)^-1 M) / (p gamma(T)) for M = Phi(f) Phi(g).
     W(T) for T = aP + bQ has the entry zeta^phase(T, c) at (c + b, c), so
     W(T)^-1 has zeta^-phase(T, c) at (c, c + b) and the trace reads the
-    diagonal M[c + b][c].  Each step takes p^3 ring operations.
+    diagonal M[c + b][c].  Each of the three steps is p packed combinations
+    of at most p packed vectors: Phi(f) per diagonal, M per row, and the
+    traces per diagonal.
     """
     domain = f.domain
     p = domain.p
-    mul, root = domain.mul, domain.root
-    phases = clock_shift_phases(p)
-    columns = list(zip(*_phi(g, gamma, phases)))
-    product = []
-    for row in _phi(f, gamma, phases):
-        out_row = []
-        for column in columns:
-            acc = domain.accumulator()
-            add = acc.add
-            for x, y in zip(row, column):
-                add(mul(x, y))
-            out_row.append(acc.value())
-        product.append(out_row)
-    p_inverse = domain._p_inverse
-    coeffs = []
-    for point, phase, gamma_inverse in zip(point_tables(p).points, phases, gamma._inverses):
-        diagonal = product[point.b:] + product[:point.b]
-        acc = domain.accumulator()
-        add = acc.add
-        for c, row in enumerate(diagonal):
-            add(mul(root(-phase[c]), row[c]))
-        coeffs.append((point, mul(mul(acc.value(), p_inverse), gamma_inverse)))
-    return AlgebraElement(domain, coeffs)
+    columns, readback = _packed_roots(domain, clock_shift_phases(p))
+    right = [domain.pack(row) for row in _phi(g, gamma, columns)]
+    product = [domain.combine(row, right) for row in _phi(f, gamma, columns)]
+    traces = [domain.zero()] * p ** 2
+    for b, vectors in enumerate(readback):
+        diagonal = [product[(c + b) % p][c] for c in range(p)]
+        traces[b::p] = domain.combine(diagonal, vectors)
+    values = domain.mul_each(traces, gamma._inverses)
+    return AlgebraElement._from_products(domain, zip(point_tables(p).points, values))
 
 
 def _phi(
-    f: AlgebraElement, gamma: GammaAssignment, phases: tuple[tuple[int, ...], ...]
+    f: AlgebraElement, gamma: GammaAssignment, columns: list[int]
 ) -> list[list[Element]]:
     """The rows of Phi(f) = sum_T f(T) gamma(T) W(T)."""
     domain = f.domain
     p = domain.p
-    mul, root, values = domain.mul, domain.root, gamma._values
-    # diagonal b holds the entries (c + b, c) of every W(aP + bQ)
-    diagonals: list[list[tuple[tuple[int, ...], Element]]] = [[] for _ in range(p)]
+    table = [domain.zero()] * p ** 2
     for point, value in f._coeffs.items():
-        i = point.index
-        diagonals[point.b].append((phases[i], mul(value, values[i])))
-    rows = [[domain.zero()] * p for _ in range(p)]
-    for b, terms in enumerate(diagonals):
-        if not terms:
-            continue
-        for c in range(p):
-            acc = domain.accumulator()
-            add = acc.add
-            for phase, weight in terms:
-                add(mul(weight, root(phase[c])))
-            rows[(c + b) % p][c] = acc.value()
-    return rows
+        table[point.index] = value
+    weights = domain.mul_each(table, gamma._values)
+    # diagonal b holds the entries (c + b, c) of every W(aP + bQ), of index a*p + b
+    diagonals = [domain.combine(weights[b::p], columns[b::p]) for b in range(p)]
+    return [[diagonals[(r - c) % p][c] for c in range(p)] for r in range(p)]
+
+
+def _packed_roots(
+    domain: PrimeFieldCoefficients, phases: tuple[tuple[int, ...], ...]
+) -> tuple[list[int], list[list[int]]]:
+    """The packed root vectors of the clock-and-shift star, once per domain and phase table.
+
+    columns[i] packs zeta^phases[i][c] over c, the entries of W(T) for T of
+    index i, and readback[b][c] packs zeta^-phases[a*p + b][c] / p over a.
+    """
+    cached = domain._clock_shift
+    if cached is None or cached[0] is not phases:
+        p = domain.p
+        roots = [domain.root(k) for k in range(p)]
+        columns = [domain.pack([roots[k] for k in row]) for row in phases]
+        scale = [domain._p_inverse] * p
+        readback = [
+            [domain.pack(domain.mul_each(scale, [roots[-phases[a * p + b][c]] for a in range(p)]))
+             for c in range(p)]
+            for b in range(p)
+        ]
+        cached = domain._clock_shift = (phases, columns, readback)
+    return cached[1], cached[2]
 
 
 def star_pow(f: AlgebraElement, n: int, rho: RhoAssignment) -> AlgebraElement:

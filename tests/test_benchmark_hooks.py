@@ -4,10 +4,13 @@ perfbench/tracing.py replaces package attributes by name and reads the
 originals with vars(owner)[attr], so a renamed or dropped name makes
 `perfbench/run.py --trace 1` fail.  This loads that file unchanged and runs
 one instrumented phase over the package.  Its ring-operation counters and
-planted faults see only calls made through the coefficient domain, so
-`coboundary` and `star` are also checked to make every multiplication there,
-on the generic loop and on the clock-and-shift path for dense numeric
-products, and a four-way check to invert each gamma value once.  The symbolic ring keys
+planted faults see only calls made through the coefficient domain's ring
+operations, so `coboundary` and `star`'s generic loop are also checked to
+make every multiplication there, and a four-way check to invert each gamma
+value once.  The F_q packed kernels (the clock-and-shift path for dense
+numeric products, the convolution walks) are not counted there: a dense
+product is pinned at no counted ring operation and its kernel calls are
+counted here instead.  The symbolic ring keys
 monomials by point indices, so a symbolic four-way check hashes torsion
 points only at the algebra's interface, a few times per point.  Last, each
 closed-p7 operation must make at least as many domain products as the
@@ -94,14 +97,18 @@ def test_cli_symbol_commands_call_the_wrapped_symbols(capsys):
 
 def test_a_domain_is_its_ring_operations():
     # what counting_domain wraps or reads, and the entry rule `coerce`: a
-    # domain writes no output and holds no other helper, inherited or its own
-    ring = {"zero", "one", "root", "add", "mul", "inv", "is_zero", "accumulator", "coerce"}
+    # domain writes no output and holds no other helper, inherited or its own;
+    # both convolve for the walks, and F_q adds the packed kernels of the
+    # clock-and-shift star
+    ring = {"zero", "one", "root", "add", "mul", "inv", "is_zero", "accumulator", "coerce",
+            "convolve"}
+    packed = {"mul_each", "pack", "combine"}
 
     def public(cls):
         return {name for name in dir(cls) if not name.startswith("_")}
 
     assert public(SymbolicCoefficients) == ring
-    assert public(PrimeFieldCoefficients) == ring
+    assert public(PrimeFieldCoefficients) == ring | packed
 
 
 def test_star_and_coboundary_multiply_through_the_domain():
@@ -141,9 +148,11 @@ def _ring_counts(tracer, run):
 
 
 def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
-    # p = 13: Phi of each factor (p^2 weights, p^3 phase products, summed by
-    # accumulators), the p^3 matrix product, and the p^3 trace inverse with
-    # two scalings per point; the generic loop makes 3 * p^4 = 85,683 muls
+    # p = 13: the packed kernels do the arithmetic, so the counted ring
+    # operations are the p roots read once to build the packed root vectors;
+    # the generic loop makes 3 * p^4 = 85,683 muls.  Per product: 2p
+    # combinations for Phi of both factors, p for the matrix product and p
+    # for the traces, p packed rows, and three pointwise products
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     p = 13
@@ -154,10 +163,38 @@ def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
     f, g = (AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in points])
             for _ in range(2))
     invs = tracer.cell("star_algebra.domain.inv.calls")[0]
+    star(f, g, rho)
+    kernels = {name: 0 for name in ("mul_each", "pack", "combine", "convolve")}
+
+    def counted(name):
+        method = getattr(domain, name)
+
+        def kernel(*args):
+            kernels[name] += 1
+            return method(*args)
+
+        return kernel
+
+    for name in kernels:
+        setattr(domain, name, counted(name))
     counts = _ring_counts(tracer, lambda: star(f, g, rho))
-    assert counts == {"mul": 9464, "add": 0, "root": 6591, "acc_add": 8788}
-    assert counts["mul"] == 4 * p ** 3 + 4 * p ** 2
+    assert counts == {"mul": 0, "add": 0, "root": 0, "acc_add": 0}
+    assert kernels == {"mul_each": 3, "pack": p, "combine": 4 * p, "convolve": 0}
     assert tracer.cell("star_algebra.domain.inv.calls")[0] == invs
+
+
+def test_the_packed_root_vectors_are_built_once_per_domain_and_phase_table():
+    tracing = _load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    p = 7
+    domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
+    rng = random.Random(9)
+    rho = coboundary(GammaAssignment.random(domain, rng))
+    f = AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in all_points(p)])
+    assert _ring_counts(tracer, lambda: star(f, f, rho))["root"] == p
+    assert _ring_counts(tracer, lambda: star(f, f, rho))["root"] == 0
+    assert _ring_counts(tracer, lambda: star(f, f, coboundary(rho._gamma)))["root"] == 0
+    assert tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)._clock_shift is None
 
 
 def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
@@ -174,9 +211,11 @@ def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
     def element(domain, support):
         return AlgebraElement(domain, [(t, rng.randrange(1, domain.q)) for t in support])
 
-    dense, sparse = element(domain, points), element(domain, rng.sample(points, 10))
-    # m * n = 2 * p^3 exactly is not past the bound
-    assert _ring_counts(tracer, lambda: star(sparse, dense, rho))["mul"] == 3 * 10 * 25
+    dense, sparse = element(domain, points), element(domain, rng.sample(points, 9))
+    # m * n = 8 * p^2 exactly is not past the bound, and one more term is
+    border = AlgebraElement(domain, sparse.items()[:8])
+    assert _ring_counts(tracer, lambda: star(border, dense, rho))["mul"] == 3 * 8 * 25
+    assert _ring_counts(tracer, lambda: star(sparse, dense, rho))["mul"] == 0
     assert _ring_counts(tracer, lambda: star(dense, dense, explicit))["mul"] == 3 * 25 * 25
 
     p = 3
@@ -237,9 +276,9 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned():
         "cyclotomic.CycNumber.mul.calls",
         "cyclotomic.CycNumber.add.calls",
     )} == {
-        "laurent.LaurentPoly.mul.calls": 2194,
+        "laurent.LaurentPoly.mul.calls": 2034,
         "laurent.PolyBuilder.add_poly.calls": 325,
-        "cyclotomic.CycNumber.mul.calls": 5461,
+        "cyclotomic.CycNumber.mul.calls": 5301,
         "cyclotomic.CycNumber.add.calls": 1895,
     }
 

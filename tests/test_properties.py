@@ -80,7 +80,7 @@ def _supported(draw, domain):
 @given(st.data())
 def test_clock_shift_star_matches_the_generic_loop(data):
     # the explicit rho has the coboundary's table but no gamma, so star takes
-    # the generic loop there; the drawn m * n falls on both sides of 2 p^3
+    # the generic loop there; the drawn m * n falls on both sides of 8 p^2
     gamma = data.draw(_gammas(primes=(5, 7)))
     domain, points = gamma.domain, list(all_points(gamma.domain.p))
     rho = coboundary(gamma)
