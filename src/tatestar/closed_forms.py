@@ -21,9 +21,10 @@ p partial sums indexed by s.  That is a product of p transfer matrices of
 size p x p (the transfer-matrix method), O(p^3) ring operations in all.
 In gamma_form and intermediate_form the factor does not depend on s, so each
 step is a cyclic convolution with one row of p factors, built once per l
-(`convolve`): over F_q one packed big-integer product, symbolically p^2 ring
-products.  rho_form reads rho at the running sum and stays on the generic
-walk.
+(`convolve`).  rho_form reads rho at the running sum, so each of its steps
+takes one row per s (`transfer`), read from rho's flat table by the indices
+of the partial sums jQ + sP.  Over F_q each step is one packed big-integer
+expression, symbolically p^2 ring products.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from functools import reduce
 from .errors import BasisError
 from .laurent import LaurentPoly
 from .star_algebra import AlgebraElement, Domain, Element, GammaAssignment, RhoAssignment
-from .star_algebra import SymbolicCoefficients
-from .torsion import TorsionPoint, all_points, basis, epsilon_exponent, generates, weil_exponent
+from .star_algebra import SymbolicCoefficients, _require_ambient
+from .torsion import TorsionPoint, all_points, basis, epsilon_exponent, generates, point_tables
+from .torsion import weil_exponent
 
 # Largest p whose expansions are computed over the free symbolic gamma.  The
 # walk takes the tuple count out of the cost but not the size of the output:
@@ -70,22 +72,16 @@ def build_delta(domain: Domain, P: TorsionPoint, Q: TorsionPoint) -> AlgebraElem
     return AlgebraElement(domain, [(T, one) for T in _coset(P, Q)])
 
 
-def _walk(domain: Domain, factor) -> list[Element]:
-    """Sum prod_{l=1}^p factor(l, s_l, i_l) over all tuples (i_1, ..., i_p) in [0,p)^p.
+def _walk(domain: Domain, sums: list[Element], steps) -> list[Element]:
+    """Carry the p partial sums, listed by running sum s, through each step.
 
-    s_l = i_1 + ... + i_{l-1} mod p is the running sum before index l.  The
-    result lists the p sums by final running sum i_1 + ... + i_p mod p.
+    A step's rows[s][i] is the factor of the next index i after running sum
+    s, so the step sends the sums to c_t = sum_s sums[s] rows[s][t - s mod p]
+    (`transfer`).  Started from the factors of the first index, the walk
+    ends with the p sums of prod_l factor(l, s_l, i_l) over all tuples, by
+    final running sum.
     """
-    p = domain.p
-    mul = domain.mul
-    sums = [factor(1, 0, i) for i in range(p)]
-    for l in range(2, p + 1):
-        accs = [domain.accumulator() for _ in range(p)]
-        for s, partial in enumerate(sums):
-            for i in range(p):
-                accs[(s + i) % p].add(mul(partial, factor(l, s, i)))
-        sums = [acc.value() for acc in accs]
-    return sums
+    return reduce(domain.transfer, steps, sums)
 
 
 def _convolution_walk(domain: Domain, factor) -> list[Element]:
@@ -148,18 +144,20 @@ def rho_form(P: TorsionPoint, Q: TorsionPoint, rho: RhoAssignment) -> ClosedForm
     """
     domain = rho.domain
     p = domain.p
-    coset = _coset(P, Q)
+    _require_ambient(domain, P)
+    coset = [T.index for T in _coset(P, Q)]
     d = weil_exponent(Q, P)
-    partial = [[j * Q + s * P for s in range(p)] for j in range(p)]
-
-    def factor(l, s, i):
-        weight = domain.root(d * l * i)
-        if l == 1:
-            return weight
-        return domain.mul(weight, rho.value(partial[l - 1][s], coset[i]))
-
+    weights = [[domain.root(d * l * i) for i in range(p)] for l in range(1, p + 1)]
+    n, sums, values, q_index = p * p, point_tables(p).sums, rho._values, Q.index
+    # partial[s] is the index of jQ + sP, rho's first argument at index l = j + 1
+    steps, partial = [], coset
+    for row_weights in weights[1:]:
+        steps.append([domain.mul_each(row_weights, [values[k * n + c] for c in coset])
+                      for k in partial])
+        partial = [sums[k * n + q_index] for k in partial]
     origin = TorsionPoint.zero(p)
-    return ClosedFormResult("rho", AlgebraElement(domain, [(origin, _walk(domain, factor)[0])]))
+    value = _walk(domain, weights[0], steps)[0]
+    return ClosedFormResult("rho", AlgebraElement(domain, [(origin, value)]))
 
 
 def norm_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> ClosedFormResult:

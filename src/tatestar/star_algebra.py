@@ -37,10 +37,11 @@ an int (not a bool) reduced into [0, q), symbolically a LaurentPoly over p
 or an int or CycNumber as the constant; anything else raises TypeError.
 AlgebraElement, GammaAssignment and RhoAssignment take every value through
 it, so equal elements compare and hash equal; a product is already made of
-domain values and is not taken through it again.  Both domains convolve
-length-p lists, F_q as one packed product, and F_q adds the packed kernels
-`mul_each`, `pack` and `combine`; a packed slot of (p*(q-1)^2).bit_length()
-bits holds any sum of p products of residues.
+domain values and is not taken through it again.  Both domains multiply
+lists entrywise (`mul_each`), convolve length-p lists and take a walk's
+transfer step, with ring products symbolically and over F_q as packed
+kernels, and F_q adds `pack` and `combine`; a packed slot of
+(p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ Element = Union[LaurentPoly, int]
 class _Domain:
     """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
     for k < p) and _key, which it compares and hashes by: (p,) or (p, q).
-    `convolve` is p^2 ring products here, and one packed product over F_q."""
+    `mul_each`, `transfer` and `convolve` are ring products here, and packed
+    kernels over F_q."""
 
     def zero(self) -> Element:
         return self._zero
@@ -80,14 +82,24 @@ class _Domain:
         """The constant zeta^k."""
         return self._roots[k % self.p]
 
-    def convolve(self, a: Sequence[Element], b: Sequence[Element]) -> list[Element]:
-        """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
+    def mul_each(self, a: Iterable[Element], b: Iterable[Element]) -> list[Element]:
+        """The products a[k] * b[k]."""
+        return [self.mul(x, y) for x, y in zip(a, b)]
+
+    def transfer(
+        self, sums: Sequence[Element], rows: Sequence[Sequence[Element]]
+    ) -> list[Element]:
+        """c_t = sum_s sums[s] rows[s][t - s mod p], for p sums and p rows of length p."""
         p = self.p
         accs = [self.accumulator() for _ in range(p)]
-        for s, x in enumerate(a):
-            for i, y in enumerate(b):
+        for s, (x, row) in enumerate(zip(sums, rows)):
+            for i, y in enumerate(row):
                 accs[(s + i) % p].add(self.mul(x, y))
         return [acc.value() for acc in accs]
+
+    def convolve(self, a: Sequence[Element], b: Sequence[Element]) -> list[Element]:
+        """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
+        return self.transfer(a, [b] * self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _Domain) and other._key == self._key
@@ -193,6 +205,13 @@ class PrimeFieldCoefficients(_Domain):
     def combine(self, weights: Iterable[int], packed: Iterable[int]) -> list[int]:
         """sum_k weights[k] * packed[k] over at most p packed vectors: its p residues."""
         return self._unpack(sum(map(operator.mul, weights, packed)))
+
+    def transfer(self, sums: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+        """c_t = sum_s sums[s] rows[s][t - s mod p], as one combination of the rows,
+        each rotated by s before it is packed: slot t is a sum of p products."""
+        p = self.p
+        return self.combine(sums, [self.pack([*row[p - s:], *row[:p - s]])
+                                   for s, row in enumerate(rows)])
 
     def convolve(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """The cyclic convolution of two length-p lists, as one packed product.

@@ -44,6 +44,7 @@ from .torsion import (
     all_points,
     basis,
     epsilon_exponent,
+    generates,
     index_shift,
     weil_exponent,
 )
@@ -139,11 +140,10 @@ def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]
     ]
 
 
-def _four_way(gamma) -> tuple[bool, str]:
-    """Compare star_pow with the four expansions for one gamma."""
+def _four_way(gamma, P: TorsionPoint, Q: TorsionPoint) -> tuple[bool, str]:
+    """Compare star_pow with the four expansions for one gamma on the basis (P, Q)."""
     domain = gamma.domain
     p = domain.p
-    P, Q = basis(p)
     rho = coboundary(gamma)
     delta = build_delta(domain, P, Q)
     powered = star_pow(delta, p, rho)
@@ -164,13 +164,24 @@ def _four_way(gamma) -> tuple[bool, str]:
     return True, ""
 
 
+def _random_basis(p: int, rng: random.Random) -> tuple[TorsionPoint, TorsionPoint]:
+    """A seeded random ordered basis (P, Q), so e(Q, P) is any nontrivial root."""
+    points = list(all_points(p))
+    while True:
+        P, Q = rng.choice(points), rng.choice(points)
+        if generates(P, Q):
+            return P, Q
+
+
 def closed_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Equality of the four closed expansions with the direct star power.
 
     A sweep of DEFAULT_GAMMA_COUNT random gamma over F_q (default: the
-    smallest split prime) runs for p >= MAX_SYMBOLIC_PRIME, then the exact
-    check on the free symbolic gamma for p <= MAX_SYMBOLIC_PRIME, so
-    p = MAX_SYMBOLIC_PRIME runs both.
+    smallest split prime), each on its own random basis, runs for
+    p >= MAX_SYMBOLIC_PRIME, then the exact check on the free symbolic gamma
+    for p <= MAX_SYMBOLIC_PRIME, so p = MAX_SYMBOLIC_PRIME runs both.  The
+    free gamma is the same under any relabelling of the points, so the
+    symbolic check stays on the standard basis.
     """
     results = []
     if p >= MAX_SYMBOLIC_PRIME:
@@ -178,14 +189,15 @@ def closed_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResul
         rng = random.Random(seed)
         failure = ""
         for k in range(DEFAULT_GAMMA_COUNT):
-            ok, why = _four_way(GammaAssignment.random(domain, rng))
+            gamma = GammaAssignment.random(domain, rng)
+            ok, why = _four_way(gamma, *_random_basis(p, rng))
             if not ok:
                 failure = f"gamma #{k}: {why}"
                 break
-        detail = failure or f"{DEFAULT_GAMMA_COUNT} random gamma over F_{domain.q}"
+        detail = failure or f"{DEFAULT_GAMMA_COUNT} random gamma and bases over F_{domain.q}"
         results.append(CheckResult("closed-forms-numeric", not failure, detail))
     if p <= MAX_SYMBOLIC_PRIME:
-        ok, why = _four_way(GammaAssignment.symbolic(p))
+        ok, why = _four_way(GammaAssignment.symbolic(p), *basis(p))
         results.append(CheckResult("closed-forms-symbolic", ok, why or "free gamma, exact"))
     return results
 

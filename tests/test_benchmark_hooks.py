@@ -8,9 +8,9 @@ planted faults see only calls made through the coefficient domain's ring
 operations, so `coboundary` and `star`'s generic loop are also checked to
 make every multiplication there, and a four-way check to invert each gamma
 value once.  The F_q packed kernels (the clock-and-shift path for dense
-numeric products, the convolution walks) are not counted there: a dense
-product is pinned at no counted ring operation and its kernel calls are
-counted here instead.  The symbolic ring keys
+numeric products, the walks of the closed forms) are not counted there: a
+dense product and a numeric rho_form are pinned at no counted product and
+their kernel calls are counted here instead.  The symbolic ring keys
 monomials by point indices, so a symbolic four-way check hashes torsion
 points only at the algebra's interface, a few times per point.  Last, each
 closed-p7 operation must make at least as many domain products as the
@@ -98,11 +98,11 @@ def test_cli_symbol_commands_call_the_wrapped_symbols(capsys):
 def test_a_domain_is_its_ring_operations():
     # what counting_domain wraps or reads, and the entry rule `coerce`: a
     # domain writes no output and holds no other helper, inherited or its own;
-    # both convolve for the walks, and F_q adds the packed kernels of the
-    # clock-and-shift star
+    # both multiply entrywise, convolve and take transfer steps for the walks,
+    # and F_q adds the packed kernels of the clock-and-shift star
     ring = {"zero", "one", "root", "add", "mul", "inv", "is_zero", "accumulator", "coerce",
-            "convolve"}
-    packed = {"mul_each", "pack", "combine"}
+            "mul_each", "convolve", "transfer"}
+    packed = {"pack", "combine"}
 
     def public(cls):
         return {name for name in dir(cls) if not name.startswith("_")}
@@ -147,6 +147,25 @@ def _ring_counts(tracer, run):
     return {op: cell[0] - start for op, cell, start in zip(_RING_OPS, cells, before)}
 
 
+def _count_kernels(domain, names):
+    """Wrap the domain's kernels of these names, each counting its calls into the dict
+    returned."""
+    kernels = {name: 0 for name in names}
+
+    def counted(name):
+        method = getattr(domain, name)
+
+        def kernel(*args):
+            kernels[name] += 1
+            return method(*args)
+
+        return kernel
+
+    for name in names:
+        setattr(domain, name, counted(name))
+    return kernels
+
+
 def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
     # p = 13: the packed kernels do the arithmetic, so the counted ring
     # operations are the p roots read once to build the packed root vectors;
@@ -164,19 +183,7 @@ def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
             for _ in range(2))
     invs = tracer.cell("star_algebra.domain.inv.calls")[0]
     star(f, g, rho)
-    kernels = {name: 0 for name in ("mul_each", "pack", "combine", "convolve")}
-
-    def counted(name):
-        method = getattr(domain, name)
-
-        def kernel(*args):
-            kernels[name] += 1
-            return method(*args)
-
-        return kernel
-
-    for name in kernels:
-        setattr(domain, name, counted(name))
+    kernels = _count_kernels(domain, ("mul_each", "pack", "combine", "convolve"))
     counts = _ring_counts(tracer, lambda: star(f, g, rho))
     assert counts == {"mul": 0, "add": 0, "root": 0, "acc_add": 0}
     assert kernels == {"mul_each": 3, "pack": p, "combine": 4 * p, "convolve": 0}
@@ -228,6 +235,22 @@ def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
     assert _ring_counts(tracer, lambda: star(f, f, rho))["mul"] == 3 * 9 * 9
 
 
+def test_numeric_rho_form_takes_one_packed_transfer_per_index():
+    # rho_form reads rho by flat index and each index l > 1 is one transfer
+    # step, so over F_q no product is a counted ring operation; the roots
+    # are the p^2 weights zeta^(d*l*i)
+    tracing = _load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    p = 7
+    domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
+    rho = coboundary(GammaAssignment.random(domain, random.Random(11)))
+    P, Q = TorsionPoint(p, 2, 3), TorsionPoint(p, 1, 4)
+    kernels = _count_kernels(domain, ("transfer", "convolve"))
+    counts = _ring_counts(tracer, lambda: rho_form(P, Q, rho))
+    assert counts == {"mul": 0, "add": 0, "root": p ** 2, "acc_add": 0}
+    assert kernels == {"transfer": p - 1, "convolve": 0}
+
+
 def test_four_way_inverts_each_gamma_value_once():
     # intermediate_form and delta_inverse read the inverses gamma keeps
     tracing = _load_perfbench("tracing")
@@ -255,7 +278,7 @@ def test_symbolic_four_way_hashes_points_a_few_times_per_point():
     p = 5
     gamma = GammaAssignment.symbolic(p)
     with tracing.instrument(tatestar, tracer):
-        ok, why = _four_way(gamma)
+        ok, why = _four_way(gamma, *basis(p))
     assert ok, why
     # 68 at p = 5; monomials keyed by points hashed them 77,728 times
     assert tracer.counts()["torsion.TorsionPoint.hash.calls"] <= 3 * p ** 2
@@ -267,7 +290,7 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned():
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     with tracing.instrument(tatestar, tracer):
-        ok, why = _four_way(GammaAssignment.symbolic(5))
+        ok, why = _four_way(GammaAssignment.symbolic(5), *basis(5))
     assert ok, why
     counts = tracer.counts()
     assert {name: counts[name] for name in (

@@ -106,11 +106,11 @@ _STDOUT_SHA256 = {
         "8c5f43c5e32f0b7955f6fba5f1ed4da82a5178b6bade71fbc9520ec930cc68eb",
     # 18 checks: qplane:specialization runs at every p <= 13, not only at 3 and 5
     "verify --p 7 --suite all":
-        "7a5336449965648519d31b1408c40f7198e1e7c6a35be51d7475af07e60a0778",
+        "6a9cbda446c2ba3b5c890812cc87b67043fee917fc3030b20f243658528df05d",
     "verify --p 11 --suite all":
-        "4fccec33cd8dbc351d9e6346f1cac75e4b95aec2229cf2f3fab4a111708601c5",
+        "cc36bb8f5740c9afbbd8a980d93fc9612379bfc54b2b92e00af1baa3953c2223",
     "verify --p 13 --suite all":
-        "6b3c20bc66104255f56614acea185d7e94afac66bfe4e5d606e1bb97426a99a2",
+        "7748adeb904f3af9fd6c7e41e852e63bae7022e135b5a67d29394216e672509a",
 }
 
 
@@ -172,7 +172,7 @@ def test_verify_closed_runs_at_large_p(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--p", "11", "--suite", "closed")
     assert code == 0
     assert out.splitlines() == [
-        "ok   closed:closed-forms-numeric  (2 random gamma over F_23)",
+        "ok   closed:closed-forms-numeric  (2 random gamma and bases over F_23)",
         "1/1 checks passed",
     ]
 
@@ -188,7 +188,7 @@ def test_verify_closed_sweeps_over_the_given_q(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--p", "7", "--q", "43", "--suite", "closed")
     assert code == 0
     assert out.splitlines() == [
-        "ok   closed:closed-forms-numeric  (2 random gamma over F_43)",
+        "ok   closed:closed-forms-numeric  (2 random gamma and bases over F_43)",
         "ok   closed:closed-forms-symbolic  (free gamma, exact)",
         "2/2 checks passed",
     ]

@@ -21,7 +21,7 @@ from tatestar.closed_forms import (
     norm_form,
     rho_form,
 )
-from tatestar.errors import BasisError
+from tatestar.errors import AmbientMismatchError, BasisError
 from tatestar.laurent import LaurentPoly
 from tatestar.qplane import collapsed_power
 from tatestar.star_algebra import (
@@ -118,19 +118,30 @@ def test_build_delta_support_and_coefficients():
     assert all(delta.coefficient(Q + i * P) == 1 for i in range(p))
 
 
-@pytest.mark.parametrize("build", [
+_BUILDS = pytest.mark.parametrize("build", [
     lambda P, Q, gamma: build_delta(gamma.domain, P, Q),
     gamma_form,
     intermediate_form,
     lambda P, Q, gamma: rho_form(P, Q, coboundary(gamma)),
     norm_form,
 ], ids=["build_delta", "gamma_form", "intermediate_form", "rho_form", "norm_form"])
+
+
+@_BUILDS
 def test_degenerate_pairs_are_rejected(build):
     p = 3
     P, _ = basis(p)
     gamma = GammaAssignment.random(PrimeFieldCoefficients(p, 7), random.Random(0))
     with pytest.raises(BasisError):
         build(P, 2 * P, gamma)
+
+
+@_BUILDS
+def test_a_basis_over_another_prime_is_rejected(build):
+    # rho_form reads rho's flat table by point index, so it checks the prime itself
+    gamma = GammaAssignment.random(PrimeFieldCoefficients(5, 11), random.Random(0))
+    with pytest.raises(AmbientMismatchError):
+        build(*basis(3), gamma)
 
 
 def test_gamma_form_p3_golden():

@@ -1,15 +1,18 @@
 """The packed F_q kernels at the edge of their slot width.
 
-Over F_q the clock-and-shift star and the s-independent walks pack a length-p
-vector into one int, a slot of w = bit length of p*(q-1)^2 bits per entry,
-and add p products of residues in each slot.  The largest such sum,
+Over F_q the clock-and-shift star and the walks of the closed forms pack a
+length-p vector into one int, a slot of w = bit length of p*(q-1)^2 bits per
+entry, and add p products of residues in each slot.  The largest such sum,
 p*(q-1)^2, needs all w bits, so these tests drive slots to it: the kernels
 directly, a star product whose Phi(f) has every entry q - 1, and a walk whose
 every factor is q - 1.  They also run every coefficient and gamma value
 at q - 1 against the unpacked references: the generic star loop,
-`_enumerated` at p <= 5, and at every p the generic walk of rho_form and the
-sparse star powers.  One bit less per slot must fail.
+`_enumerated` at p <= 5, the sparse star powers at every p, and rho_form of
+a twist that is no coboundary against its walk on the generic transfer step.
+One bit less per slot must fail.
 """
+
+from functools import partial
 
 import pytest
 from test_closed_forms import _enumerated
@@ -26,7 +29,7 @@ from tatestar.star_algebra import (
     star,
     star_pow,
 )
-from tatestar.torsion import all_points, basis, clock_shift_phases
+from tatestar.torsion import TorsionPoint, all_points, basis, clock_shift_phases
 
 PRIMES = (3, 5, 7, 11, 13)
 BOUND = 318665857834031151167461  # split_field takes q below it
@@ -89,7 +92,25 @@ def _walks_reach_the_bound(domain):
         assert _enumerated(P, Q, gamma, rho) == (origin, inter.element, origin)
 
 
-CHECKS = (_kernels_reach_the_bound, _star_reaches_the_bound, _walks_reach_the_bound)
+def _transfer_reaches_the_bound(domain):
+    # every sum and row entry q - 1: each slot adds p products (q-1)^2
+    p, top = domain.p, domain.q - 1
+    assert domain.transfer([top] * p, [[top] * p] * p) == [p * top ** 2 % domain.q] * p
+    # rho(S, T) = q - 1 or q - 2 off the origin, by the order of S and T: not
+    # symmetric, so no coboundary
+    points = list(all_points(p))
+    rho = RhoAssignment(domain, {
+        (s, t): 1 if s.is_zero or t.is_zero else top - (s.index > t.index)
+        for s in points for t in points
+    })
+    P, Q = TorsionPoint(p, 1, 1), TorsionPoint(p, 0, 1)
+    packed = rho_form(P, Q, rho).o_coefficient
+    domain.transfer = partial(star_algebra._Domain.transfer, domain)
+    assert rho_form(P, Q, rho).o_coefficient == packed
+
+
+CHECKS = (_kernels_reach_the_bound, _star_reaches_the_bound, _walks_reach_the_bound,
+          _transfer_reaches_the_bound)
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__.strip("_"))

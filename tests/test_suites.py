@@ -21,12 +21,12 @@ def _gamma_form_off_by_one(P, Q, gamma):
     p = domain.p
     d = weil_exponent(Q, P)
 
-    def factor(l, s, i):
+    def row(l):
         weight = l + 1 if l == p else l
-        return domain.mul(domain.root(d * weight * i), gamma.value(Q + i * P))
+        return [domain.mul(domain.root(d * weight * i), gamma.value(Q + i * P)) for i in range(p)]
 
     origin = TorsionPoint.zero(p)
-    value = closed_forms._walk(domain, factor)[0]
+    value = closed_forms._walk(domain, row(1), ([row(l)] * p for l in range(2, p + 1)))[0]
     return ClosedFormResult("gamma", AlgebraElement(domain, [(origin, value)]))
 
 
@@ -42,7 +42,7 @@ def _gamma_form_off_by_one(P, Q, gamma):
 def test_closed_suite_sweeps_numerically_then_symbolically(p, kinds, monkeypatch):
     seen = []
 
-    def record(gamma):
+    def record(gamma, P, Q):
         seen.append("numeric" if isinstance(gamma.domain, PrimeFieldCoefficients) else "symbolic")
         return True, ""
 
@@ -74,7 +74,9 @@ def test_planted_fault_fails_numeric_check_and_names_the_gamma(monkeypatch):
     [result] = suites.closed_suite(11)
     assert result.name == "closed-forms-numeric"
     assert not result.ok
-    assert result.detail == "gamma #0: gamma form origin coefficient differs"
+    # gamma #0 on its random basis has origin coefficient 0 over F_23, and
+    # so has the faulty gamma form: that sample only compares 0 with 0
+    assert result.detail == "gamma #1: gamma form origin coefficient differs"
 
 
 def test_verify_exits_1_on_planted_fault(capsys, monkeypatch):
@@ -118,7 +120,7 @@ def _wide_field_failures():
         rng = random.Random(p)
         for k in range(3):
             gamma = GammaAssignment.random(domain, rng)
-            ok, why = suites._four_way(gamma)
+            ok, why = suites._four_way(gamma, *basis(p))
             if not ok:
                 failures.append((p, k, why))
             elif domain.is_zero(suites.norm_form(*basis(p), gamma).o_coefficient):
@@ -167,14 +169,13 @@ def _walk_with(next_sum, index_count):
     sums over the indices i < index_count(p).
     """
 
-    def walk(domain, factor):
+    def walk(domain, sums, steps):
         p = domain.p
-        sums = [factor(1, 0, i) for i in range(p)]
-        for l in range(2, p + 1):
+        for rows in steps:
             accs = [domain.accumulator() for _ in range(p)]
-            for s, partial in enumerate(sums):
+            for s, (partial, row) in enumerate(zip(sums, rows)):
                 for i in range(index_count(p)):
-                    accs[next_sum(s, i, p)].add(domain.mul(partial, factor(l, s, i)))
+                    accs[next_sum(s, i, p)].add(domain.mul(partial, row[i]))
             sums = [acc.value() for acc in accs]
         return sums
 
@@ -196,7 +197,39 @@ def test_planted_walk_fault_fails_the_closed_suite(p, kind, fault, monkeypatch):
     assert result.name == f"closed-forms-{kind}"
     assert not result.ok
     if kind == "numeric":
-        assert result.detail.startswith("gamma #0: ")
+        # gamma #0 has origin coefficient 0 (see above), and dropping the
+        # last index keeps it 0
+        first = 1 if fault == "last-index-dropped" else 0
+        assert result.detail == f"gamma #{first}: rho form origin coefficient differs"
+
+
+def _rho_form_on_the_standard_basis(P, Q, rho):
+    """rho_form with the partial sums jQ + sP built as TorsionPoint(p, s, j): right
+    only when (P, Q) is the standard basis."""
+    domain = rho.domain
+    p = domain.p
+    d = weil_exponent(Q, P)
+    coset = [Q + i * P for i in range(p)]
+
+    def row(l, s):
+        return [domain.mul(domain.root(d * l * i), rho.value(TorsionPoint(p, s, l - 1), T))
+                for i, T in enumerate(coset)]
+
+    first = [domain.root(d * i) for i in range(p)]
+    steps = ([row(l, s) for s in range(p)] for l in range(2, p + 1))
+    value = closed_forms._walk(domain, first, steps)[0]
+    return ClosedFormResult("rho", AlgebraElement(domain, [(TorsionPoint.zero(p), value)]))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_planted_basis_blind_rho_form_fails_verify(p, capsys, monkeypatch):
+    # the symbolic check runs on the standard basis, where the fault is right;
+    # the numeric sweep draws a basis per gamma
+    monkeypatch.setattr(suites, "rho_form", _rho_form_on_the_standard_basis)
+    assert main(["verify", "--p", str(p), "--suite", "closed"]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == ("FAIL closed:closed-forms-numeric"
+                     "  (gamma #0: rho form origin coefficient differs)")
 
 
 def _star_twisted_on_p_q(f, g, rho):
