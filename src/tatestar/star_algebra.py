@@ -10,13 +10,14 @@ behind the same small interface: exact Laurent polynomials over Z[zeta_p]
 The same computation can therefore be run once symbolically as an identity
 of polynomials and many times numerically as a fast randomized check.
 
-Inside, a point is its index i = a*p + b (see torsion.point_tables): gamma is
-a list indexed by i, kept with the inverses its validation computes, rho a
-flat list indexed by i*n + j with n = p^2, and `coboundary` and `star` read
-the tables of index sums and eps exponents instead of adding and hashing
-points.  TorsionPoint appears only at the interface: as the keys of
-AlgebraElement and the arguments of `value`.  All arithmetic goes through
-the domain: its ring operations, and over F_q its packed kernels.
+Inside, a point is its index i = a*p + b (see torsion.point_tables): gamma
+and an AlgebraElement are lists of their n = p^2 values by i, zeros included,
+rho a flat list by i*n + j, and `coboundary` and `star` read the tables of
+index sums and eps exponents instead of adding and hashing points.
+TorsionPoint appears only at the interface: in the terms an element is built
+from and the points its `support` and `items` return, and as the arguments
+of `coefficient` and `value`.  All arithmetic goes through the domain: its
+ring operations, and over F_q its packed kernels.
 
 A dense numeric product under a rho made by `coboundary` goes through the
 clock-and-shift matrices instead (Weyl 1927; Schwinger 1960).  With
@@ -325,10 +326,11 @@ class GammaAssignment:
 
 
 class RhoAssignment:
-    """A normalized symmetric twist on pairs of points: rho(O, T) = rho(T, O) = 1.
+    """A normalized twist on pairs of points: rho(O, T) = rho(T, O) = 1.
 
-    `_gamma` is the gamma of a rho made by `coboundary`, and None for a rho
-    built from an explicit table.
+    An explicit table is only checked for normalization; a rho made by
+    `coboundary` is also symmetric.  `_gamma` is the gamma of a rho made by
+    `coboundary`, and None for a rho built from an explicit table.
     """
 
     __slots__ = ("domain", "_values", "_gamma")
@@ -385,39 +387,33 @@ def coboundary(gamma: GammaAssignment) -> RhoAssignment:
 
 
 class AlgebraElement:
-    """A finitely supported coefficient function on the torsion points."""
+    """A coefficient function on the torsion points: its p^2 values by point
+    index, zeros included, as gamma and rho store theirs."""
 
-    __slots__ = ("domain", "_coeffs")
+    __slots__ = ("domain", "_values")
 
     def __init__(
         self,
         domain: Domain,
         coeffs: Mapping[TorsionPoint, Element] | Iterable[tuple[TorsionPoint, Element]] = (),
     ):
-        self.domain = domain
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        table: dict[TorsionPoint, Element] = {}
+        table: list[Element | None] = [None] * domain.p ** 2
         for point, value in items:
             _require_ambient(domain, point)
             value = domain.coerce(value)
-            if point in table:
-                value = domain.add(table[point], value)
-            if domain.is_zero(value):
-                table.pop(point, None)
-            else:
-                table[point] = value
-        self._coeffs = table
+            total = table[point.index]
+            table[point.index] = value if total is None else domain.add(total, value)
+        zero = domain.zero()
+        self.domain = domain
+        self._values = [zero if value is None else value for value in table]
 
     @classmethod
-    def _from_products(
-        cls, domain: Domain, items: Iterable[tuple[TorsionPoint, Element]]
-    ) -> AlgebraElement:
-        """The element of values made by the domain's operations, at distinct points of
-        its p: they are already canonical, so only the zeros are dropped."""
+    def _from_table(cls, domain: Domain, values: list[Element]) -> AlgebraElement:
+        """The element with the full table `values`, made by the domain's operations."""
         element = cls.__new__(cls)
         element.domain = domain
-        is_zero = domain.is_zero
-        element._coeffs = {point: value for point, value in items if not is_zero(value)}
+        element._values = values
         return element
 
     @classmethod
@@ -425,19 +421,26 @@ class AlgebraElement:
         """The indicator delta_T."""
         return cls(domain, [(point, domain.one())])
 
+    def _terms(self) -> list[tuple[int, Element]]:
+        """The (index, value) pairs of the support, in index order."""
+        is_zero = self.domain.is_zero
+        return [(i, value) for i, value in enumerate(self._values) if not is_zero(value)]
+
     def coefficient(self, point: TorsionPoint) -> Element:
         _require_ambient(self.domain, point)
-        return self._coeffs.get(point, self.domain.zero())
+        return self._values[point.index]
 
     def support(self) -> list[TorsionPoint]:
-        return sorted(self._coeffs, key=lambda point: point.coords)
+        """The points of nonzero value, in (a, b) order, which is index order."""
+        return [point for point, _ in self.items()]
 
     def items(self) -> list[tuple[TorsionPoint, Element]]:
-        return [(point, self._coeffs[point]) for point in self.support()]
+        points = point_tables(self.domain.p).points
+        return [(points[i], value) for i, value in self._terms()]
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return all(map(self.domain.is_zero, self._values))
 
     def _require_same_domain(self, other: AlgebraElement) -> None:
         if self.domain != other.domain:
@@ -447,24 +450,25 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_domain(other)
-        return AlgebraElement(self.domain, [*self._coeffs.items(), *other._coeffs.items()])
+        return AlgebraElement(self.domain, [*self.items(), *other.items()])
 
     def scale(self, value: Element) -> AlgebraElement:
-        return AlgebraElement._from_products(
-            self.domain, [(point, self.domain.mul(value, c)) for point, c in self._coeffs.items()]
-        )
+        table = list(self._values)
+        for i, c in self._terms():
+            table[i] = self.domain.mul(value, c)
+        return AlgebraElement._from_table(self.domain, table)
 
     def map_points(self, fn) -> AlgebraElement:
         """Push the support through a point map (e.g. the index shift)."""
-        return AlgebraElement(self.domain, [(fn(point), c) for point, c in self._coeffs.items()])
+        return AlgebraElement(self.domain, [(fn(point), c) for point, c in self.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.domain == other.domain and self._coeffs == other._coeffs
+        return self.domain == other.domain and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash((self.domain, frozenset(self._coeffs.items())))
+        return hash((self.domain, tuple(self._values)))
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.domain!r}, {self.items()!r})"
@@ -476,29 +480,28 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
     f._require_same_domain(g)
     if rho.domain != domain:
         raise AmbientMismatchError("rho over a different coefficient domain")
+    left, right = f._terms(), g._terms()
     if (
         rho._gamma is not None
         and isinstance(domain, PrimeFieldCoefficients)
-        and len(f._coeffs) * len(g._coeffs) > 8 * domain.p ** 2
+        and len(left) * len(right) > 8 * domain.p ** 2
     ):
         return _clock_shift_star(f, g, rho._gamma)
     mul, add, root = domain.mul, domain.add, domain.root
     tables = point_tables(domain.p)
     sums, eps, twists = tables.sums, tables.eps, rho._values
     n = len(tables.points)
-    right = [(t2.index, c2) for t2, c2 in g._coeffs.items()]
     out: list[Element | None] = [None] * n
-    for t1, c1 in f._coeffs.items():
-        row = t1.index * n
+    for i, c1 in left:
+        row = i * n
         for j, c2 in right:
             k = row + j
             value = mul(mul(c1, c2), mul(root(eps[k]), twists[k]))
             s = sums[k]
             total = out[s]
             out[s] = value if total is None else add(total, value)
-    return AlgebraElement._from_products(
-        domain, [(point, c) for point, c in zip(tables.points, out) if c is not None]
-    )
+    zero = domain.zero()
+    return AlgebraElement._from_table(domain, [zero if c is None else c for c in out])
 
 
 def _clock_shift_star(
@@ -522,8 +525,7 @@ def _clock_shift_star(
     for b, vectors in enumerate(readback):
         diagonal = [product[(c + b) % p][c] for c in range(p)]
         traces[b::p] = domain.combine(diagonal, vectors)
-    values = domain.mul_each(traces, gamma._inverses)
-    return AlgebraElement._from_products(domain, zip(point_tables(p).points, values))
+    return AlgebraElement._from_table(domain, domain.mul_each(traces, gamma._inverses))
 
 
 def _phi(
@@ -532,10 +534,7 @@ def _phi(
     """The rows of Phi(f) = sum_T f(T) gamma(T) W(T)."""
     domain = f.domain
     p = domain.p
-    table = [domain.zero()] * p ** 2
-    for point, value in f._coeffs.items():
-        table[point.index] = value
-    weights = domain.mul_each(table, gamma._values)
+    weights = domain.mul_each(f._values, gamma._values)
     # diagonal b holds the entries (c + b, c) of every W(aP + bQ), of index a*p + b
     diagonals = [domain.combine(weights[b::p], columns[b::p]) for b in range(p)]
     return [[diagonals[(r - c) % p][c] for c in range(p)] for r in range(p)]

@@ -190,9 +190,10 @@ def closed_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResul
         failure = ""
         for k in range(DEFAULT_GAMMA_COUNT):
             gamma = GammaAssignment.random(domain, rng)
-            ok, why = _four_way(gamma, *_random_basis(p, rng))
+            P, Q = _random_basis(p, rng)
+            ok, why = _four_way(gamma, P, Q)
             if not ok:
-                failure = f"gamma #{k}: {why}"
+                failure = f"gamma #{k} on basis (P, Q) = ({P}; {Q}): {why}"
                 break
         detail = failure or f"{DEFAULT_GAMMA_COUNT} random gamma and bases over F_{domain.q}"
         results.append(CheckResult("closed-forms-numeric", not failure, detail))

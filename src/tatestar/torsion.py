@@ -67,10 +67,6 @@ class TorsionPoint:
         return self.a == 0 and self.b == 0
 
     @property
-    def coords(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    @property
     def index(self) -> int:
         """The place a*p + b of the point in all_points(p) and point_tables(p)."""
         return self.a * self.p + self.b

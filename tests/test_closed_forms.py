@@ -114,7 +114,7 @@ def test_build_delta_support_and_coefficients():
     P, Q = basis(p)
     dom = PrimeFieldCoefficients(p, 11)
     delta = build_delta(dom, P, Q)
-    assert delta.support() == sorted((Q + i * P for i in range(p)), key=lambda t: t.coords)
+    assert delta.support() == sorted((Q + i * P for i in range(p)), key=lambda t: (t.a, t.b))
     assert all(delta.coefficient(Q + i * P) == 1 for i in range(p))
 
 

@@ -143,6 +143,24 @@ def test_equal_residues_give_equal_elements():
     assert a == b and hash(a) == hash(b)
     assert a.coefficient(T) == 6
     assert AlgebraElement(dom, [(T, dom.q)]).is_zero
+    # an element is its table by point index: neither the order of its terms,
+    # nor repeated points, nor terms that cancel show in it, on either domain
+    S, U, V = TorsionPoint(3, 2, 0), TorsionPoint(3, 0, 2), TorsionPoint(3, 1, 1)
+    x = LaurentPoly.variable(3, T)
+    for dom, u, v in [(PrimeFieldCoefficients(3, 7), 3, 5), (SymbolicCoefficients(3), x, 1 + x)]:
+        terms = [(S, u), (V, u), (U, v), (S, v), (V, -u)]
+        f = AlgebraElement(dom, terms)
+        for other in (AlgebraElement(dom, terms[::-1]), AlgebraElement(dom, {U: v, S: u + v})):
+            assert other == f and hash(other) == hash(f)
+        assert f.support() == [U, S]
+        assert f.coefficient(V) == f.coefficient(T) == dom.zero()
+        empty = AlgebraElement(dom, [(S, u), (U, v), (S, -u), (U, -v)])
+        assert empty.is_zero and empty == AlgebraElement(dom)
+        assert hash(empty) == hash(AlgebraElement(dom))
+        assert f + AlgebraElement(dom, [(V, u), (U, -v)]) == AlgebraElement(dom, {S: u + v, V: u})
+        assert f.scale(v) == AlgebraElement(dom, [(U, v * v), (S, (u + v) * v)])
+        assert f.map_points(index_shift) == AlgebraElement(
+            dom, [(index_shift(S), u + v), (index_shift(U), v)])
 
 
 def test_gamma_and_rho_read_the_origin_value_as_a_residue():
@@ -335,7 +353,7 @@ def test_star_drops_a_coefficient_that_cancels():
     product = star(f, g, rho)
     assert S + U not in product.support()
     assert product.coefficient(S + U) == 0
-    assert product.support() == sorted([S + V, T + U], key=lambda t: t.coords)
+    assert product.support() == sorted([S + V, T + U], key=lambda t: (t.a, t.b))
     assert product == _reference_star(f, g, _reference_coboundary(gamma))
 
 

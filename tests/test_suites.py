@@ -76,7 +76,8 @@ def test_planted_fault_fails_numeric_check_and_names_the_gamma(monkeypatch):
     assert not result.ok
     # gamma #0 on its random basis has origin coefficient 0 over F_23, and
     # so has the faulty gamma form: that sample only compares 0 with 0
-    assert result.detail == "gamma #1: gamma form origin coefficient differs"
+    assert result.detail == ("gamma #1 on basis (P, Q) = (4,1; 6,9): "
+                             "gamma form origin coefficient differs")
 
 
 def test_verify_exits_1_on_planted_fault(capsys, monkeypatch):
@@ -199,8 +200,9 @@ def test_planted_walk_fault_fails_the_closed_suite(p, kind, fault, monkeypatch):
     if kind == "numeric":
         # gamma #0 has origin coefficient 0 (see above), and dropping the
         # last index keeps it 0
-        first = 1 if fault == "last-index-dropped" else 0
-        assert result.detail == f"gamma #{first}: rho form origin coefficient differs"
+        first = ("#1 on basis (P, Q) = (4,1; 6,9)" if fault == "last-index-dropped"
+                 else "#0 on basis (P, Q) = (8,1; 10,7)")
+        assert result.detail == f"gamma {first}: rho form origin coefficient differs"
 
 
 def _rho_form_on_the_standard_basis(P, Q, rho):
@@ -228,8 +230,9 @@ def test_planted_basis_blind_rho_form_fails_verify(p, capsys, monkeypatch):
     monkeypatch.setattr(suites, "rho_form", _rho_form_on_the_standard_basis)
     assert main(["verify", "--p", str(p), "--suite", "closed"]) == 1
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == ("FAIL closed:closed-forms-numeric"
-                     "  (gamma #0: rho form origin coefficient differs)")
+    first_basis = {7: "4,0; 4,5", 11: "8,1; 10,7", 13: "2,11; 4,4"}[p]
+    assert first == ("FAIL closed:closed-forms-numeric  (gamma #0 on basis "
+                     f"(P, Q) = ({first_basis}): rho form origin coefficient differs)")
 
 
 def _star_twisted_on_p_q(f, g, rho):

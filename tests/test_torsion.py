@@ -30,7 +30,7 @@ def test_validate_odd_prime_rejects_bad_input():
 
 def test_point_coordinates_reduce_mod_p():
     pt = TorsionPoint(5, 7, -1)
-    assert pt.coords == (2, 4)
+    assert (pt.a, pt.b) == (2, 4)
     assert str(pt) == "2,4"
 
 
