@@ -4,8 +4,11 @@ Elements are kept as p - 1 integer coordinates in the power basis 1, zeta,
 ..., zeta^(p-2), reduced with the two relations zeta^p = 1 and
 1 + zeta + ... + zeta^(p-1) = 0.  No floating point is used anywhere, and
 every coefficient the package builds lies in this ring: a sum adds the
-coordinates, and a product convolves them and folds
-zeta^(p-1) = -(1 + ... + zeta^(p-2)) back into the basis in place.  A
+coordinates.  A product by a root of unity +-zeta^k (k = 0..p-1), recognised
+by one lookup of its coordinates in a per-p table of the 2p such tuples, is a
+signed cyclic shift of the other factor over zeta^0..zeta^(p-1), O(p); any
+other product convolves the coordinates, O(p^2).  Either way
+zeta^(p-1) = -(1 + ... + zeta^(p-2)) is then folded back into the basis.  A
 non-integer coefficient raises TypeError, and only units of Z[zeta_p] are
 inverted.
 """
@@ -15,6 +18,13 @@ from __future__ import annotations
 from operator import index
 
 from .errors import AmbientMismatchError
+
+
+def _integer(value) -> int:
+    """An integer coordinate; a bool is refused, as by the scalar rule."""
+    if isinstance(value, bool):
+        raise TypeError(f"a coordinate must be an integer, not a bool: {value!r}")
+    return index(value)
 
 
 def _reduce_exponents(p: int, vec: list) -> list:
@@ -32,6 +42,31 @@ def _reduce_exponents(p: int, vec: list) -> list:
     return out
 
 
+# p -> {coordinates of sign * zeta^k: (sign, k)}, filled by _roots_of_unity on first use
+_ROOTS: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
+
+
+def _roots_of_unity(p: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The table of the 2p roots of unity +-zeta^k of Z[zeta_p], by coordinates."""
+    table = {}
+    for k in range(p):
+        nums = CycNumber.zeta_pow(p, k).nums
+        table[nums] = (1, k)
+        table[tuple(-x for x in nums)] = (-1, k)
+    _ROOTS[p] = table
+    return table
+
+
+def _rotate(p: int, nums: tuple[int, ...], sign: int, k: int) -> list[int]:
+    """The coordinates of sign * zeta^k * x for x with coordinates nums."""
+    full = nums + (0,)  # x over zeta^0..zeta^(p-1)
+    full = full[p - k:] + full[:p - k]
+    top = full[-1]
+    if sign > 0:
+        return [c - top for c in full[:-1]] if top else list(full[:-1])
+    return [top - c for c in full[:-1]]
+
+
 class CycNumber:
     """An element of Z[zeta_p], stored exactly."""
 
@@ -40,7 +75,7 @@ class CycNumber:
     def __init__(self, p: int, coeffs=()):
         """Build sum(coeffs[e] * zeta^e) from integers; coeffs may have any length."""
         self.p = p
-        self.nums = tuple(_reduce_exponents(p, [index(c) for c in coeffs]))
+        self.nums = tuple(_reduce_exponents(p, [_integer(c) for c in coeffs]))
 
     @classmethod
     def _make(cls, p: int, nums: list[int]) -> CycNumber:
@@ -60,7 +95,7 @@ class CycNumber:
     @classmethod
     def rational(cls, p: int, value: int) -> CycNumber:
         """The integer value as an element of Z[zeta_p]."""
-        return cls._make(p, [index(value)] + [0] * (p - 2))
+        return cls._make(p, [_integer(value)] + [0] * (p - 2))
 
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNumber:
@@ -75,10 +110,6 @@ class CycNumber:
     @property
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    @property
-    def is_one(self) -> bool:
-        return self.nums[0] == 1 and not any(self.nums[1:])
 
     def _require_same_ambient(self, other: CycNumber) -> None:
         if self.p != other.p:
@@ -114,10 +145,19 @@ class CycNumber:
             if other is NotImplemented:
                 return NotImplemented
         self._require_same_ambient(other)
-        if other.is_one:
-            return self
-        if self.is_one:
-            return other
+        p = self.p
+        roots = _ROOTS.get(p) or _roots_of_unity(p)
+        unit, x = roots.get(other.nums), self
+        if unit is None:
+            unit, x = roots.get(self.nums), other
+            if unit is None:
+                return self._convolve(other)
+        if unit == (1, 0):
+            return x
+        return CycNumber._make(p, _rotate(p, x.nums, *unit))
+
+    def _convolve(self, other: CycNumber) -> CycNumber:
+        """The product of two elements, neither a root of unity: O(p^2)."""
         p = self.p
         n = p - 1
         conv = [0] * (2 * n - 1)
@@ -138,16 +178,20 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNumber:
-        """Inverse of a unit: the product of the other Galois conjugates over the norm.
+        """Inverse of a unit: +-zeta^-k for a root of unity +-zeta^k, else the
+        product of the other Galois conjugates over the norm.
 
         Raises ValueError when the norm to Z is not +-1, i.e. when the inverse
         does not lie in Z[zeta_p].
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in Z[zeta_p]")
-        if self.is_one:
-            return self
         p = self.p
+        unit = (_ROOTS.get(p) or _roots_of_unity(p)).get(self.nums)
+        if unit is not None:
+            sign, k = unit
+            root = CycNumber.zeta_pow(p, -k)
+            return root if sign > 0 else -root
         others = CycNumber.one(p)
         for k in range(2, p):  # the conjugate zeta -> zeta^k
             twisted = [0] * p
@@ -166,6 +210,9 @@ class CycNumber:
         return self.p == other.p and self.nums == other.nums
 
     def __hash__(self) -> int:
+        # a rational equals its integer, so it hashes like it
+        if not any(self.nums[1:]):
+            return hash(self.nums[0])
         return hash((self.p, self.nums))
 
     def __repr__(self) -> str:

@@ -15,6 +15,11 @@ product merges two integer tuples without hashing a point.  Callers pass and
 read a monomial as (point, exponent) pairs.  Index order is the (a, b) order
 of the points, so the output path `terms` sorts the key tuples themselves and
 `_decode` only looks the points up.
+
+A product by a single-term polynomial sends each term of the other factor to
+one output term: a fixed monomial maps distinct monomials to distinct ones,
+and Z[zeta_p] has no zero divisors, so nothing is collected.  Any other
+product collects equal monomials and drops the sums that cancel.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ def _merge(a: Key, b: Key) -> Key:
     """The product of two key tuples, with zero exponents dropped."""
     if not a:
         return b
+    if not b:
+        return a
     for pair in b:
         key = pair[0]
         i = bisect_left(a, (key,))
@@ -169,11 +176,17 @@ class LaurentPoly:
             if other is NotImplemented:
                 return NotImplemented
         self._require_same_ambient(other)
-        out: dict[Key, CycNumber] = {}
-        right = list(other._terms.items())
         # Z[zeta_p] is a domain, so a product of two nonzero coefficients is nonzero
+        left, right = self._terms, other._terms
+        if len(left) == 1:
+            left, right = right, left
+        if len(right) == 1:
+            (m2, c2), = right.items()
+            # a fixed monomial maps distinct monomials to distinct ones: nothing to collect
+            return self._from_raw(self.p, {_merge(m1, m2): c1 * c2 for m1, c1 in left.items()})
+        out: dict[Key, CycNumber] = {}
         _add_into(out, ((_merge(m1, m2), c1 * c2)
-                        for m1, c1 in self._terms.items() for m2, c2 in right))
+                        for m1, c1 in left.items() for m2, c2 in right.items()))
         return self._from_raw(self.p, out)
 
     __rmul__ = __mul__
@@ -222,6 +235,11 @@ class LaurentPoly:
         return self.p == other.p and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its coefficient (zero equals 0), so it hashes like it
+        if not self._terms:
+            return 0
+        if () in self._terms and len(self._terms) == 1:
+            return hash(self._terms[()])
         return hash((self.p, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:

@@ -45,6 +45,7 @@ from .torsion import (
     basis,
     epsilon_exponent,
     generates,
+    index_shear,
     index_shift,
     weil_exponent,
 )
@@ -71,7 +72,8 @@ def _sweep(name: str, cases, holds, detail: str) -> CheckResult:
 
 
 def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
-    """Indicator product laws, unit, inverses, commutation, associativity, shift.
+    """Indicator product laws, unit, inverses, commutation, associativity, and
+    equivariance under the two generators of SL_2(F_p), the shift and the shear.
 
     p = 3 runs exhaustively over the free symbolic gamma, so q is used from p = 5.
     """
@@ -111,14 +113,17 @@ def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]
         left = star(star(delta(s), delta(t), rho), delta(u), rho)
         return left == star(delta(s), star(delta(t), delta(u), rho), rho)
 
-    shifted_gamma = GammaAssignment(
-        domain, {point: gamma.value(index_shift(point)) for point in all_points(p)}
-    )
-    shifted_rho = coboundary(shifted_gamma)
+    def equivariant(move):
+        """Whether transporting gamma along the point map move commutes with star."""
+        moved_rho = coboundary(
+            GammaAssignment(domain, {point: gamma.value(move(point)) for point in all_points(p)})
+        )
 
-    def shift_equivariant(s, t):
-        lhs = star(delta(s), delta(t), shifted_rho).map_points(index_shift)
-        return lhs == star(delta(index_shift(s)), delta(index_shift(t)), rho)
+        def holds(s, t):
+            lhs = star(delta(s), delta(t), moved_rho).map_points(move)
+            return lhs == star(delta(move(s)), delta(move(t)), rho)
+
+        return holds
 
     return [
         _sweep("indicator-product", pairs, product, sweep),
@@ -136,7 +141,8 @@ def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]
         ),
         _sweep("commutation", pairs, commutes, sweep),
         _sweep("associativity", triples, associates, sweep.replace("pairs", "triples")),
-        _sweep("shift-equivariance", pairs, shift_equivariant, sweep),
+        _sweep("shift-equivariance", pairs, equivariant(index_shift), sweep),
+        _sweep("shear-equivariance", pairs, equivariant(index_shear), sweep),
     ]
 
 

@@ -169,3 +169,11 @@ def all_points(p: int) -> Iterator[TorsionPoint]:
 def index_shift(T: TorsionPoint) -> TorsionPoint:
     """The substitution P -> P, Q -> Q + P extended additively."""
     return TorsionPoint(T.p, T.a + T.b, T.b)
+
+
+def index_shear(T: TorsionPoint) -> TorsionPoint:
+    """The substitution P -> P + Q, Q -> Q extended additively.
+
+    With index_shift it generates SL_2(F_p), the maps that fix the pairing.
+    """
+    return TorsionPoint(T.p, T.a, T.a + T.b)

@@ -101,16 +101,16 @@ _STDOUT_SHA256 = {
     "expand --p 7 --form rho --latex":
         "e696fef3d4bfeca200203c09f164de3d04bd575bda4459788bc6ae4c2f0d127a",
     "verify --p 3 --suite all":
-        "436133d22fe3cbeae43762bc8c02cf63d893a4cd393929499b57026f7b22cf22",
+        "1d70b3d0d62594ab7c545a16734d3a315b3b4c3ebf3c647630cf79a425a2c810",
     "verify --p 5 --suite all":
-        "8c5f43c5e32f0b7955f6fba5f1ed4da82a5178b6bade71fbc9520ec930cc68eb",
-    # 18 checks: qplane:specialization runs at every p <= 13, not only at 3 and 5
+        "189fe637e117095723407741397a994840a78a614cbbd8c5b21bad3c987702d2",
+    # 19 checks: p = 7 runs both closed checks (the other p run 18)
     "verify --p 7 --suite all":
-        "6a9cbda446c2ba3b5c890812cc87b67043fee917fc3030b20f243658528df05d",
+        "e20526a289c962474ab0e42562d7079e15eb394968696be5341a6a1556f9fc9e",
     "verify --p 11 --suite all":
-        "cc36bb8f5740c9afbbd8a980d93fc9612379bfc54b2b92e00af1baa3953c2223",
+        "4abd3bb2aea299ddba84c685d18e63382988cffe65c80fb2abc52a9af53bea04",
     "verify --p 13 --suite all":
-        "7748adeb904f3af9fd6c7e41e852e63bae7022e135b5a67d29394216e672509a",
+        "38e6d7ffbe9afbc5b8f7ef1bd84d0ebee52d27d8629d1b864f479566a85d6fe4",
 }
 
 

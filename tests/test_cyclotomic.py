@@ -146,6 +146,9 @@ def test_non_integer_coefficients_raise_type_error():
     for build in (
         lambda: CycNumber(3, [1, half]),
         lambda: CycNumber(3, [Fraction(2, 1)]),
+        lambda: CycNumber(3, [True, 0]),
+        lambda: CycNumber(3, [0, False]),
+        lambda: CycNumber.rational(3, True),
         lambda: CycNumber.rational(3, half),
         lambda: CycNumber.one(3) * half,
         lambda: CycNumber.one(3) + half,
@@ -181,6 +184,29 @@ def test_equality_and_hash():
     assert a != CycNumber(5, [1, 0, 2, 1])
     assert CycNumber.one(5) == 1
     assert CycNumber.rational(5, -3) == -3
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_equal_scalars_hash_equal(p):
+    rng = random.Random(p)
+    for n in [0, 1, -1] + [rng.randint(-10 ** 30, 10 ** 30) for _ in range(20)]:
+        forms = [
+            n,
+            CycNumber.rational(p, n),
+            CycNumber(p, [n]),
+            LaurentPoly.constant(p, n),
+            LaurentPoly.constant(p, CycNumber.rational(p, n)),
+        ]
+        for a in forms:
+            for b in forms:
+                assert a == b and hash(a) == hash(b), (a, b)
+        assert len(set(forms)) == 1
+    for _ in range(20):
+        c = _random_cyc(rng, p)
+        forms = [c, CycNumber(p, c.nums), LaurentPoly.constant(p, c)]
+        assert all(a == c and hash(a) == hash(c) for a in forms)
+        assert len(set(forms)) == 1
+    assert hash(CycNumber.zero(p)) == hash(LaurentPoly.zero(p)) == 0
 
 
 def test_mixed_primes_raise():
@@ -225,3 +251,31 @@ def test_integer_product_matches_schoolbook_reduction():
                 b = [1] + [0] * (p - 2)
             product = CycNumber(p, a) * CycNumber(p, b)
             assert product.nums == _schoolbook_product(p, a, b)
+
+
+def _full_convolution(p, a, b):
+    """a * b from coordinate lists of any length: every product a_i b_j lands on
+    zeta^(i+j), and the constructor reduces the result."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return CycNumber(p, conv)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_products_by_roots_of_unity_match_the_full_convolution(p):
+    rng = random.Random(100 + p)
+    others = [CycNumber.zero(p), CycNumber.one(p), CycNumber.rational(p, -7)]
+    others += [CycNumber.zeta_pow(p, k) for k in range(p)]
+    others += [_random_cyc(rng, p) for _ in range(10)]
+    for x in others:
+        for k in range(p):
+            for sign in (1, -1):
+                root = [0] * k + [sign]  # sign * zeta^k over zeta^0..zeta^k
+                expected = _full_convolution(p, x.nums, root)
+                unit = CycNumber(p, root)
+                assert (x * unit).nums == expected.nums, (x, k, sign)
+                assert (unit * x).nums == expected.nums, (x, k, sign)
+        assert (x * -1).nums == (-1 * x).nums == (-x).nums
+        assert x * 1 is x and 1 * x is x

@@ -362,3 +362,34 @@ def test_product_terms_are_keyed_by_integer_pair_tuples():
         assert type(mono) is tuple
         for pair in mono:
             assert type(pair) is tuple and [type(n) for n in pair] == [int, int]
+
+
+def _convolved(a, b):
+    """The product of two coefficients by full convolution of their coordinates,
+    reduced by the CycNumber constructor."""
+    conv = [0] * (len(a.nums) + len(b.nums) - 1)
+    for i, x in enumerate(a.nums):
+        for j, y in enumerate(b.nums):
+            conv[i + j] += x * y
+    return CycNumber(a.p, conv)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_single_term_products_match_term_by_term_collection(p):
+    rng = random.Random(200 + p)
+    for _ in range(30):
+        variables = _random_variables(rng, p)
+        many = [_random_term(rng, p, variables) for _ in range(rng.randint(2, 6))]
+        f = LaurentPoly(p, [(pairs, CycNumber(p, vec)) for pairs, vec in many])
+        # a constant, a unit term or a general term; its monomial may cancel some of f's
+        pairs, vec = _random_term(rng, p, variables, unit=rng.random() < 0.5)
+        coeff = CycNumber(p, vec)
+        single = LaurentPoly(p, [(pairs, 1 if coeff.is_zero else coeff)])
+        (spairs, sc), = single.terms()
+        builder = PolyBuilder(p)
+        for fpairs, fc in f.terms():
+            builder.add_poly(LaurentPoly(p, [(list(fpairs) + list(spairs), _convolved(fc, sc))]))
+        expected = builder.build()
+        assert single * f == expected
+        assert f * single == expected
+        assert (single * f)._terms == (f * single)._terms == expected._terms

@@ -1,15 +1,16 @@
 """The suites: which checks run at each p, and that a planted fault fails them by name."""
 
+import functools
 import random
 
 import pytest
 
-from tatestar import closed_forms, suites
+from tatestar import closed_forms, star_algebra, suites
 from tatestar.cli import main
 from tatestar.closed_forms import ClosedFormResult
 from tatestar.local_pairing import iota
 from tatestar.star_algebra import AlgebraElement, GammaAssignment, PrimeFieldCoefficients, star
-from tatestar.torsion import TorsionPoint, basis, weil_exponent
+from tatestar.torsion import TorsionPoint, basis, epsilon_exponent, weil_exponent
 
 # 2^61 - 1 is prime and 1 mod every p <= 13, since p - 1 divides 60
 WIDE_Q = 2 ** 61 - 1
@@ -273,3 +274,42 @@ def test_planted_hilbert_fault_names_the_first_failing_pair(monkeypatch):
     assert results["bilinearity"].ok
     assert not results["antisymmetry"].ok
     assert results["antisymmetry"].detail == "fails at (0:3; 1:1)"
+
+
+def _plant_eps_plus_b1_b2(monkeypatch):
+    """eps(S, T) times zeta^(b_S * b_T), in star's table and in the suite's own eps.
+
+    b is fixed by the shift (a, b) -> (a + b, b) but not by the shear
+    (a, b) -> (a, a + b).  The plant is symmetric and bilinear, so commutation
+    and associativity still hold; eps(T, -T) becomes zeta^(-b^2), so the
+    inverse check fails too.
+    """
+    real = star_algebra.point_tables
+
+    @functools.lru_cache(maxsize=None)
+    def tables(p):
+        t = real(p)
+        n = p * p
+        eps = tuple((e + t.points[k // n].b * t.points[k % n].b) % p for k, e in enumerate(t.eps))
+        return t._replace(eps=eps)
+
+    monkeypatch.setattr(star_algebra, "point_tables", tables)
+    monkeypatch.setattr(
+        suites, "epsilon_exponent", lambda s, t: (epsilon_exponent(s, t) + s.b * t.b) % s.p
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_planted_shift_invariant_eps_fault_fails_the_shear_check(p, capsys, monkeypatch):
+    _plant_eps_plus_b1_b2(monkeypatch)
+    assert main(["verify", "--p", str(p), "--suite", "star"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:7]] == [
+        ["ok", "star:indicator-product"],
+        ["ok", "star:unit"],
+        ["FAIL", "star:inverse"],
+        ["ok", "star:commutation"],
+        ["ok", "star:associativity"],
+        ["ok", "star:shift-equivariance"],
+        ["FAIL", "star:shear-equivariance"],
+    ]

@@ -8,6 +8,7 @@ from tatestar.torsion import (
     clock_shift_phases,
     epsilon_exponent,
     generates,
+    index_shear,
     index_shift,
     point_tables,
     validate_odd_prime,
@@ -130,6 +131,16 @@ def test_index_shift_fixes_P_and_moves_Q():
     for s in all_points(p):
         for t in all_points(p):
             assert weil_exponent(index_shift(s), index_shift(t)) == weil_exponent(s, t)
+
+
+def test_index_shear_fixes_Q_and_moves_P():
+    p = 5
+    P, Q = basis(p)
+    assert index_shear(P) == P + Q
+    assert index_shear(Q) == Q
+    for s in all_points(p):
+        for t in all_points(p):
+            assert weil_exponent(index_shear(s), index_shear(t)) == weil_exponent(s, t)
 
 
 def test_generates():
