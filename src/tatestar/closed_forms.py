@@ -170,12 +170,8 @@ def norm_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> Close
     domain = gamma.domain
     p = domain.p
     gvals = [gamma.value(T) for T in _coset(P, Q)]
-    forms = []
-    for k in range(p):
-        acc = domain.accumulator()
-        for i, g in enumerate(gvals):
-            acc.add(domain.mul(domain.root(k * i), g))
-        forms.append(acc.value())
+    forms = [domain.sum(domain.mul(domain.root(k * i), g) for i, g in enumerate(gvals))
+             for k in range(p)]
     origin = TorsionPoint.zero(p)
     return ClosedFormResult("norm", AlgebraElement(domain, [(origin, reduce(domain.mul, forms))]))
 

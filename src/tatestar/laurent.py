@@ -137,9 +137,8 @@ class LaurentPoly:
     def coefficient(self, pairs: Pairs) -> CycNumber:
         return self._terms.get(_encode(self.p, pairs), CycNumber.zero(self.p))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def _require_same_ambient(self, other: LaurentPoly) -> None:
         if self.p != other.p:

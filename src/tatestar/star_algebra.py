@@ -33,14 +33,16 @@ and n.  `star` takes it when m*n > 8*p^2, where it is the faster of the two.
 Sparse products (Delta and its powers, indicators), a rho given by its table
 and the symbolic domain, where Z[zeta_p] has no 1/p, stay on the loop.
 
-A domain is its ring operations and one entry rule, `coerce`: over F_q
-an int (not a bool) reduced into [0, q), symbolically a LaurentPoly over p
-or an int or CycNumber as the constant; anything else raises TypeError.
-AlgebraElement, GammaAssignment and RhoAssignment take every value through
-it, so equal elements compare and hash equal; a product is already made of
-domain values and is not taken through it again.  Both domains multiply
-lists entrywise (`mul_each`), convolve length-p lists and take a walk's
-transfer step, with ring products symbolically and over F_q as packed
+A domain is its ring operations (`add`, `mul`, `inv`, the n-ary `sum`)
+and one entry rule, `coerce`: over F_q an int (not a bool) reduced into
+[0, q), symbolically a LaurentPoly over p or an int or CycNumber as the
+constant; anything else raises TypeError.  AlgebraElement, GammaAssignment
+and RhoAssignment take every value through it, so equal elements compare and
+hash equal; a product is already made of domain values and is not taken
+through it again.  A domain value is zero exactly when it is falsy, as for
+ints, so the support is read by truth value.  Both domains multiply lists
+entrywise (`mul_each`), convolve length-p lists and take a walk's transfer
+step, with ring products and `sum` symbolically and over F_q as packed
 kernels, and F_q adds `pack` and `combine`; a packed slot of
 (p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
 """
@@ -69,9 +71,10 @@ Element = Union[LaurentPoly, int]
 
 class _Domain:
     """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
-    for k < p) and _key, which it compares and hashes by: (p,) or (p, q).
-    `mul_each`, `transfer` and `convolve` are ring products here, and packed
-    kernels over F_q."""
+    for k < p) and _key, which it compares and hashes by: (p,) or (p, q), and
+    defines add, mul, inv and sum, the total of an iterable of values (zero
+    when it is empty).  `mul_each`, `transfer` and `convolve` are ring
+    products and sums here, and packed kernels over F_q."""
 
     def zero(self) -> Element:
         return self._zero
@@ -92,11 +95,8 @@ class _Domain:
     ) -> list[Element]:
         """c_t = sum_s sums[s] rows[s][t - s mod p], for p sums and p rows of length p."""
         p = self.p
-        accs = [self.accumulator() for _ in range(p)]
-        for s, (x, row) in enumerate(zip(sums, rows)):
-            for i, y in enumerate(row):
-                accs[(s + i) % p].add(self.mul(x, y))
-        return [acc.value() for acc in accs]
+        pairs = list(enumerate(zip(sums, rows)))
+        return [self.sum(self.mul(x, row[(t - s) % p]) for s, (x, row) in pairs) for t in range(p)]
 
     def convolve(self, a: Sequence[Element], b: Sequence[Element]) -> list[Element]:
         """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
@@ -135,11 +135,11 @@ class SymbolicCoefficients(_Domain):
     def inv(self, a: LaurentPoly) -> LaurentPoly:
         return a.inverse()
 
-    def is_zero(self, a: LaurentPoly) -> bool:
-        return a.is_zero
-
-    def accumulator(self) -> _SymbolicAccumulator:
-        return _SymbolicAccumulator(self.p)
+    def sum(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
+        builder = PolyBuilder(self.p)
+        for value in values:
+            builder.add_poly(value)
+        return builder.build()
 
     def __repr__(self) -> str:
         return f"SymbolicCoefficients(p={self.p})"
@@ -184,11 +184,8 @@ class PrimeFieldCoefficients(_Domain):
             raise ZeroDivisionError(f"inverse of 0 mod {self.q}")
         return pow(a, -1, self.q)
 
-    def is_zero(self, a: int) -> bool:
-        return a == 0
-
-    def accumulator(self) -> _NumericAccumulator:
-        return _NumericAccumulator(self.q)
+    def sum(self, values: Iterable[int]) -> int:
+        return sum(values) % self.q
 
     def mul_each(self, a: Iterable[int], b: Iterable[int]) -> list[int]:
         """The products a[k] * b[k]."""
@@ -234,33 +231,6 @@ class PrimeFieldCoefficients(_Domain):
 def _slot_width(p: int, q: int) -> int:
     """Bits per packed slot: a sum of p products of residues is at most p*(q-1)^2."""
     return (p * (q - 1) ** 2).bit_length()
-
-
-class _SymbolicAccumulator:
-    __slots__ = ("_builder",)
-
-    def __init__(self, p: int):
-        self._builder = PolyBuilder(p)
-
-    def add(self, a: LaurentPoly) -> None:
-        self._builder.add_poly(a)
-
-    def value(self) -> LaurentPoly:
-        return self._builder.build()
-
-
-class _NumericAccumulator:
-    __slots__ = ("q", "total")
-
-    def __init__(self, q: int):
-        self.q = q
-        self.total = 0
-
-    def add(self, a: int) -> None:
-        self.total = (self.total + a) % self.q
-
-    def value(self) -> int:
-        return self.total
 
 
 Domain = Union[SymbolicCoefficients, PrimeFieldCoefficients]
@@ -423,8 +393,7 @@ class AlgebraElement:
 
     def _terms(self) -> list[tuple[int, Element]]:
         """The (index, value) pairs of the support, in index order."""
-        is_zero = self.domain.is_zero
-        return [(i, value) for i, value in enumerate(self._values) if not is_zero(value)]
+        return [(i, value) for i, value in enumerate(self._values) if value]
 
     def coefficient(self, point: TorsionPoint) -> Element:
         _require_ambient(self.domain, point)
@@ -440,7 +409,7 @@ class AlgebraElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(map(self.domain.is_zero, self._values))
+        return not any(self._values)
 
     def _require_same_domain(self, other: AlgebraElement) -> None:
         if self.domain != other.domain:

@@ -23,9 +23,12 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 import tatestar
 import tatestar.cli
 import tatestar.modular
+import tatestar.suites
 from tatestar.closed_forms import build_delta, gamma_form, intermediate_form, rho_form
 from tatestar.laurent import LaurentPoly
 from tatestar.star_algebra import (
@@ -96,11 +99,12 @@ def test_cli_symbol_commands_call_the_wrapped_symbols(capsys):
 
 
 def test_a_domain_is_its_ring_operations():
-    # what counting_domain wraps or reads, and the entry rule `coerce`: a
-    # domain writes no output and holds no other helper, inherited or its own;
-    # both multiply entrywise, convolve and take transfer steps for the walks,
-    # and F_q adds the packed kernels of the clock-and-shift star
-    ring = {"zero", "one", "root", "add", "mul", "inv", "is_zero", "accumulator", "coerce",
+    # the operations counting_domain wraps or reads, the n-ary `sum` (which it
+    # does not wrap) and the entry rule `coerce`: a domain writes no output and
+    # holds no other helper, inherited or its own; both multiply entrywise,
+    # convolve and take transfer steps for the walks, and F_q adds the packed
+    # kernels of the clock-and-shift star
+    ring = {"zero", "one", "root", "add", "mul", "inv", "sum", "coerce",
             "mul_each", "convolve", "transfer"}
     packed = {"pack", "combine"}
 
@@ -136,7 +140,7 @@ def test_star_and_coboundary_multiply_through_the_domain():
     assert roots[0] - roots_before == 7 * 4
 
 
-_RING_OPS = ("mul", "add", "root", "acc_add")
+_RING_OPS = ("mul", "add", "root")
 
 
 def _ring_counts(tracer, run):
@@ -183,10 +187,10 @@ def test_dense_numeric_star_counts_are_pinned_on_the_clock_shift_path():
             for _ in range(2))
     invs = tracer.cell("star_algebra.domain.inv.calls")[0]
     star(f, g, rho)
-    kernels = _count_kernels(domain, ("mul_each", "pack", "combine", "convolve"))
+    kernels = _count_kernels(domain, ("mul_each", "pack", "combine", "convolve", "sum"))
     counts = _ring_counts(tracer, lambda: star(f, g, rho))
-    assert counts == {"mul": 0, "add": 0, "root": 0, "acc_add": 0}
-    assert kernels == {"mul_each": 3, "pack": p, "combine": 4 * p, "convolve": 0}
+    assert counts == {"mul": 0, "add": 0, "root": 0}
+    assert kernels == {"mul_each": 3, "pack": p, "combine": 4 * p, "convolve": 0, "sum": 0}
     assert tracer.cell("star_algebra.domain.inv.calls")[0] == invs
 
 
@@ -235,6 +239,31 @@ def test_sparse_explicit_and_symbolic_products_stay_on_the_generic_loop():
     assert _ring_counts(tracer, lambda: star(f, f, rho))["mul"] == 3 * 9 * 9
 
 
+# The domain calls of star_suite's numeric sweep.  Three coboundaries (of
+# gamma and of its two transports) make 6 n^2 products and 3 n inversions for
+# n = p^2 points; the rest are indicator products at 3 muls and 1 root each,
+# with no add, over 100 pairs, 100 triples and each point once: 3,750 more
+# products at p = 5 and 5,190 at p = 13.
+_STAR_SUITE_COUNTS = {
+    5: {"mul": 7500, "add": 0, "root": 1375, "inv": 75},
+    13: {"mul": 176556, "add": 0, "root": 1807, "inv": 507},
+}
+
+
+@pytest.mark.parametrize("p", sorted(_STAR_SUITE_COUNTS))
+def test_star_suite_ring_operation_counts_are_pinned(p, monkeypatch):
+    # a sparse product that did ring work per table entry, or that took the
+    # clock-and-shift path, would move these counts
+    tracing = _load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    counting = tracing.counting_domain(PrimeFieldCoefficients, tracer)
+    monkeypatch.setattr(tatestar.suites, "PrimeFieldCoefficients", counting)
+    assert all(check.ok for check in tatestar.suites.star_suite(p))
+    counts = {op: tracer.cell(f"star_algebra.domain.{op}.calls")[0]
+              for op in _STAR_SUITE_COUNTS[p]}
+    assert counts == _STAR_SUITE_COUNTS[p]
+
+
 def test_numeric_rho_form_takes_one_packed_transfer_per_index():
     # rho_form reads rho by flat index and each index l > 1 is one transfer
     # step, so over F_q no product is a counted ring operation; the roots
@@ -245,10 +274,10 @@ def test_numeric_rho_form_takes_one_packed_transfer_per_index():
     domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
     rho = coboundary(GammaAssignment.random(domain, random.Random(11)))
     P, Q = TorsionPoint(p, 2, 3), TorsionPoint(p, 1, 4)
-    kernels = _count_kernels(domain, ("transfer", "convolve"))
+    kernels = _count_kernels(domain, ("transfer", "convolve", "sum"))
     counts = _ring_counts(tracer, lambda: rho_form(P, Q, rho))
-    assert counts == {"mul": 0, "add": 0, "root": p ** 2, "acc_add": 0}
-    assert kernels == {"transfer": p - 1, "convolve": 0}
+    assert counts == {"mul": 0, "add": 0, "root": p ** 2}
+    assert kernels == {"transfer": p - 1, "convolve": 0, "sum": 0}
 
 
 def test_four_way_inverts_each_gamma_value_once():

@@ -47,8 +47,8 @@ def _enumerated(P, Q, gamma, rho):
     half = (p + 1) // 2
     on_coset = [gamma.value(Q + i * P) for i in range(p)]
     inverse_on_line = [domain.inv(gamma.value(s * P)) for s in range(p)]
-    gamma_acc, rho_acc = domain.accumulator(), domain.accumulator()
-    line = [domain.accumulator() for _ in range(p)]
+    gamma_terms, rho_terms = [], []
+    line = [[] for _ in range(p)]
     for tup in product(range(p), repeat=p):
         total = sum(tup) % p
         gammas = on_coset[tup[0]]
@@ -56,17 +56,17 @@ def _enumerated(P, Q, gamma, rho):
             gammas = mul(gammas, on_coset[i])
         eps_weight = sum((2 * l - 1) * i for l, i in enumerate(tup, 1))
         term = mul(root(half * d * eps_weight), gammas)
-        line[total].add(mul(term, inverse_on_line[total]))
+        line[total].append(mul(term, inverse_on_line[total]))
         if total:
             continue
         e_weight = root(d * sum(l * i for l, i in enumerate(tup, 1)))
-        gamma_acc.add(mul(e_weight, gammas))
+        gamma_terms.append(mul(e_weight, gammas))
         rhos = domain.one()
         for j in range(1, p):
             rhos = mul(rhos, rho.value(j * Q + sum(tup[:j]) * P, Q + tup[j] * P))
-        rho_acc.add(mul(e_weight, rhos))
-    intermediate = AlgebraElement(domain, [(s * P, line[s].value()) for s in range(p)])
-    return gamma_acc.value(), intermediate, rho_acc.value()
+        rho_terms.append(mul(e_weight, rhos))
+    intermediate = AlgebraElement(domain, [(s * P, domain.sum(line[s])) for s in range(p)])
+    return domain.sum(gamma_terms), intermediate, domain.sum(rho_terms)
 
 
 def _ones_gamma(dom):

@@ -72,7 +72,7 @@ def _reference_star(f, g, rho_values):
             value = domain.mul(domain.mul(c1, c2), twist)
             if point in out:
                 value = domain.add(out[point], value)
-            if domain.is_zero(value):
+            if not value:
                 out.pop(point, None)
             else:
                 out[point] = value
@@ -124,6 +124,26 @@ def test_symbolic_domain_roots():
     z = dom.root(1)
     assert dom.mul(z, dom.mul(z, z)) == dom.one()
     assert dom.root(4) == z
+
+
+@pytest.mark.parametrize("dom", [PrimeFieldCoefficients(5), SymbolicCoefficients(5)],
+                         ids=["numeric", "symbolic"])
+def test_a_sum_of_nothing_is_zero_and_falsy(dom):
+    assert dom.sum([]) == dom.zero()
+    assert not dom.sum([]) and not dom.zero() and dom.one()
+
+
+def test_a_symbolic_sum_that_cancels_is_falsy_and_zero():
+    # sum_k zeta^k = 0 in Z[zeta_p], so the p rotations of x cancel, and any
+    # p - 1 of them leave a nonzero polynomial
+    p = 5
+    dom = SymbolicCoefficients(p)
+    x = LaurentPoly.variable(p, TorsionPoint(p, 1, 2))
+    rotations = [dom.mul(dom.root(k), x) for k in range(p)]
+    total = dom.sum(rotations)
+    assert not total and total == dom.zero()
+    partial = dom.sum(rotations[1:])
+    assert partial and partial == -x
 
 
 def test_domains_compare_by_parameters():
@@ -334,12 +354,11 @@ def test_planted_phase_fault_changes_the_dense_product(monkeypatch):
     assert star(f, g, rho) != star(f, g, explicit)
 
 
-def test_star_drops_a_coefficient_that_cancels():
+def _assert_star_drops_a_coefficient_that_cancels(gamma):
     # f = delta_S + c delta_T, g = delta_U + delta_V with S + U = T + V, and c
     # chosen so that the two terms landing on S + U cancel
-    p = 5
-    dom = PrimeFieldCoefficients(p)
-    gamma = GammaAssignment.random(dom, random.Random(11))
+    dom = gamma.domain
+    p = dom.p
     rho = coboundary(gamma)
     S, T, U = TorsionPoint(p, 1, 0), TorsionPoint(p, 0, 1), TorsionPoint(p, 1, 1)
     V = S + U - T
@@ -347,14 +366,25 @@ def test_star_drops_a_coefficient_that_cancels():
     def twist(x, y):
         return dom.mul(dom.root(epsilon_exponent(x, y)), rho.value(x, y))
 
-    c = dom.mul(dom.q - 1, dom.mul(twist(S, U), dom.inv(twist(T, V))))
+    c = dom.mul(dom.coerce(-1), dom.mul(twist(S, U), dom.inv(twist(T, V))))
     f = AlgebraElement(dom, [(S, 1), (T, c)])
     g = AlgebraElement(dom, [(U, 1), (V, 1)])
     product = star(f, g, rho)
     assert S + U not in product.support()
-    assert product.coefficient(S + U) == 0
+    assert product.coefficient(S + U) == dom.zero()
+    assert not product.coefficient(S + U)
     assert product.support() == sorted([S + V, T + U], key=lambda t: (t.a, t.b))
     assert product == _reference_star(f, g, _reference_coboundary(gamma))
+
+
+def test_star_drops_a_coefficient_that_cancels():
+    _assert_star_drops_a_coefficient_that_cancels(
+        GammaAssignment.random(PrimeFieldCoefficients(5), random.Random(11)))
+
+
+def test_star_drops_a_symbolic_coefficient_that_cancels():
+    # the cancelling coefficient is the zero polynomial, which leaves the support too
+    _assert_star_drops_a_coefficient_that_cancels(GammaAssignment.symbolic(5))
 
 
 def test_values_at_points_over_another_prime_are_rejected():
