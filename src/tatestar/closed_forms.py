@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BasisError
+from .errors import BasisError, mismatch
 from .laurent import LaurentPoly
 from .star_algebra import AlgebraElement, Domain, Element, GammaAssignment, RhoAssignment
-from .star_algebra import SymbolicCoefficients, _require_ambient
+from .star_algebra import SymbolicCoefficients
 from .torsion import TorsionPoint, all_points, basis, epsilon_exponent, generates, point_tables
 from .torsion import weil_exponent
 
@@ -144,7 +144,8 @@ def rho_form(P: TorsionPoint, Q: TorsionPoint, rho: RhoAssignment) -> ClosedForm
     """
     domain = rho.domain
     p = domain.p
-    _require_ambient(domain, P)
+    if P.p != p:
+        raise mismatch("point", P.p, p)
     coset = [T.index for T in _coset(P, Q)]
     d = weil_exponent(Q, P)
     weights = [[domain.root(d * l * i) for i in range(p)] for l in range(1, p + 1)]

@@ -7,39 +7,33 @@ every coefficient the package builds lies in this ring: a sum adds the
 coordinates.  A product by a root of unity +-zeta^k (k = 0..p-1), recognised
 by one lookup of its coordinates in a per-p table of the 2p such tuples, is a
 signed cyclic shift of the other factor over zeta^0..zeta^(p-1), O(p); any
-other product convolves the coordinates, O(p^2).  Either way
-zeta^(p-1) = -(1 + ... + zeta^(p-2)) is then folded back into the basis.  A
-non-integer coefficient raises TypeError, and only units of Z[zeta_p] are
+other product convolves the coordinates, O(p^2).  Every constructor and
+product ends in `_fold`, the one place where zeta^(p-1) = -(1 + ... +
+zeta^(p-2)) takes coordinates over zeta^0..zeta^(p-1) back into the basis.
+A non-integer coefficient raises TypeError, and only units of Z[zeta_p] are
 inverted.
 """
 
 from __future__ import annotations
 
 from operator import index
+from typing import Sequence
 
-from .errors import AmbientMismatchError
+from .errors import mismatch
 
 
 def _integer(value) -> int:
-    """An integer coordinate; a bool is refused, as by the scalar rule."""
+    """An integer coordinate or exponent; a bool is refused, as by the scalar rule."""
     if isinstance(value, bool):
-        raise TypeError(f"a coordinate must be an integer, not a bool: {value!r}")
+        raise TypeError(f"expected an integer, not a bool: {value!r}")
     return index(value)
 
 
-def _reduce_exponents(p: int, vec: list) -> list:
-    """Fold coefficients of zeta^e (any e >= 0) into the power basis 0..p-2."""
-    out = [0] * (p - 1)
-    top = 0
-    for e, c in enumerate(vec):
-        r = e % p
-        if r == p - 1:
-            top += c
-        else:
-            out[r] += c
-    if top:
-        out = [c - top for c in out]
-    return out
+def _fold(full: Sequence[int]) -> Sequence[int]:
+    """The power-basis coordinates of sum(full[e] * zeta^e) over e = 0..p-1,
+    by zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
+    top = full[-1]
+    return [c - top for c in full[:-1]] if top else full[:-1]
 
 
 # p -> {coordinates of sign * zeta^k: (sign, k)}, filled by _roots_of_unity on first use
@@ -57,14 +51,10 @@ def _roots_of_unity(p: int) -> dict[tuple[int, ...], tuple[int, int]]:
     return table
 
 
-def _rotate(p: int, nums: tuple[int, ...], sign: int, k: int) -> list[int]:
+def _rotate(p: int, nums: tuple[int, ...], sign: int, k: int) -> Sequence[int]:
     """The coordinates of sign * zeta^k * x for x with coordinates nums."""
-    full = nums + (0,)  # x over zeta^0..zeta^(p-1)
-    full = full[p - k:] + full[:p - k]
-    top = full[-1]
-    if sign > 0:
-        return [c - top for c in full[:-1]] if top else list(full[:-1])
-    return [top - c for c in full[:-1]]
+    full = (nums if sign > 0 else tuple(-c for c in nums)) + (0,)  # over zeta^0..zeta^(p-1)
+    return _fold(full[p - k:] + full[:p - k])
 
 
 class CycNumber:
@@ -74,11 +64,14 @@ class CycNumber:
 
     def __init__(self, p: int, coeffs=()):
         """Build sum(coeffs[e] * zeta^e) from integers; coeffs may have any length."""
+        full = [0] * p
+        for e, c in enumerate(coeffs):
+            full[e % p] += _integer(c)
         self.p = p
-        self.nums = tuple(_reduce_exponents(p, [_integer(c) for c in coeffs]))
+        self.nums = tuple(_fold(full))
 
     @classmethod
-    def _make(cls, p: int, nums: list[int]) -> CycNumber:
+    def _make(cls, p: int, nums: Sequence[int]) -> CycNumber:
         self = object.__new__(cls)
         self.p = p
         self.nums = tuple(nums)
@@ -100,29 +93,20 @@ class CycNumber:
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNumber:
         """The root of unity zeta^k."""
-        k %= p
-        if k == p - 1:
-            return cls._make(p, [-1] * (p - 1))
-        nums = [0] * (p - 1)
-        nums[k] = 1
-        return cls._make(p, nums)
+        full = [0] * p
+        full[k % p] = 1
+        return cls._make(p, _fold(full))
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def _require_same_ambient(self, other: CycNumber) -> None:
-        if self.p != other.p:
-            raise AmbientMismatchError(
-                f"cyclotomic numbers over different primes: {self.p} vs {other.p}"
-            )
+    def __bool__(self) -> bool:
+        return any(self.nums)
 
     def __add__(self, other) -> CycNumber:
         if type(other) is not CycNumber:
             other = _coerce(self.p, other)
             if other is NotImplemented:
                 return NotImplemented
-        self._require_same_ambient(other)
+        if other.p != self.p:
+            raise mismatch("cyclotomic number", other.p, self.p)
         return CycNumber._make(self.p, [x + y for x, y in zip(self.nums, other.nums)])
 
     __radd__ = __add__
@@ -144,7 +128,8 @@ class CycNumber:
             other = _coerce(self.p, other)
             if other is NotImplemented:
                 return NotImplemented
-        self._require_same_ambient(other)
+        if other.p != self.p:
+            raise mismatch("cyclotomic number", other.p, self.p)
         p = self.p
         roots = _ROOTS.get(p) or _roots_of_unity(p)
         unit, x = roots.get(other.nums), self
@@ -166,14 +151,10 @@ class CycNumber:
             if x:
                 for j, y in enumerate(b, i):
                     conv[j] += x * y
-        # zeta^e = zeta^(e-p) for e >= p, then zeta^(p-1) = -(1 + ... + zeta^(p-2))
-        for e in range(p, 2 * n - 1):
+        for e in range(p, 2 * n - 1):  # zeta^e = zeta^(e-p)
             conv[e - p] += conv[e]
-        top = conv[n]
-        del conv[n:]
-        if top:
-            conv = [c - top for c in conv]
-        return CycNumber._make(p, conv)
+        del conv[p:]
+        return CycNumber._make(p, _fold(conv))
 
     __rmul__ = __mul__
 
@@ -184,7 +165,7 @@ class CycNumber:
         Raises ValueError when the norm to Z is not +-1, i.e. when the inverse
         does not lie in Z[zeta_p].
         """
-        if self.is_zero:
+        if not self:
             raise ZeroDivisionError("inverse of zero in Z[zeta_p]")
         p = self.p
         unit = (_ROOTS.get(p) or _roots_of_unity(p)).get(self.nums)

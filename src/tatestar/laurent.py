@@ -5,8 +5,10 @@ bool) is accepted where a coefficient is expected, by the scalar rule CycNumber
 uses (`cyclotomic._coerce`), and anything else raises TypeError.
 
 The variables are the formal symbols g_T, one for each nonzero p-torsion
-point T over the polynomial's p.  Exponents are arbitrary integers, and a
-monomial is the finite product of powers of distinct variables.
+point T over the polynomial's p.  Exponents are arbitrary integers, taken by
+the rule of a coordinate (`cyclotomic._integer`: a bool, float or str raises
+TypeError), and a monomial is the finite product of powers of distinct
+variables.
 
 Inside, a variable is its point's index a*p + b (see torsion.point_tables).
 A monomial is the tuple of its (index, exponent) pairs sorted by index, and
@@ -27,8 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Union
 
-from .cyclotomic import CycNumber, _coerce
-from .errors import AmbientMismatchError
+from .cyclotomic import CycNumber, _coerce, _integer
+from .errors import mismatch
 from .torsion import TorsionPoint, point_tables
 
 Coefficient = Union[CycNumber, int]
@@ -42,7 +44,7 @@ def _index(p: int, point: TorsionPoint) -> int:
     if not isinstance(point, TorsionPoint):
         raise TypeError(f"a variable must be a torsion point, got {point!r}")
     if point.p != p:
-        raise AmbientMismatchError(f"variable over prime {point.p} in a polynomial over {p}")
+        raise mismatch("variable", point.p, p)
     if point.is_zero:
         raise ValueError("the origin is not a formal variable")
     return point.index
@@ -53,7 +55,7 @@ def _encode(p: int, pairs: Pairs) -> Key:
     merged: dict[int, int] = {}
     for point, exp in pairs:
         index = _index(p, point)
-        merged[index] = merged.get(index, 0) + exp
+        merged[index] = merged.get(index, 0) + _integer(exp)
     return tuple(sorted(item for item in merged.items() if item[1]))
 
 
@@ -87,7 +89,7 @@ def _add_into(terms: dict, items) -> None:
             terms[mono] = c
         else:
             s = s + c
-            if s.is_zero:
+            if not s:
                 del terms[mono]
             else:
                 terms[mono] = s
@@ -102,7 +104,7 @@ class LaurentPoly:
         self.p = p
         self._terms: dict[Key, CycNumber] = {}
         coerced = ((_encode(p, pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms)
-        _add_into(self._terms, ((mono, c) for mono, c in coerced if not c.is_zero))
+        _add_into(self._terms, ((mono, c) for mono, c in coerced if c))
 
     @staticmethod
     def _coerce_coeff(p: int, coeff: Coefficient) -> CycNumber:
@@ -110,7 +112,7 @@ class LaurentPoly:
         if c is NotImplemented:
             raise TypeError(f"a coefficient must be a CycNumber or an int, got {coeff!r}")
         if c.p != p:
-            raise AmbientMismatchError(f"coefficient over prime {c.p} in a polynomial over {p}")
+            raise mismatch("coefficient", c.p, p)
         return c
 
     @classmethod
@@ -140,17 +142,12 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def _require_same_ambient(self, other: LaurentPoly) -> None:
-        if self.p != other.p:
-            raise AmbientMismatchError(
-                f"polynomials over different primes: {self.p} vs {other.p}"
-            )
-
     def __add__(self, other) -> LaurentPoly:
         other = self._coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        self._require_same_ambient(other)
+        if other.p != self.p:
+            raise mismatch("polynomial", other.p, self.p)
         out = dict(self._terms)
         _add_into(out, other._terms.items())
         return self._from_raw(self.p, out)
@@ -174,7 +171,8 @@ class LaurentPoly:
             other = self._coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        self._require_same_ambient(other)
+        if other.p != self.p:
+            raise mismatch("polynomial", other.p, self.p)
         # Z[zeta_p] is a domain, so a product of two nonzero coefficients is nonzero
         left, right = self._terms, other._terms
         if len(left) == 1:
@@ -256,9 +254,7 @@ class PolyBuilder:
 
     def add_poly(self, poly: LaurentPoly) -> None:
         if poly.p != self.p:
-            raise AmbientMismatchError(
-                f"polynomial over prime {poly.p} added to a builder over {self.p}"
-            )
+            raise mismatch("polynomial", poly.p, self.p)
         _add_into(self._terms, poly._terms.items())
 
     def build(self) -> LaurentPoly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbientMismatchError
+from .errors import mismatch
 from .modular import discrete_log, split_field
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .torsion import validate_odd_prime
@@ -67,14 +67,11 @@ class TameElement:
         if self.unit == 0:
             raise ValueError("the unit part must be nonzero mod q")
 
-    def _require_same_model(self, other: TameElement) -> None:
-        if self.model != other.model:
-            raise AmbientMismatchError("elements of different tame models")
-
     def __mul__(self, other: TameElement) -> TameElement:
         if not isinstance(other, TameElement):
             return NotImplemented
-        self._require_same_model(other)
+        if other.model != self.model:
+            raise mismatch("element", other.model, self.model)
         q = self.model.q
         return TameElement(self.model, self.val + other.val, self.unit * other.unit % q)
 
@@ -115,14 +112,11 @@ class PairingValue:
     def is_zero(self) -> bool:
         return self.numerator == 0
 
-    def _require_same_ambient(self, other: PairingValue) -> None:
-        if self.p != other.p:
-            raise AmbientMismatchError(f"values over different primes: {self.p} vs {other.p}")
-
     def __add__(self, other: PairingValue) -> PairingValue:
         if not isinstance(other, PairingValue):
             return NotImplemented
-        self._require_same_ambient(other)
+        if other.p != self.p:
+            raise mismatch("pairing value", other.p, self.p)
         return PairingValue(self.p, self.numerator + other.numerator)
 
     def __neg__(self) -> PairingValue:
@@ -155,7 +149,8 @@ def _tame_symbol(a: TameElement, b: TameElement, d: int) -> PairingValue:
     The formula's sign (-1)^(v(a)v(b)) is left out of h0: q is an odd prime
     with q = 1 mod p and p is odd, so (q^d - 1)/p is even and raises it to 1.
     """
-    a._require_same_model(b)
+    if b.model != a.model:
+        raise mismatch("element", b.model, a.model)
     model = a.model
     p, q = model.p, model.q
     h0 = pow(a.unit, b.val, q) * pow(b.unit, -a.val, q) % q
@@ -197,7 +192,8 @@ def qk_split(alpha_p: TameElement, alpha_q: TameElement) -> PairingValue:
     so this equals hilbert(alpha_P, alpha_Q): units pair trivially if v(alpha_P) = 0,
     {a, -a} = 0 if v(alpha_P) < 0, and the factor is 1 if v(alpha_P) > 0.
     """
-    alpha_p._require_same_model(alpha_q)
+    if alpha_q.model != alpha_p.model:
+        raise mismatch("element", alpha_q.model, alpha_p.model)
     p = alpha_p.model.p
     remainder = one_minus(alpha_p)
     if remainder is None:
@@ -226,7 +222,8 @@ def is_norm_from(b: TameElement, a: TameElement) -> bool:
     and otherwise the norm group has index p, so it is exactly the span of
     class(a) over the p-th powers.
     """
-    b._require_same_model(a)
+    if a.model != b.model:
+        raise mismatch("element", a.model, b.model)
     p = a.model.p
     u = a.class_vector()
     if u == (0, 0):

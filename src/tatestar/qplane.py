@@ -11,7 +11,7 @@ same symbols the monomial gamma(aP + bQ) = g_P^a g_Q^b specializes to.
 from __future__ import annotations
 
 from .cyclotomic import CycNumber
-from .errors import AmbientMismatchError
+from .errors import mismatch
 from .laurent import LaurentPoly, PolyBuilder
 from .torsion import basis, validate_odd_prime
 
@@ -23,8 +23,8 @@ def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     Y-exponent is b mod p, f*g is the sum over b of f_b times g with each
     term's X^c scaled by zeta^(2bc).
     """
-    if f.p != g.p:
-        raise AmbientMismatchError(f"plane elements over different primes: {f.p} vs {g.p}")
+    if g.p != f.p:
+        raise mismatch("plane element", g.p, f.p)
     p = f.p
     P, Q = basis(p)
     parts = [[] for _ in range(p)]

@@ -54,7 +54,7 @@ import random
 from typing import Iterable, Mapping, Sequence, Union
 
 from .cyclotomic import CycNumber
-from .errors import AmbientMismatchError
+from .errors import mismatch
 from .laurent import LaurentPoly, PolyBuilder
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
@@ -123,7 +123,8 @@ class SymbolicCoefficients(_Domain):
         """A LaurentPoly over p as it is; an int or CycNumber as the constant."""
         if not isinstance(value, LaurentPoly):
             return LaurentPoly.constant(self.p, value)
-        _require_ambient(self, value, "coefficient")
+        if value.p != self.p:
+            raise mismatch("coefficient", value.p, self.p)
         return value
 
     def add(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -236,14 +237,6 @@ def _slot_width(p: int, q: int) -> int:
 Domain = Union[SymbolicCoefficients, PrimeFieldCoefficients]
 
 
-def _require_ambient(domain: Domain, value, what: str = "point") -> None:
-    """Reject a point (or a symbolic coefficient) over another prime than the domain."""
-    if value.p != domain.p:
-        raise AmbientMismatchError(
-            f"{what} over prime {value.p} used with a coefficient domain over {domain.p}"
-        )
-
-
 class GammaAssignment:
     """A total invertible coefficient function on the torsion points, gamma(O) = 1."""
 
@@ -286,12 +279,14 @@ class GammaAssignment:
         return cls(domain, values)
 
     def value(self, point: TorsionPoint) -> Element:
-        _require_ambient(self.domain, point)
+        if point.p != self.domain.p:
+            raise mismatch("point", point.p, self.domain.p)
         return self._values[point.index]
 
     def inverse(self, point: TorsionPoint) -> Element:
         """gamma(T)^-1, as computed when gamma was validated."""
-        _require_ambient(self.domain, point)
+        if point.p != self.domain.p:
+            raise mismatch("point", point.p, self.domain.p)
         return self._inverses[point.index]
 
 
@@ -313,33 +308,28 @@ class RhoAssignment:
                 if key not in values:
                     raise ValueError(f"rho is missing a value at ({t1}; {t2})")
                 table.append(domain.coerce(values[key]))
-        self._adopt(domain, table)
-
-    def _adopt(
-        self, domain: Domain, table: list[Element], gamma: GammaAssignment | None = None
-    ) -> None:
-        """Take the flat table, entry i*n + j at (point i, point j), once it is normalized."""
-        n = domain.p ** 2
-        one = domain.one()
+        n, one = domain.p ** 2, domain.one()
         for i, point in enumerate(all_points(domain.p)):
             if table[i] != one or table[i * n] != one:
                 raise ValueError(f"rho is not normalized at the origin against {point}")
-        self.domain = domain
-        self._values = table
-        self._gamma = gamma
+        self.domain, self._values, self._gamma = domain, table, None
 
     @classmethod
     def _from_table(
         cls, domain: Domain, table: list[Element], gamma: GammaAssignment
     ) -> RhoAssignment:
+        """The rho of a flat table made by `coboundary`, entry i*n + j at (point i,
+        point j): normalized by construction, since gamma(O) = 1."""
         rho = cls.__new__(cls)
-        rho._adopt(domain, table, gamma)
+        rho.domain, rho._values, rho._gamma = domain, table, gamma
         return rho
 
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
-        _require_ambient(self.domain, t1)
-        _require_ambient(self.domain, t2)
-        return self._values[t1.index * self.domain.p ** 2 + t2.index]
+        p = self.domain.p
+        for point in (t1, t2):
+            if point.p != p:
+                raise mismatch("point", point.p, p)
+        return self._values[t1.index * p ** 2 + t2.index]
 
 
 def coboundary(gamma: GammaAssignment) -> RhoAssignment:
@@ -370,7 +360,8 @@ class AlgebraElement:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         table: list[Element | None] = [None] * domain.p ** 2
         for point, value in items:
-            _require_ambient(domain, point)
+            if point.p != domain.p:
+                raise mismatch("point", point.p, domain.p)
             value = domain.coerce(value)
             total = table[point.index]
             table[point.index] = value if total is None else domain.add(total, value)
@@ -396,7 +387,8 @@ class AlgebraElement:
         return [(i, value) for i, value in enumerate(self._values) if value]
 
     def coefficient(self, point: TorsionPoint) -> Element:
-        _require_ambient(self.domain, point)
+        if point.p != self.domain.p:
+            raise mismatch("point", point.p, self.domain.p)
         return self._values[point.index]
 
     def support(self) -> list[TorsionPoint]:
@@ -411,14 +403,11 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not any(self._values)
 
-    def _require_same_domain(self, other: AlgebraElement) -> None:
-        if self.domain != other.domain:
-            raise AmbientMismatchError("algebra elements over different coefficient domains")
-
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._require_same_domain(other)
+        if other.domain != self.domain:
+            raise mismatch("algebra element", other.domain, self.domain)
         return AlgebraElement(self.domain, [*self.items(), *other.items()])
 
     def scale(self, value: Element) -> AlgebraElement:
@@ -446,9 +435,10 @@ class AlgebraElement:
 def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraElement:
     """The twisted convolution f *_rho g."""
     domain = f.domain
-    f._require_same_domain(g)
+    if g.domain != domain:
+        raise mismatch("algebra element", g.domain, domain)
     if rho.domain != domain:
-        raise AmbientMismatchError("rho over a different coefficient domain")
+        raise mismatch("rho", rho.domain, domain)
     left, right = f._terms(), g._terms()
     if (
         rho._gamma is not None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .errors import AmbientMismatchError
+from .errors import mismatch
 from .modular import is_prime
 
 DEFAULT_MAX_PRIME = 13
@@ -71,18 +71,14 @@ class TorsionPoint:
         """The place a*p + b of the point in all_points(p) and point_tables(p)."""
         return self.a * self.p + self.b
 
-    def _require_same_ambient(self, other: TorsionPoint) -> None:
-        if self.p != other.p:
-            raise AmbientMismatchError(
-                f"points over different primes: {self.p} vs {other.p}"
-            )
-
     def __add__(self, other: TorsionPoint) -> TorsionPoint:
-        self._require_same_ambient(other)
+        if other.p != self.p:
+            raise mismatch("point", other.p, self.p)
         return TorsionPoint(self.p, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: TorsionPoint) -> TorsionPoint:
-        self._require_same_ambient(other)
+        if other.p != self.p:
+            raise mismatch("point", other.p, self.p)
         return TorsionPoint(self.p, self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> TorsionPoint:
@@ -111,7 +107,8 @@ def generates(P: TorsionPoint, Q: TorsionPoint) -> bool:
 
 def weil_exponent(S: TorsionPoint, T: TorsionPoint) -> int:
     """Exponent k with e(S, T) = zeta^k under the e(Q, P) = zeta convention."""
-    S._require_same_ambient(T)
+    if T.p != S.p:
+        raise mismatch("point", T.p, S.p)
     return (S.b * T.a - S.a * T.b) % S.p
 
 

@@ -67,12 +67,18 @@ def test_top_power_folds_into_basis():
     assert top.nums == (-1, -1, -1, -1)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_zero_is_falsy_and_one_is_truthy(p):
+    assert not CycNumber.zero(p) and not CycNumber(p, [1] * p)
+    assert CycNumber.one(p) and CycNumber.zeta_pow(p, p - 1) and CycNumber.rational(p, -1)
+
+
 def test_sum_of_all_roots_is_zero():
     for p in (3, 5, 7, 11, 13):
         total = CycNumber.zero(p)
         for k in range(p):
             total = total + CycNumber.zeta_pow(p, k)
-        assert total.is_zero
+        assert not total
 
 
 def test_product_of_conjugate_units_p3():
@@ -100,7 +106,7 @@ def test_inverse_random_nonzero():
     while checked < 100:
         p = rng.choice((3, 5, 7))
         a = _random_cyc(rng, p)
-        if a.is_zero:
+        if not a:
             continue
         norm = _norm(a)
         if norm in (1, -1):

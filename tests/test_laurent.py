@@ -142,7 +142,7 @@ def test_coefficient_lookup():
     poly = LaurentPoly(p, [([(a, 2)], CycNumber.zeta_pow(p, 1))])
     assert poly.coefficient([(a, 2)]) == CycNumber.zeta_pow(p, 1)
     assert poly.coefficient([(a, 1), (a, 1)]) == CycNumber.zeta_pow(p, 1)
-    assert poly.coefficient([]).is_zero
+    assert not poly.coefficient([])
 
 
 def test_zero_coefficients_are_dropped():
@@ -352,6 +352,21 @@ def test_a_point_over_another_prime_raises_ambient_mismatch():
             build()
 
 
+def test_a_monomial_exponent_must_be_an_integer():
+    P = TorsionPoint(3, 1, 0)
+    x = LaurentPoly.variable(3, P)
+    # 0.5 + 0.5 would otherwise merge to the exponent 1.0, a square root of g_P
+    for exp in (0.5, 1.0, Fraction(1, 1), True, False, "1"):
+        for build in (
+            lambda: LaurentPoly.variable(3, P, exp),
+            lambda: LaurentPoly(3, [([(P, exp), (P, exp)], 1)]),
+            lambda: x.coefficient([(P, exp)]),
+        ):
+            with pytest.raises(TypeError):
+                build()
+    assert LaurentPoly.variable(3, P, -2) * x ** 2 == 1
+
+
 def test_product_terms_are_keyed_by_integer_pair_tuples():
     p = 5
     f = LaurentPoly.variable(p, TorsionPoint(p, 1, 0)) + LaurentPoly.variable(
@@ -385,7 +400,7 @@ def test_single_term_products_match_term_by_term_collection(p):
         # a constant, a unit term or a general term; its monomial may cancel some of f's
         pairs, vec = _random_term(rng, p, variables, unit=rng.random() < 0.5)
         coeff = CycNumber(p, vec)
-        single = LaurentPoly(p, [(pairs, 1 if coeff.is_zero else coeff)])
+        single = LaurentPoly(p, [(pairs, coeff or 1)])
         (spairs, sc), = single.terms()
         builder = PolyBuilder(p)
         for fpairs, fc in f.terms():
