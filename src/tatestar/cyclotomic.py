@@ -10,23 +10,15 @@ signed cyclic shift of the other factor over zeta^0..zeta^(p-1), O(p); any
 other product convolves the coordinates, O(p^2).  Every constructor and
 product ends in `_fold`, the one place where zeta^(p-1) = -(1 + ... +
 zeta^(p-2)) takes coordinates over zeta^0..zeta^(p-1) back into the basis.
-A non-integer coefficient raises TypeError, and only units of Z[zeta_p] are
-inverted.
+A coordinate goes through the package's integer rule, `errors.integer`, so a
+bool, float or str raises TypeError; only units of Z[zeta_p] are inverted.
 """
 
 from __future__ import annotations
 
-from operator import index
 from typing import Sequence
 
-from .errors import mismatch
-
-
-def _integer(value) -> int:
-    """An integer coordinate or exponent; a bool is refused, as by the scalar rule."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, not a bool: {value!r}")
-    return index(value)
+from .errors import integer, mismatch
 
 
 def _fold(full: Sequence[int]) -> Sequence[int]:
@@ -66,7 +58,7 @@ class CycNumber:
         """Build sum(coeffs[e] * zeta^e) from integers; coeffs may have any length."""
         full = [0] * p
         for e, c in enumerate(coeffs):
-            full[e % p] += _integer(c)
+            full[e % p] += integer(c)
         self.p = p
         self.nums = tuple(_fold(full))
 
@@ -88,7 +80,7 @@ class CycNumber:
     @classmethod
     def rational(cls, p: int, value: int) -> CycNumber:
         """The integer value as an element of Z[zeta_p]."""
-        return cls._make(p, [_integer(value)] + [0] * (p - 2))
+        return cls._make(p, [integer(value)] + [0] * (p - 2))
 
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNumber:

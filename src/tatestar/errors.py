@@ -1,6 +1,8 @@
-"""Shared exception types, and the one guard against mixing ambients."""
+"""Shared exception types, the one guard against mixing ambients and the one integer rule."""
 
 from __future__ import annotations
+
+from operator import index
 
 
 class AmbientMismatchError(ValueError):
@@ -20,3 +22,12 @@ def mismatch(what: str, got, expected) -> AmbientMismatchError:
     def name(ambient) -> str:
         return f"prime {ambient}" if isinstance(ambient, int) else repr(ambient)
     return AmbientMismatchError(f"{what} over {name(got)}, expected {name(expected)}")
+
+
+def integer(value) -> int:
+    """An int or any `__index__` integer, as an int; a bool or anything else raises TypeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, not a bool: {value!r}")
+    return index(value)

@@ -5,10 +5,10 @@ bool) is accepted where a coefficient is expected, by the scalar rule CycNumber
 uses (`cyclotomic._coerce`), and anything else raises TypeError.
 
 The variables are the formal symbols g_T, one for each nonzero p-torsion
-point T over the polynomial's p.  Exponents are arbitrary integers, taken by
-the rule of a coordinate (`cyclotomic._integer`: a bool, float or str raises
-TypeError), and a monomial is the finite product of powers of distinct
-variables.
+point T over the polynomial's p.  Exponents, and the n of a power, are
+arbitrary integers, taken by the package's integer rule (`errors.integer`: a
+bool, float or str raises TypeError), and a monomial is the finite product of
+powers of distinct variables.
 
 Inside, a variable is its point's index a*p + b (see torsion.point_tables).
 A monomial is the tuple of its (index, exponent) pairs sorted by index, and
@@ -29,8 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Union
 
-from .cyclotomic import CycNumber, _coerce, _integer
-from .errors import mismatch
+from .cyclotomic import CycNumber, _coerce
+from .errors import integer, mismatch
 from .torsion import TorsionPoint, point_tables
 
 Coefficient = Union[CycNumber, int]
@@ -55,7 +55,7 @@ def _encode(p: int, pairs: Pairs) -> Key:
     merged: dict[int, int] = {}
     for point, exp in pairs:
         index = _index(p, point)
-        merged[index] = merged.get(index, 0) + _integer(exp)
+        merged[index] = merged.get(index, 0) + integer(exp)
     return tuple(sorted(item for item in merged.items() if item[1]))
 
 
@@ -189,8 +189,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
-        if not isinstance(n, int):
-            return NotImplemented
+        n = integer(n)
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         result = None  # the lowest set bit's power starts it, so no product is 1 * base

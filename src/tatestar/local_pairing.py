@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import mismatch
+from .errors import integer, mismatch
 from .modular import discrete_log, split_field
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .torsion import validate_odd_prime
@@ -63,7 +63,8 @@ class TameElement:
     unit: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unit", self.unit % self.model.q)
+        object.__setattr__(self, "val", integer(self.val))
+        object.__setattr__(self, "unit", integer(self.unit) % self.model.q)
         if self.unit == 0:
             raise ValueError("the unit part must be nonzero mod q")
 
@@ -76,6 +77,7 @@ class TameElement:
         return TameElement(self.model, self.val + other.val, self.unit * other.unit % q)
 
     def __pow__(self, n: int) -> TameElement:
+        n = integer(n)
         return TameElement(self.model, self.val * n, pow(self.unit, n, self.model.q))
 
     def inverse(self) -> TameElement:
@@ -102,7 +104,7 @@ class PairingValue:
     numerator: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", self.numerator % self.p)
+        object.__setattr__(self, "numerator", integer(self.numerator) % self.p)
 
     @classmethod
     def zero(cls, p: int) -> PairingValue:
@@ -128,9 +130,7 @@ class PairingValue:
         return self + (-other)
 
     def __mul__(self, n: int) -> PairingValue:
-        if not isinstance(n, int):
-            return NotImplemented
-        return PairingValue(self.p, self.numerator * n)
+        return PairingValue(self.p, self.numerator * integer(n))
 
     __rmul__ = __mul__
 
@@ -209,7 +209,7 @@ def unramified_scaling(a: TameElement, b: TameElement, d: int) -> PairingValue:
     (q^d - 1)/p; on units of the base field this acts as the d-th power of
     the base exponent, giving d times the base symbol.
     """
-    if d < 1:
+    if (d := integer(d)) < 1:
         raise ValueError(f"extension degree must be positive, got {d}")
     return _tame_symbol(a, b, d)
 

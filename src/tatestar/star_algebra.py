@@ -34,17 +34,17 @@ Sparse products (Delta and its powers, indicators), a rho given by its table
 and the symbolic domain, where Z[zeta_p] has no 1/p, stay on the loop.
 
 A domain is its ring operations (`add`, `mul`, `inv`, the n-ary `sum`)
-and one entry rule, `coerce`: over F_q an int (not a bool) reduced into
-[0, q), symbolically a LaurentPoly over p or an int or CycNumber as the
-constant; anything else raises TypeError.  AlgebraElement, GammaAssignment
-and RhoAssignment take every value through it, so equal elements compare and
-hash equal; a product is already made of domain values and is not taken
-through it again.  A domain value is zero exactly when it is falsy, as for
-ints, so the support is read by truth value.  Both domains multiply lists
-entrywise (`mul_each`), convolve length-p lists and take a walk's transfer
-step, with ring products and `sum` symbolically and over F_q as packed
-kernels, and F_q adds `pack` and `combine`; a packed slot of
-(p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
+and one entry rule, `coerce`: over F_q an integer (`errors.integer`, so not a
+bool) reduced into [0, q), symbolically a LaurentPoly over p or an int or
+CycNumber as the constant; anything else raises TypeError.  AlgebraElement
+(`scale` too), GammaAssignment and RhoAssignment take every value through
+it, so equal elements compare and hash equal; a product is already made of
+domain values and is not taken through it again.  A domain value is zero
+exactly when it is falsy, as for ints, so the support is read by truth value.
+Both domains multiply lists entrywise (`mul_each`), convolve length-p lists
+and take a walk's transfer step, with ring products and `sum` symbolically
+and over F_q as packed kernels, and F_q adds `pack` and `combine`; a packed
+slot of (p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import random
 from typing import Iterable, Mapping, Sequence, Union
 
 from .cyclotomic import CycNumber
-from .errors import mismatch
+from .errors import integer, mismatch
 from .laurent import LaurentPoly, PolyBuilder
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
@@ -169,10 +169,8 @@ class PrimeFieldCoefficients(_Domain):
         self._clock_shift = None
 
     def coerce(self, value) -> int:
-        """An int (not a bool), reduced into [0, q)."""
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"a coefficient in F_{self.q} must be an int, got {value!r}")
-        return value % self.q
+        """An integer (not a bool), reduced into [0, q)."""
+        return integer(value) % self.q
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
@@ -411,6 +409,7 @@ class AlgebraElement:
         return AlgebraElement(self.domain, [*self.items(), *other.items()])
 
     def scale(self, value: Element) -> AlgebraElement:
+        value = self.domain.coerce(value)
         table = list(self._values)
         for i, c in self._terms():
             table[i] = self.domain.mul(value, c)
@@ -524,7 +523,7 @@ def _packed_roots(
 
 def star_pow(f: AlgebraElement, n: int, rho: RhoAssignment) -> AlgebraElement:
     """Left-associated n-th star power; n = 0 gives delta_O."""
-    if n < 0:
+    if (n := integer(n)) < 0:
         raise ValueError("negative star powers are not defined here")
     if n == 0:
         return AlgebraElement.delta(f.domain, TorsionPoint.zero(f.domain.p))

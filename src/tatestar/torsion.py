@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .errors import mismatch
+from .errors import integer, mismatch
 from .modular import is_prime
 
 DEFAULT_MAX_PRIME = 13
@@ -29,8 +29,7 @@ _checked_primes: set[int] = set()
 
 def validate_odd_prime(p: int) -> int:
     """Check that p is an odd prime within the size guard and return it."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError(f"p must be an integer, got {p!r}")
+    p = integer(p)
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not is_prime(p):
@@ -55,8 +54,8 @@ class TorsionPoint:
         if self.p not in _checked_primes:
             validate_odd_prime(self.p)
             _checked_primes.add(self.p)
-        object.__setattr__(self, "a", self.a % self.p)
-        object.__setattr__(self, "b", self.b % self.p)
+        object.__setattr__(self, "a", integer(self.a) % self.p)
+        object.__setattr__(self, "b", integer(self.b) % self.p)
 
     @classmethod
     def zero(cls, p: int) -> TorsionPoint:
@@ -85,8 +84,7 @@ class TorsionPoint:
         return TorsionPoint(self.p, -self.a, -self.b)
 
     def __mul__(self, n: int) -> TorsionPoint:
-        if not isinstance(n, int):
-            return NotImplemented
+        n = integer(n)
         return TorsionPoint(self.p, n * self.a, n * self.b)
 
     __rmul__ = __mul__

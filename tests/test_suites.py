@@ -9,8 +9,16 @@ from tatestar import closed_forms, star_algebra, suites
 from tatestar.cli import main
 from tatestar.closed_forms import ClosedFormResult
 from tatestar.local_pairing import iota
+from tatestar.modular import split_field
 from tatestar.star_algebra import AlgebraElement, GammaAssignment, PrimeFieldCoefficients, star
-from tatestar.torsion import TorsionPoint, basis, epsilon_exponent, weil_exponent
+from tatestar.torsion import (
+    TorsionPoint,
+    all_points,
+    basis,
+    clock_shift_phases,
+    epsilon_exponent,
+    weil_exponent,
+)
 
 # 2^61 - 1 is prime and 1 mod every p <= 13, since p - 1 divides 60
 WIDE_Q = 2 ** 61 - 1
@@ -311,3 +319,56 @@ def test_planted_shift_invariant_eps_fault_fails_the_shear_check(p, capsys, monk
         ["ok", "star:shift-equivariance"],
         ["FAIL", "star:shear-equivariance"],
     ]
+
+
+def _phases_h_plus_one(p):
+    """The clock-and-shift phases with h + 1 for h, which scales W(a, b) by zeta^(a*b)."""
+    return tuple(
+        tuple((k + point.a * point.b) % p for k in row)
+        for point, row in zip(all_points(p), clock_shift_phases(p))
+    )
+
+
+def _gamma_form_off_the_default_embedding(P, Q, gamma):
+    """gamma_form plus (zeta - z0) N(gamma), z0 the default image of zeta in F_q:
+    zero under that one embedding of Z[zeta_p] only."""
+    domain = gamma.domain
+    p = domain.p
+    zeta_minus_z0 = domain.sum([domain.root(1), domain.coerce(-split_field(p)[2])])
+    extra = domain.mul(zeta_minus_z0, closed_forms.norm_form(P, Q, gamma).o_coefficient)
+    origin = AlgebraElement(domain, [(TorsionPoint.zero(p), extra)])
+    return ClosedFormResult("gamma", closed_forms.gamma_form(P, Q, gamma).element + origin)
+
+
+# Planted faults that `verify` does not catch yet, one row each: the fix that
+# makes the named suite fail at every listed p turns the row into an XPASS.
+_KNOWN_GAPS = [
+    pytest.param(
+        star_algebra, "clock_shift_phases", _phases_h_plus_one, "star", (5, 7, 11, 13),
+        id="clock-shift-phases-h-plus-one",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 4: no star-suite product is dense, so verify never takes "
+            "the clock-and-shift path")),
+    ),
+    pytest.param(
+        suites, "gamma_form", _gamma_form_off_the_default_embedding, "closed", (11, 13),
+        id="gamma-form-off-the-default-embedding",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 3: the numeric closed sweep runs under one embedding of "
+            "Z[zeta_p], and p = 11, 13 has no symbolic check")),
+    ),
+]
+
+
+@pytest.mark.parametrize("owner, name, fault, suite, primes", _KNOWN_GAPS)
+def test_a_planted_fault_fails_verify(owner, name, fault, suite, primes, monkeypatch):
+    monkeypatch.setattr(owner, name, fault)
+    exits = [main(["verify", "--p", str(p), "--suite", suite]) for p in primes]
+    assert exits == [1] * len(primes)
+
+
+def test_the_embedding_only_fault_fails_the_symbolic_check(monkeypatch):
+    monkeypatch.setattr(suites, "gamma_form", _gamma_form_off_the_default_embedding)
+    [result] = suites.closed_suite(5)
+    assert result.name == "closed-forms-symbolic"
+    assert (result.ok, result.detail) == (False, "gamma form origin coefficient differs")
