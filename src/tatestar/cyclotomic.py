@@ -10,8 +10,8 @@ signed cyclic shift of the other factor over zeta^0..zeta^(p-1), O(p); any
 other product convolves the coordinates, O(p^2).  Every constructor and
 product ends in `_fold`, the one place where zeta^(p-1) = -(1 + ... +
 zeta^(p-2)) takes coordinates over zeta^0..zeta^(p-1) back into the basis.
-A coordinate goes through the package's integer rule, `errors.integer`, so a
-bool, float or str raises TypeError; only units of Z[zeta_p] are inverted.
+Public constructors check p by `torsion.validate_odd_prime` and each integer by
+`errors.integer`, so a bool, float or str raises TypeError; only units invert.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import integer, mismatch
+from .torsion import validate_odd_prime
 
 
 def _fold(full: Sequence[int]) -> Sequence[int]:
@@ -56,10 +57,10 @@ class CycNumber:
 
     def __init__(self, p: int, coeffs=()):
         """Build sum(coeffs[e] * zeta^e) from integers; coeffs may have any length."""
+        self.p = p = validate_odd_prime(p)
         full = [0] * p
         for e, c in enumerate(coeffs):
             full[e % p] += integer(c)
-        self.p = p
         self.nums = tuple(_fold(full))
 
     @classmethod
@@ -71,7 +72,7 @@ class CycNumber:
 
     @classmethod
     def zero(cls, p: int) -> CycNumber:
-        return cls._make(p, [0] * (p - 1))
+        return cls(p)
 
     @classmethod
     def one(cls, p: int) -> CycNumber:
@@ -80,13 +81,14 @@ class CycNumber:
     @classmethod
     def rational(cls, p: int, value: int) -> CycNumber:
         """The integer value as an element of Z[zeta_p]."""
-        return cls._make(p, [integer(value)] + [0] * (p - 2))
+        return cls(p, [value])
 
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNumber:
         """The root of unity zeta^k."""
+        p = validate_odd_prime(p)
         full = [0] * p
-        full[k % p] = 1
+        full[integer(k) % p] = 1
         return cls._make(p, _fold(full))
 
     def __bool__(self) -> bool:

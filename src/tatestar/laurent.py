@@ -31,7 +31,7 @@ from typing import Iterable, Union
 
 from .cyclotomic import CycNumber, _coerce
 from .errors import integer, mismatch
-from .torsion import TorsionPoint, point_tables
+from .torsion import TorsionPoint, point_tables, validate_odd_prime
 
 Coefficient = Union[CycNumber, int]
 Pairs = Iterable[tuple[TorsionPoint, int]]
@@ -101,7 +101,7 @@ class LaurentPoly:
     __slots__ = ("p", "_terms")
 
     def __init__(self, p: int, terms: Iterable[tuple[Pairs, Coefficient]] = ()):
-        self.p = p
+        self.p = p = validate_odd_prime(p)
         self._terms: dict[Key, CycNumber] = {}
         coerced = ((_encode(p, pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms)
         _add_into(self._terms, ((mono, c) for mono, c in coerced if c))
@@ -248,7 +248,7 @@ class PolyBuilder:
     __slots__ = ("p", "_terms")
 
     def __init__(self, p: int):
-        self.p = p
+        self.p = validate_odd_prime(p)
         self._terms: dict[Key, CycNumber] = {}
 
     def add_poly(self, poly: LaurentPoly) -> None:

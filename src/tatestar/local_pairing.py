@@ -15,7 +15,7 @@ into a value in (1/p)Z / Z, printed as "k/p".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import integer, mismatch
 from .modular import discrete_log, split_field
@@ -25,16 +25,21 @@ from .torsion import validate_odd_prime
 
 @dataclass(frozen=True)
 class TameFieldModel:
-    """Parameters (p, q, g, zeta) of the tame model; build with create()."""
+    """Parameters (p, q, g, zeta) of the tame model; split_field checks q and g, sets zeta."""
 
     p: int
-    q: int
-    g: int
-    zeta: int
+    q: int | None = None
+    g: int | None = None
+    zeta: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        p = validate_odd_prime(self.p)
+        for name, value in zip(("p", "q", "g", "zeta"), (p, *split_field(p, self.q, self.g))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def create(cls, p: int, q: int | None = None, g: int | None = None) -> TameFieldModel:
-        return cls(validate_odd_prime(p), *split_field(p, q, g))
+        return cls(p, q, g)
 
     def element(self, val: int, unit: int) -> TameElement:
         return TameElement(self, val, unit)
@@ -104,6 +109,7 @@ class PairingValue:
     numerator: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", validate_odd_prime(self.p))
         object.__setattr__(self, "numerator", integer(self.numerator) % self.p)
 
     @classmethod

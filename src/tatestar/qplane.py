@@ -13,7 +13,7 @@ from __future__ import annotations
 from .cyclotomic import CycNumber
 from .errors import mismatch
 from .laurent import LaurentPoly, PolyBuilder
-from .torsion import basis, validate_odd_prime
+from .torsion import basis
 
 
 def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -52,7 +52,6 @@ def collapsed_power(p: int) -> LaurentPoly:
 
 def line_operator(p: int) -> LaurentPoly:
     """The element sum_{i=0}^{p-1} zeta^{-i} X^i Y, i.e. sum_i Y X^i zeta^{-3i}."""
-    validate_odd_prime(p)
     P, Q = basis(p)
     return LaurentPoly(p, [([(P, i), (Q, 1)], CycNumber.zeta_pow(p, -i)) for i in range(p)])
 

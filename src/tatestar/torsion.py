@@ -10,7 +10,8 @@ Inside the hot loops a point is its index i = a*p + b, its place in
 that order, and two flat n x n tables read at i*n + j: the index of the sum of
 points i and j, and the exponent of eps between them.  `clock_shift_phases(p)`
 holds the exponents of the clock-and-shift matrices W(T), which represent the
-eps-twisted group algebra as p x p matrices.
+eps-twisted group algebra as p x p matrices.  Only a point built from outside
+runs `validate_odd_prime`: point arithmetic and the index maps read the table.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .errors import integer, mismatch
 from .modular import is_prime
 
 DEFAULT_MAX_PRIME = 13
-
-_checked_primes: set[int] = set()
 
 
 def validate_odd_prime(p: int) -> int:
@@ -51,15 +50,16 @@ class TorsionPoint:
     b: int
 
     def __post_init__(self) -> None:
-        if self.p not in _checked_primes:
-            validate_odd_prime(self.p)
-            _checked_primes.add(self.p)
-        object.__setattr__(self, "a", integer(self.a) % self.p)
-        object.__setattr__(self, "b", integer(self.b) % self.p)
+        object.__setattr__(self, "p", p := validate_odd_prime(self.p))
+        object.__setattr__(self, "a", integer(self.a) % p)
+        object.__setattr__(self, "b", integer(self.b) % p)
 
     @classmethod
     def zero(cls, p: int) -> TorsionPoint:
-        return cls(p, 0, 0)
+        return point_tables(p).points[0]
+
+    def _at(self, a: int, b: int) -> TorsionPoint:
+        return point_tables(self.p).points[a % self.p * self.p + b % self.p]
 
     @property
     def is_zero(self) -> bool:
@@ -73,19 +73,19 @@ class TorsionPoint:
     def __add__(self, other: TorsionPoint) -> TorsionPoint:
         if other.p != self.p:
             raise mismatch("point", other.p, self.p)
-        return TorsionPoint(self.p, self.a + other.a, self.b + other.b)
+        return self._at(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: TorsionPoint) -> TorsionPoint:
         if other.p != self.p:
             raise mismatch("point", other.p, self.p)
-        return TorsionPoint(self.p, self.a - other.a, self.b - other.b)
+        return self._at(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> TorsionPoint:
-        return TorsionPoint(self.p, -self.a, -self.b)
+        return self._at(-self.a, -self.b)
 
     def __mul__(self, n: int) -> TorsionPoint:
         n = integer(n)
-        return TorsionPoint(self.p, n * self.a, n * self.b)
+        return self._at(n * self.a, n * self.b)
 
     __rmul__ = __mul__
 
@@ -163,7 +163,7 @@ def all_points(p: int) -> Iterator[TorsionPoint]:
 
 def index_shift(T: TorsionPoint) -> TorsionPoint:
     """The substitution P -> P, Q -> Q + P extended additively."""
-    return TorsionPoint(T.p, T.a + T.b, T.b)
+    return T._at(T.a + T.b, T.b)
 
 
 def index_shear(T: TorsionPoint) -> TorsionPoint:
@@ -171,4 +171,4 @@ def index_shear(T: TorsionPoint) -> TorsionPoint:
 
     With index_shift it generates SL_2(F_p), the maps that fix the pairing.
     """
-    return TorsionPoint(T.p, T.a, T.a + T.b)
+    return T._at(T.a, T.a + T.b)

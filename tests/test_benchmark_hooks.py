@@ -335,6 +335,32 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned():
     }
 
 
+@pytest.mark.parametrize("p, q, basis_of", [
+    (7, 29, lambda p: (TorsionPoint(p, 2, 3), TorsionPoint(p, 1, 4))),
+    (5, None, basis),
+], ids=["numeric-p7", "symbolic-p5"])
+def test_a_four_way_check_builds_no_point(p, q, basis_of, monkeypatch):
+    # point arithmetic, the origin and the index maps read point_tables(p);
+    # rebuilding each derived point ran the constructor 94 times at p = 7
+    # and 70 times at p = 5
+    if q is None:
+        gamma = GammaAssignment.symbolic(p)
+    else:
+        gamma = GammaAssignment.random(PrimeFieldCoefficients(p, q), random.Random(12))
+    P, Q = basis_of(p)
+    built = []
+    post_init = TorsionPoint.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TorsionPoint, "__post_init__", counted)
+    ok, why = _four_way(gamma, P, Q)
+    assert ok, why
+    assert len(built) == 0
+
+
 def test_each_closed_p7_operation_reaches_the_self_tests_planted_mul_fault():
     # perfbench/selftest.py breaks domain product number FAULT_AT of each
     # closed-p7 operation and expects every operation to fail; an operation

@@ -52,6 +52,21 @@ def test_model_validation():
         TameFieldModel.create(4, 13)
 
 
+def test_a_directly_built_model_checks_q_and_g_and_sets_zeta():
+    # the constructor runs split_field, so a composite q or a g that is not
+    # a primitive root cannot build a model whose symbols read 0
+    with pytest.raises(ValueError, match="q must be prime, got 8"):
+        TameFieldModel(3, 8, 2)
+    with pytest.raises(ValueError, match="g=2 is not a primitive root mod 7"):
+        TameFieldModel(3, 7, 2)
+    with pytest.raises(TypeError):
+        TameFieldModel(3, 7, 3, 2)  # zeta is set, never given
+    model = TameFieldModel(3, 7)
+    assert model == TameFieldModel.create(3, 7) == TameFieldModel(3, 7, 3)
+    assert hash(model) == hash(TameFieldModel.create(3, 7))
+    assert repr(model) == "TameFieldModel(p=3, q=7, g=3, zeta=2)"
+
+
 @pytest.mark.parametrize(
     "p, q", [(3, 7), (5, 11), (7, 29), (13, 53), (7, 100003), (13, 1000039)]
 )
