@@ -37,7 +37,7 @@ def _roots_of_unity(p: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """The table of the 2p roots of unity +-zeta^k of Z[zeta_p], by coordinates."""
     table = {}
     for k in range(p):
-        nums = CycNumber.zeta_pow(p, k).nums
+        nums = _zeta(p, k).nums
         table[nums] = (1, k)
         table[tuple(-x for x in nums)] = (-1, k)
     _ROOTS[p] = table
@@ -86,10 +86,7 @@ class CycNumber:
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNumber:
         """The root of unity zeta^k."""
-        p = validate_odd_prime(p)
-        full = [0] * p
-        full[integer(k) % p] = 1
-        return cls._make(p, _fold(full))
+        return _zeta(validate_odd_prime(p), integer(k))
 
     def __bool__(self) -> bool:
         return any(self.nums)
@@ -165,7 +162,7 @@ class CycNumber:
         unit = (_ROOTS.get(p) or _roots_of_unity(p)).get(self.nums)
         if unit is not None:
             sign, k = unit
-            root = CycNumber.zeta_pow(p, -k)
+            root = _zeta(p, -k)
             return root if sign > 0 else -root
         others = CycNumber.one(p)
         for k in range(2, p):  # the conjugate zeta -> zeta^k
@@ -194,11 +191,19 @@ class CycNumber:
         return f"CycNumber({self.p}, {list(self.nums)})"
 
 
+def _zeta(p: int, k: int) -> CycNumber:
+    """zeta^k, for a p already checked and an int k."""
+    full = [0] * p
+    full[k % p] = 1
+    return CycNumber._make(p, _fold(full))
+
+
 def _coerce(p: int, value):
-    """The scalar rule of CycNumber and LaurentPoly: a CycNumber as it is, an int
-    (not a bool) as a rational, anything else NotImplemented."""
+    """The scalar rule of CycNumber and LaurentPoly over a checked p: a CycNumber as
+    it is, an integer (`errors.integer`) as a rational, anything else NotImplemented."""
     if isinstance(value, CycNumber):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return CycNumber.rational(p, value)
-    return NotImplemented
+    try:
+        return CycNumber._make(p, [integer(value)] + [0] * (p - 2))
+    except TypeError:
+        return NotImplemented

@@ -1,8 +1,8 @@
 """Sparse Laurent polynomials over Z[zeta_p] in invertible formal variables.
 
-A coefficient is a CycNumber, p - 1 integer coordinates; a plain int (not a
-bool) is accepted where a coefficient is expected, by the scalar rule CycNumber
-uses (`cyclotomic._coerce`), and anything else raises TypeError.
+A coefficient is a CycNumber, p - 1 integer coordinates; an integer (not a
+bool, by `errors.integer`) is accepted where a coefficient is expected, by the
+scalar rule of `cyclotomic._coerce`; anything else raises TypeError.
 
 The variables are the formal symbols g_T, one for each nonzero p-torsion
 point T over the polynomial's p.  Exponents, and the n of a power, are

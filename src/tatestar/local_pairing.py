@@ -113,6 +113,14 @@ class PairingValue:
         object.__setattr__(self, "numerator", integer(self.numerator) % self.p)
 
     @classmethod
+    def _make(cls, p: int, numerator: int) -> PairingValue:
+        """numerator/p for a p already checked and an int numerator: the derived path."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "p", p)
+        object.__setattr__(value, "numerator", numerator % p)
+        return value
+
+    @classmethod
     def zero(cls, p: int) -> PairingValue:
         return cls(p, 0)
 
@@ -125,10 +133,10 @@ class PairingValue:
             return NotImplemented
         if other.p != self.p:
             raise mismatch("pairing value", other.p, self.p)
-        return PairingValue(self.p, self.numerator + other.numerator)
+        return PairingValue._make(self.p, self.numerator + other.numerator)
 
     def __neg__(self) -> PairingValue:
-        return PairingValue(self.p, -self.numerator)
+        return PairingValue._make(self.p, -self.numerator)
 
     def __sub__(self, other: PairingValue) -> PairingValue:
         if not isinstance(other, PairingValue):
@@ -136,7 +144,7 @@ class PairingValue:
         return self + (-other)
 
     def __mul__(self, n: int) -> PairingValue:
-        return PairingValue(self.p, self.numerator * integer(n))
+        return PairingValue._make(self.p, self.numerator * integer(n))
 
     __rmul__ = __mul__
 
@@ -161,7 +169,7 @@ def _tame_symbol(a: TameElement, b: TameElement, d: int) -> PairingValue:
     p, q = model.p, model.q
     h0 = pow(a.unit, b.val, q) * pow(b.unit, -a.val, q) % q
     h = pow(h0, (q ** d - 1) // p, q)
-    return PairingValue(p, discrete_log(model.zeta, h, q, p))
+    return PairingValue._make(p, discrete_log(model.zeta, h, q, p))
 
 
 def one_minus(a: TameElement) -> TameElement | None:
@@ -184,10 +192,10 @@ def one_minus(a: TameElement) -> TameElement | None:
 
 def iota(model: TameFieldModel, z: int) -> PairingValue:
     """Identify a p-th root of unity of F_q with its value k/p."""
-    z %= model.q
+    z = integer(z) % model.q
     if z == 0 or pow(z, model.p, model.q) != 1:
         raise ValueError(f"{z} is not a p-th root of unity mod {model.q}")
-    return PairingValue(model.p, discrete_log(model.zeta, z, model.q, model.p))
+    return PairingValue._make(model.p, discrete_log(model.zeta, z, model.q, model.p))
 
 
 def qk_split(alpha_p: TameElement, alpha_q: TameElement) -> PairingValue:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import integer
+
 
 # The first twelve primes.  As Miller-Rabin bases they decide primality
 # exactly for every n below 318665857834031151167461, about 3.2 * 10^23: the
@@ -101,6 +103,7 @@ def split_field(p: int, q: int | None = None, g: int | None = None) -> tuple[int
         q = p + 1
         while not is_prime(q):
             q += p
+    q = integer(q)
     # Below the bound of _BASES, is_prime is exact and Pollard rho splits q - 1
     # in under a second; above it a composite q could pass is_prime, and q - 1
     # could keep rho running for hours.
@@ -120,6 +123,6 @@ def split_field(p: int, q: int | None = None, g: int | None = None) -> tuple[int
 
     if g is None:
         g = next(x for x in range(2, q) if generates(x))
-    elif g % q == 0 or not generates(g):
+    elif (g := integer(g)) % q == 0 or not generates(g):
         raise ValueError(f"g={g} is not a primitive root mod {q}")
     return q, g % q, pow(g, (q - 1) // p, q)

@@ -19,8 +19,8 @@ from and the points its `support` and `items` return, and as the arguments
 of `coefficient` and `value`.  All arithmetic goes through the domain: its
 ring operations, and over F_q its packed kernels.
 
-A dense numeric product under a rho made by `coboundary` goes through the
-clock-and-shift matrices instead (Weyl 1927; Schwinger 1960).  With
+A dense numeric product goes through the clock-and-shift matrices instead
+(Weyl 1927; Schwinger 1960), as every rho keeps the gamma it comes from.  With
 U = diag(zeta^-r), V e_r = e_(r+1) and W(a, b) = zeta^(h*a*b) U^a V^b for
 h = (p+1)/2, W(S) W(T) = eps(S, T) W(S + T) (torsion.clock_shift_phases), so
 Phi(f) = sum_T f(T) gamma(T) W(T) turns the twisted convolution into a p x p
@@ -30,16 +30,16 @@ length p, and F_q packs a vector into one int (Kronecker substitution), so a
 product costs 4p packed combinations, O(p^2) big-integer operations, and no
 ring operation, against the loop's 3*m*n products for supports of sizes m
 and n.  `star` takes it when m*n > 8*p^2, where it is the faster of the two.
-Sparse products (Delta and its powers, indicators), a rho given by its table
-and the symbolic domain, where Z[zeta_p] has no 1/p, stay on the loop.
+Sparse products (Delta and its powers, indicators) and the symbolic domain,
+where Z[zeta_p] has no 1/p, stay on the loop.
 
 A domain is its ring operations (`add`, `mul`, `inv`, the n-ary `sum`)
 and one entry rule, `coerce`: over F_q an integer (`errors.integer`, so not a
-bool) reduced into [0, q), symbolically a LaurentPoly over p or an int or
-CycNumber as the constant; anything else raises TypeError.  AlgebraElement
-(`scale` too), GammaAssignment and RhoAssignment take every value through
-it, so equal elements compare and hash equal; a product is already made of
-domain values and is not taken through it again.  A domain value is zero
+bool) reduced into [0, q), symbolically a LaurentPoly over p or an integer
+or CycNumber as the constant; anything else raises TypeError.  AlgebraElement
+(`scale` too) and GammaAssignment take every value through it, so equal
+elements compare and hash equal; a product is already made of domain values
+and is not taken through it again.  A domain value is zero
 exactly when it is falsy, as for ints, so the support is read by truth value.
 Both domains multiply lists entrywise (`mul_each`), convolve length-p lists
 and take a walk's transfer step, with ring products and `sum` symbolically
@@ -53,7 +53,7 @@ import operator
 import random
 from typing import Iterable, Mapping, Sequence, Union
 
-from .cyclotomic import CycNumber
+from .cyclotomic import _zeta
 from .errors import integer, mismatch
 from .laurent import LaurentPoly, PolyBuilder
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
@@ -113,14 +113,13 @@ class SymbolicCoefficients(_Domain):
     """Laurent polynomials over Z[zeta_p] as a coefficient domain."""
 
     def __init__(self, p: int):
-        self.p = validate_odd_prime(p)
-        self._key = (self.p,)
-        self._roots = [LaurentPoly.constant(p, CycNumber.zeta_pow(p, k)) for k in range(p)]
-        self._zero = LaurentPoly.zero(p)
-        self._one = LaurentPoly.one(p)
+        self.p = p = validate_odd_prime(p)
+        self._key = (p,)
+        self._roots = [LaurentPoly._from_raw(p, {(): _zeta(p, k)}) for k in range(p)]
+        self._zero, self._one = LaurentPoly._from_raw(p, {}), self._roots[0]
 
     def coerce(self, value) -> LaurentPoly:
-        """A LaurentPoly over p as it is; an int or CycNumber as the constant."""
+        """A LaurentPoly over p as it is; an integer or CycNumber as the constant."""
         if not isinstance(value, LaurentPoly):
             return LaurentPoly.constant(self.p, value)
         if value.p != self.p:
@@ -289,38 +288,26 @@ class GammaAssignment:
 
 
 class RhoAssignment:
-    """A normalized twist on pairs of points: rho(O, T) = rho(T, O) = 1.
+    """The twist rho(T1, T2) = gamma(T1) * gamma(T2) / gamma(T1 + T2) of a gamma.
 
-    An explicit table is only checked for normalization; a rho made by
-    `coboundary` is also symmetric.  `_gamma` is the gamma of a rho made by
-    `coboundary`, and None for a rho built from an explicit table.
+    It is normalized, rho(O, T) = rho(T, O) = 1, since gamma(O) = 1, and
+    symmetric.  `_values` is its flat table, entry i*n + j at (point i, point
+    j), and `_gamma` the gamma it was made from.
     """
 
     __slots__ = ("domain", "_values", "_gamma")
 
-    def __init__(self, domain: Domain, values: Mapping[tuple[TorsionPoint, TorsionPoint], Element]):
+    def __init__(self, gamma: GammaAssignment):
+        domain = gamma.domain
+        mul = domain.mul
+        values, inverse = gamma._values, gamma._inverses
+        n = len(values)
+        sums = point_tables(domain.p).sums
         table: list[Element] = []
-        for t1 in all_points(domain.p):
-            for t2 in all_points(domain.p):
-                key = (t1, t2)
-                if key not in values:
-                    raise ValueError(f"rho is missing a value at ({t1}; {t2})")
-                table.append(domain.coerce(values[key]))
-        n, one = domain.p ** 2, domain.one()
-        for i, point in enumerate(all_points(domain.p)):
-            if table[i] != one or table[i * n] != one:
-                raise ValueError(f"rho is not normalized at the origin against {point}")
-        self.domain, self._values, self._gamma = domain, table, None
-
-    @classmethod
-    def _from_table(
-        cls, domain: Domain, table: list[Element], gamma: GammaAssignment
-    ) -> RhoAssignment:
-        """The rho of a flat table made by `coboundary`, entry i*n + j at (point i,
-        point j): normalized by construction, since gamma(O) = 1."""
-        rho = cls.__new__(cls)
-        rho.domain, rho._values, rho._gamma = domain, table, gamma
-        return rho
+        for i, g1 in enumerate(values):
+            row = sums[i * n:(i + 1) * n]
+            table += [mul(mul(g1, g2), inverse[k]) for g2, k in zip(values, row)]
+        self.domain, self._values, self._gamma = domain, table, gamma
 
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
         p = self.domain.p
@@ -332,16 +319,7 @@ class RhoAssignment:
 
 def coboundary(gamma: GammaAssignment) -> RhoAssignment:
     """The twist rho(T1, T2) = gamma(T1) * gamma(T2) / gamma(T1 + T2)."""
-    domain = gamma.domain
-    mul = domain.mul
-    values, inverse = gamma._values, gamma._inverses
-    n = len(values)
-    sums = point_tables(domain.p).sums
-    table: list[Element] = []
-    for i, g1 in enumerate(values):
-        row = sums[i * n:(i + 1) * n]
-        table += [mul(mul(g1, g2), inverse[k]) for g2, k in zip(values, row)]
-    return RhoAssignment._from_table(domain, table, gamma)
+    return RhoAssignment(gamma)
 
 
 class AlgebraElement:
@@ -439,11 +417,7 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
     if rho.domain != domain:
         raise mismatch("rho", rho.domain, domain)
     left, right = f._terms(), g._terms()
-    if (
-        rho._gamma is not None
-        and isinstance(domain, PrimeFieldCoefficients)
-        and len(left) * len(right) > 8 * domain.p ** 2
-    ):
+    if isinstance(domain, PrimeFieldCoefficients) and len(left) * len(right) > 8 * domain.p ** 2:
         return _clock_shift_star(f, g, rho._gamma)
     mul, add, root = domain.mul, domain.add, domain.root
     tables = point_tables(domain.p)

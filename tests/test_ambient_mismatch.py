@@ -28,12 +28,11 @@ from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
-    RhoAssignment,
     SymbolicCoefficients,
     coboundary,
     star,
 )
-from tatestar.torsion import TorsionPoint, all_points, basis, weil_exponent
+from tatestar.torsion import TorsionPoint, basis, weil_exponent
 
 P3, P5 = TorsionPoint(3, 1, 0), TorsionPoint(5, 1, 0)
 
@@ -52,10 +51,6 @@ def _gamma(q):
 
 def _delta(q):
     return AlgebraElement.delta(_domain(q), P3)
-
-
-def _normalized_rho(q):
-    return RhoAssignment(_domain(q), {(s, t): 1 for s in all_points(3) for t in all_points(3)})
 
 
 M7, M13 = TameFieldModel.create(3, 7), TameFieldModel.create(3, 13)
@@ -85,8 +80,8 @@ _SITES = [
     ("symbolic-coerce", lambda: SymbolicCoefficients(3).coerce(_x(5)), "prime 5", "prime 3"),
     ("gamma-value", lambda: _gamma(7).value(P5), "prime 5", "prime 3"),
     ("gamma-inverse", lambda: _gamma(7).inverse(P5), "prime 5", "prime 3"),
-    ("rho-value-first", lambda: _normalized_rho(7).value(P5, P3), "prime 5", "prime 3"),
-    ("rho-value-second", lambda: _normalized_rho(7).value(P3, P5), "prime 5", "prime 3"),
+    ("rho-value-first", lambda: coboundary(_gamma(7)).value(P5, P3), "prime 5", "prime 3"),
+    ("rho-value-second", lambda: coboundary(_gamma(7)).value(P3, P5), "prime 5", "prime 3"),
     ("element-point", lambda: AlgebraElement(_domain(7), [(P5, 1)]), "prime 5", "prime 3"),
     ("element-coefficient", lambda: _delta(7).coefficient(P5), "prime 5", "prime 3"),
     ("element-add", lambda: _delta(7) + _delta(13), D13, D7),

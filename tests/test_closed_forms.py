@@ -2,15 +2,17 @@
 
 star_pow over the generic (free symbolic) gamma is one oracle: the
 expansions walk running index sums, the convolution never does, and the two
-must agree coefficient by coefficient.  The other is `_enumerated`, which
-sums the formulas of the first three docstrings literally, tuple by tuple;
-the norm form, a product of p linear forms, is checked against its sums.
+must agree coefficient by coefficient.  The other is `enumerated` of
+tests/oracles.py, which sums the formulas of the first three docstrings
+literally, tuple by tuple; the norm form, a product of p linear forms, is
+checked against its sums.  rho_form also runs on a `TableTwist`, a rho that
+is no coboundary, against the reference star power.
 """
 
 import random
-from itertools import product
 
 import pytest
+from oracles import TableTwist, enumerated, reference_star
 
 from tatestar.closed_forms import (
     _monomial_gamma,
@@ -28,45 +30,10 @@ from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
-    RhoAssignment,
     coboundary,
     star_pow,
 )
-from tatestar.torsion import TorsionPoint, all_points, basis, weil_exponent
-
-
-def _enumerated(P, Q, gamma, rho):
-    """The formulas of the three form docstrings, summed tuple by tuple over [0,p)^p.
-
-    Returns the gamma and rho origin coefficients and the intermediate element.
-    """
-    domain = gamma.domain
-    p = domain.p
-    mul, root = domain.mul, domain.root
-    d = weil_exponent(Q, P)
-    half = (p + 1) // 2
-    on_coset = [gamma.value(Q + i * P) for i in range(p)]
-    inverse_on_line = [domain.inv(gamma.value(s * P)) for s in range(p)]
-    gamma_terms, rho_terms = [], []
-    line = [[] for _ in range(p)]
-    for tup in product(range(p), repeat=p):
-        total = sum(tup) % p
-        gammas = on_coset[tup[0]]
-        for i in tup[1:]:
-            gammas = mul(gammas, on_coset[i])
-        eps_weight = sum((2 * l - 1) * i for l, i in enumerate(tup, 1))
-        term = mul(root(half * d * eps_weight), gammas)
-        line[total].append(mul(term, inverse_on_line[total]))
-        if total:
-            continue
-        e_weight = root(d * sum(l * i for l, i in enumerate(tup, 1)))
-        gamma_terms.append(mul(e_weight, gammas))
-        rhos = domain.one()
-        for j in range(1, p):
-            rhos = mul(rhos, rho.value(j * Q + sum(tup[:j]) * P, Q + tup[j] * P))
-        rho_terms.append(mul(e_weight, rhos))
-    intermediate = AlgebraElement(domain, [(s * P, domain.sum(line[s])) for s in range(p)])
-    return domain.sum(gamma_terms), intermediate, domain.sum(rho_terms)
+from tatestar.torsion import TorsionPoint, all_points, basis
 
 
 def _ones_gamma(dom):
@@ -75,9 +42,8 @@ def _ones_gamma(dom):
 
 
 def _trivial_rho(dom):
-    """rho = 1 on every pair of points."""
-    points = list(all_points(dom.p))
-    return RhoAssignment(dom, {(s, t): dom.one() for s in points for t in points})
+    """rho = 1 on every pair of points: the coboundary of gamma = 1."""
+    return coboundary(_ones_gamma(dom))
 
 
 def _specialized(poly):
@@ -106,7 +72,7 @@ def _random_twist(dom, rng, symmetric=True):
                 values[(t1, t2)] = values[(t2, t1)]
             else:
                 values[(t1, t2)] = 1 if t1.is_zero or t2.is_zero else rng.randrange(1, dom.q)
-    return RhoAssignment(dom, values)
+    return TableTwist(dom, values)
 
 
 def test_build_delta_support_and_coefficients():
@@ -249,7 +215,7 @@ def test_forms_match_enumeration_symbolic(p, P, Q):
     P, Q = TorsionPoint(p, *P), TorsionPoint(p, *Q)
     gamma = GammaAssignment.symbolic(p)
     rho = coboundary(gamma)
-    gamma_sum, inter, rho_sum = _enumerated(P, Q, gamma, rho)
+    gamma_sum, inter, rho_sum = enumerated(P, Q, gamma, rho)
     assert gamma_form(P, Q, gamma).o_coefficient == gamma_sum
     assert intermediate_form(P, Q, gamma).element == inter
     assert rho_form(P, Q, rho).o_coefficient == rho_sum
@@ -270,7 +236,7 @@ def test_forms_match_enumeration_numeric_p5(P, Q):
     dom = PrimeFieldCoefficients(p, 11)
     gamma = GammaAssignment.random(dom, rng)
     rho = _random_twist(dom, rng, symmetric=False)
-    gamma_sum, inter, rho_sum = _enumerated(P, Q, gamma, rho)
+    gamma_sum, inter, rho_sum = enumerated(P, Q, gamma, rho)
     assert gamma_form(P, Q, gamma).o_coefficient == gamma_sum
     assert intermediate_form(P, Q, gamma).element == inter
     assert rho_form(P, Q, rho).o_coefficient == rho_sum
@@ -292,7 +258,9 @@ def test_rho_form_of_non_coboundary_rho_matches_star_power():
             for c in points
         )
         for P, Q in (basis(p), (TorsionPoint(p, 0, 1), TorsionPoint(p, 1, 0))):
-            powered = star_pow(build_delta(dom, P, Q), p, rho)
+            powered = delta = build_delta(dom, P, Q)
+            for _ in range(p - 1):
+                powered = reference_star(powered, delta, rho)
             assert rho_form(P, Q, rho).o_coefficient == powered.coefficient(TorsionPoint.zero(p))
 
 

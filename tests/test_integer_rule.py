@@ -14,11 +14,13 @@ import pytest
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import integer
 from tatestar.laurent import LaurentPoly
-from tatestar.local_pairing import PairingValue, TameFieldModel, unramified_scaling
+from tatestar.local_pairing import PairingValue, TameFieldModel, iota, unramified_scaling
+from tatestar.modular import split_field
 from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
+    SymbolicCoefficients,
     coboundary,
     star_pow,
 )
@@ -55,6 +57,10 @@ _ENTRIES = [
     ("star-pow", _star_pow),
     ("unramified-degree", lambda n: unramified_scaling(MODEL.element(1, 2), MODEL.element(0, 3), n)),
     ("fq-scale", lambda n: AlgebraElement.delta(F7, P).scale(n)),
+    ("split-field-q", lambda n: split_field(3, n)),
+    ("prime-field-q", lambda n: PrimeFieldCoefficients(3, n)),
+    ("split-field-g", lambda n: split_field(3, 7, n)),
+    ("iota-root", lambda n: iota(MODEL, n)),
 ]
 
 
@@ -93,3 +99,22 @@ def test_the_rule_takes_an_index_integer_as_its_int():
     assert unramified_scaling(a, b, _Index(2)) == unramified_scaling(a, b, 2)
     assert _star_pow(_Index(2)) == _star_pow(2)
     assert LaurentPoly.variable(3, P) ** _Index(2) == LaurentPoly.variable(3, P, 2)
+
+
+# (id, a call that passes its one argument to the entry point, an int it takes)
+_SCALARS = [
+    ("symbolic-coerce", SymbolicCoefficients(3).coerce, 4),
+    ("poly-constant", lambda n: LaurentPoly.constant(3, n), 4),
+    ("poly-plus-n", lambda n: LaurentPoly.variable(3, P) + n, 4),
+    ("cyc-times-n", lambda n: CycNumber(3, [1, 2]) * n, 4),
+    ("n-times-cyc", lambda n: n * CycNumber(3, [1, 2]), 4),
+    ("split-field-q", lambda n: split_field(3, n), 13),
+    ("split-field-g", lambda n: split_field(3, 7, n), 5),
+    ("iota-root", lambda n: iota(MODEL, n), 4),
+]
+
+
+@pytest.mark.parametrize("call, n", [row[1:] for row in _SCALARS],
+                         ids=[row[0] for row in _SCALARS])
+def test_an_index_integer_is_taken_as_its_int(call, n):
+    assert call(_Index(n)) == call(n)

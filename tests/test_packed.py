@@ -6,16 +6,16 @@ entry, and add p products of residues in each slot.  The largest such sum,
 p*(q-1)^2, needs all w bits, so these tests drive slots to it: the kernels
 directly, a star product whose Phi(f) has every entry q - 1, and a walk whose
 every factor is q - 1.  They also run every coefficient and gamma value
-at q - 1 against the unpacked references: the generic star loop,
-`_enumerated` at p <= 5, the sparse star powers at every p, and rho_form of
-a twist that is no coboundary against its walk on the generic transfer step.
-One bit less per slot must fail.
+at q - 1 against the unpacked references: `reference_star`, `enumerated`
+at p <= 5 (both in tests/oracles.py), the sparse star powers at every p, and
+rho_form of a twist that is no coboundary against its walk on the generic
+transfer step.  One bit less per slot must fail.
 """
 
 from functools import partial
 
 import pytest
-from test_closed_forms import _enumerated
+from oracles import TableTwist, enumerated, reference_star
 
 from tatestar import closed_forms, star_algebra
 from tatestar.closed_forms import build_delta, gamma_form, intermediate_form, rho_form
@@ -24,7 +24,6 @@ from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
-    RhoAssignment,
     coboundary,
     star,
     star_pow,
@@ -61,7 +60,6 @@ def _star_reaches_the_bound(domain):
     points = list(all_points(p))
     gamma = GammaAssignment(domain, {t: 1 if t.is_zero else q - 1 for t in points})
     rho = coboundary(gamma)
-    explicit = RhoAssignment(domain, {(s, t): rho.value(s, t) for s in points for t in points})
     scale = domain.mul(q - 1, pow(p, -1, q))
     f = AlgebraElement(domain, [
         (t, domain.mul(domain.mul(scale, sum(domain.root(-k) for k in phase)), gamma.inverse(t)))
@@ -70,9 +68,9 @@ def _star_reaches_the_bound(domain):
     columns, _ = star_algebra._packed_roots(domain, clock_shift_phases(p))
     assert star_algebra._phi(f, gamma, columns) == [[q - 1] * p] * p
     top = AlgebraElement(domain, [(t, q - 1) for t in points])
-    for x in (f, top):
-        assert star_algebra._clock_shift_star(x, x, gamma) == star(x, x, explicit)
-    assert star(top, top, rho) == star(top, top, explicit)
+    assert star_algebra._clock_shift_star(f, f, gamma) == reference_star(f, f, rho)
+    expected = reference_star(top, top, rho)
+    assert star_algebra._clock_shift_star(top, top, gamma) == expected == star(top, top, rho)
 
 
 def _walks_reach_the_bound(domain):
@@ -89,7 +87,7 @@ def _walks_reach_the_bound(domain):
     assert inter.element == star_pow(build_delta(domain, P, Q), p, rho)
     assert origin == rho_form(P, Q, rho).o_coefficient == inter.o_coefficient
     if p <= 5:
-        assert _enumerated(P, Q, gamma, rho) == (origin, inter.element, origin)
+        assert enumerated(P, Q, gamma, rho) == (origin, inter.element, origin)
 
 
 def _transfer_reaches_the_bound(domain):
@@ -99,7 +97,7 @@ def _transfer_reaches_the_bound(domain):
     # rho(S, T) = q - 1 or q - 2 off the origin, by the order of S and T: not
     # symmetric, so no coboundary
     points = list(all_points(p))
-    rho = RhoAssignment(domain, {
+    rho = TableTwist(domain, {
         (s, t): 1 if s.is_zero or t.is_zero else top - (s.index > t.index)
         for s in points for t in points
     })

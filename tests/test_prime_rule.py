@@ -9,10 +9,12 @@ is read from a table or built past the checks instead.
 
 import pytest
 
+from tatestar import cyclotomic, laurent, local_pairing, star_algebra, torsion
 from tatestar.cyclotomic import CycNumber
 from tatestar.laurent import LaurentPoly, PolyBuilder
 from tatestar.local_pairing import PairingValue, TameFieldModel
 from tatestar.star_algebra import PrimeFieldCoefficients, SymbolicCoefficients
+from tatestar.suites import local_suite
 from tatestar.torsion import TorsionPoint, index_shear, index_shift, point_tables
 
 P = TorsionPoint(3, 1, 0)
@@ -78,3 +80,22 @@ def test_a_derived_point_is_the_tables_point(derive):
     S, T = TorsionPoint(p, 2, 3), TorsionPoint(p, 4, 1)
     result = derive(S, T)
     assert result is point_tables(p).points[result.index]
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: SymbolicCoefficients(7), 1),
+    (lambda: local_suite(13), 1),
+], ids=["symbolic-domain-p7", "local-suite-p13"])
+def test_derived_values_skip_the_rule(build, calls, monkeypatch):
+    # the domain's roots, zero and one, and every symbol the local suite adds,
+    # negates, scales or reads off the tame formula, are built past the rule
+    seen, rule = [], torsion.validate_odd_prime
+
+    def counted(p):
+        seen.append(p)
+        return rule(p)
+
+    for module in (torsion, cyclotomic, laurent, local_pairing, star_algebra):
+        monkeypatch.setattr(module, "validate_odd_prime", counted)
+    build()
+    assert len(seen) == calls

@@ -11,13 +11,13 @@ from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_coboundary, reference_star
 
 from tatestar.local_pairing import TameFieldModel, hilbert, one_minus
 from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
-    RhoAssignment,
     coboundary,
     star,
 )
@@ -79,14 +79,11 @@ def _supported(draw, domain):
 @_SETTINGS
 @given(st.data())
 def test_clock_shift_star_matches_the_generic_loop(data):
-    # the explicit rho has the coboundary's table but no gamma, so star takes
-    # the generic loop there; the drawn m * n falls on both sides of 8 p^2
+    # the reference star is a loop keyed by points; the drawn m * n falls on
+    # both sides of 8 p^2, so star takes its loop or the clock-and-shift path
     gamma = data.draw(_gammas(primes=(5, 7)))
-    domain, points = gamma.domain, list(all_points(gamma.domain.p))
-    rho = coboundary(gamma)
-    explicit = RhoAssignment(domain, {(s, t): rho.value(s, t) for s in points for t in points})
-    f, g = data.draw(_supported(domain)), data.draw(_supported(domain))
-    assert star(f, g, rho) == star(f, g, explicit)
+    f, g = data.draw(_supported(gamma.domain)), data.draw(_supported(gamma.domain))
+    assert star(f, g, coboundary(gamma)) == reference_star(f, g, reference_coboundary(gamma))
 
 
 @_SETTINGS

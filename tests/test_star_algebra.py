@@ -4,13 +4,14 @@ The second star power of the line element is checked against a double sum
 written out by hand from the definition (twist times both coefficient
 values, grouped by the sum of the two support points), independently of the
 convolution code.  `coboundary` and `star` read flat tables by point index;
-they are checked against `_reference_coboundary` and `_reference_star`,
-which add and hash TorsionPoints into dicts keyed by points.
+they are checked against `reference_coboundary` and `reference_star` of
+tests/oracles.py, which add and hash TorsionPoints into dicts keyed by points.
 """
 
 import random
 
 import pytest
+from oracles import reference_coboundary, reference_star
 
 from tatestar import star_algebra
 from tatestar.closed_forms import build_delta
@@ -21,7 +22,6 @@ from tatestar.star_algebra import (
     AlgebraElement,
     GammaAssignment,
     PrimeFieldCoefficients,
-    RhoAssignment,
     SymbolicCoefficients,
     coboundary,
     delta_inverse,
@@ -46,37 +46,6 @@ def _delta(domain, point):
 def _is_symmetric(rho):
     points = list(all_points(rho.domain.p))
     return all(rho.value(s, t) == rho.value(t, s) for s in points for t in points)
-
-
-def _reference_coboundary(gamma):
-    """rho(T1, T2) = gamma(T1) gamma(T2) / gamma(T1 + T2) as a dict keyed by point pairs."""
-    domain = gamma.domain
-    points = list(all_points(domain.p))
-    inverse_at = {point: domain.inv(gamma.value(point)) for point in points}
-    values = {}
-    for t1 in points:
-        g1 = gamma.value(t1)
-        for t2 in points:
-            values[(t1, t2)] = domain.mul(domain.mul(g1, gamma.value(t2)), inverse_at[t1 + t2])
-    return values
-
-
-def _reference_star(f, g, rho_values):
-    """f *_rho g by adding points and accumulating into a dict keyed by points."""
-    domain = f.domain
-    out = {}
-    for t1, c1 in f.items():
-        for t2, c2 in g.items():
-            point = t1 + t2
-            twist = domain.mul(domain.root(epsilon_exponent(t1, t2)), rho_values[(t1, t2)])
-            value = domain.mul(domain.mul(c1, c2), twist)
-            if point in out:
-                value = domain.add(out[point], value)
-            if not value:
-                out.pop(point, None)
-            else:
-                out[point] = value
-    return AlgebraElement(domain, out)
 
 
 def _gamma(p, seed):
@@ -183,16 +152,11 @@ def test_equal_residues_give_equal_elements():
             dom, [(index_shift(S), u + v), (index_shift(U), v)])
 
 
-def test_gamma_and_rho_read_the_origin_value_as_a_residue():
+def test_gamma_reads_the_origin_value_as_a_residue():
     dom = PrimeFieldCoefficients(3, 7)
     points = list(all_points(3))
-    origin = TorsionPoint.zero(3)
     gamma = GammaAssignment(dom, {t: dom.q + 1 if t.is_zero else 2 for t in points})
-    assert gamma.value(origin) == 1
-    rho = RhoAssignment(dom, {
-        (s, t): dom.q + 1 if s.is_zero or t.is_zero else 3 for s in points for t in points
-    })
-    assert rho.value(origin, points[4]) == rho.value(points[4], origin) == 1
+    assert gamma.value(TorsionPoint.zero(3)) == 1
 
 
 def test_an_int_or_cyclotomic_coefficient_is_a_symbolic_constant():
@@ -289,19 +253,6 @@ def test_character_gamma_has_trivial_coboundary():
             assert rho.value(s, t) == dom.one()
 
 
-def test_rho_normalization_enforced():
-    dom = PrimeFieldCoefficients(3, 7)
-    points = list(all_points(3))
-    values = {(s, t): 1 for s in points for t in points}
-    values[(TorsionPoint.zero(3), TorsionPoint(3, 1, 0))] = 2
-    with pytest.raises(ValueError):
-        RhoAssignment(dom, values)
-    values[(TorsionPoint.zero(3), TorsionPoint(3, 1, 0))] = 1
-    assert _is_symmetric(RhoAssignment(dom, values))
-    values[(TorsionPoint(3, 1, 0), TorsionPoint(3, 2, 1))] = 2
-    assert not _is_symmetric(RhoAssignment(dom, values))
-
-
 # ---------------------------------------------------------------- index tables
 
 
@@ -309,10 +260,10 @@ def test_rho_normalization_enforced():
 def test_coboundary_matches_reference(p, seed):
     gamma = _gamma(p, seed)
     rho = coboundary(gamma)
-    reference = _reference_coboundary(gamma)
+    reference = reference_coboundary(gamma)
     for t1 in all_points(p):
         for t2 in all_points(p):
-            assert rho.value(t1, t2) == reference[(t1, t2)]
+            assert rho.value(t1, t2) == reference.value(t1, t2)
 
 
 @pytest.mark.parametrize("p, seed", [(3, None), (3, 1), (5, 2), (7, 3), (13, 4)])
@@ -321,28 +272,27 @@ def test_star_matches_reference_on_dense_elements(p, seed):
     gamma = _gamma(p, seed)
     domain = gamma.domain
     rho = coboundary(gamma)
-    reference = _reference_coboundary(gamma)
+    reference = reference_coboundary(gamma)
     for _ in range(2):
         f, g = _dense(domain, rng), _dense(domain, rng)
         assert len(f.support()) == len(g.support()) == p * p
-        assert star(f, g, rho) == _reference_star(f, g, reference)
+        assert star(f, g, rho) == reference_star(f, g, reference)
     sparse = AlgebraElement(domain, [(TorsionPoint(p, 1, 2), domain.one())])
-    assert star(sparse, f, rho) == _reference_star(sparse, f, reference)
-    assert star(f, sparse, rho) == _reference_star(f, sparse, reference)
+    assert star(sparse, f, rho) == reference_star(sparse, f, reference)
+    assert star(f, sparse, rho) == reference_star(f, sparse, reference)
 
 
 def test_planted_phase_fault_changes_the_dense_product(monkeypatch):
     # h + 1 for h scales W(a, b) by zeta^(a*b), so W(S) W(T) picks up an extra
     # zeta^-(a_S b_T + a_T b_S) and the matrix product is another twist; the
-    # explicit rho has the same table but no gamma, so it keeps the loop
+    # reference star never reads the phase table
     p = 7
     gamma = _gamma(p, 12)
-    rho, points = coboundary(gamma), list(all_points(p))
-    domain = gamma.domain
-    explicit = RhoAssignment(domain, {(s, t): rho.value(s, t) for s in points for t in points})
+    rho, reference = coboundary(gamma), reference_coboundary(gamma)
     rng = random.Random(13)
-    f, g = _dense(domain, rng), _dense(domain, rng)
-    assert star(f, g, rho) == star(f, g, explicit)
+    f, g = _dense(gamma.domain, rng), _dense(gamma.domain, rng)
+    expected = reference_star(f, g, reference)
+    assert star(f, g, rho) == expected
 
     def faulty_phases(p):
         return tuple(
@@ -351,7 +301,7 @@ def test_planted_phase_fault_changes_the_dense_product(monkeypatch):
         )
 
     monkeypatch.setattr(star_algebra, "clock_shift_phases", faulty_phases)
-    assert star(f, g, rho) != star(f, g, explicit)
+    assert star(f, g, rho) != expected
 
 
 def _assert_star_drops_a_coefficient_that_cancels(gamma):
@@ -374,7 +324,7 @@ def _assert_star_drops_a_coefficient_that_cancels(gamma):
     assert product.coefficient(S + U) == dom.zero()
     assert not product.coefficient(S + U)
     assert product.support() == sorted([S + V, T + U], key=lambda t: (t.a, t.b))
-    assert product == _reference_star(f, g, _reference_coboundary(gamma))
+    assert product == reference_star(f, g, reference_coboundary(gamma))
 
 
 def test_star_drops_a_coefficient_that_cancels():
