@@ -114,8 +114,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for suite_name, check in outcomes:
         status = "ok" if check.ok else "FAIL"
-        detail = f"  ({check.detail})" if check.detail else ""
-        print(f"{status:4s} {suite_name}:{check.name}{detail}")
+        print(f"{status:4s} {suite_name}:{check.name}  ({check.detail})")
         failures += 0 if check.ok else 1
     total = len(outcomes)
     print(f"{total - failures}/{total} checks passed")

@@ -1,12 +1,17 @@
 """Named verification suites backing the `verify` command.
 
-Each suite returns a list of CheckResult records; a check is exact (no
-tolerances anywhere) and carries a short detail string saying what was
-swept.  Suites are deterministic for a fixed seed.
+Each suite takes (p, q, seed) and returns one CheckResult per check: its
+name, whether it held, a detail string, how many cases it swept and whether
+they were a seeded sample or every case.  `_sweep` is the one runner: it
+checks the cases in turn and stops at the first failure, which the detail
+then names.  `_tuples` builds the tuples of points or classes a sweep runs
+over: every tuple, or a seeded sample.  Checks are exact (no tolerances
+anywhere), and suites are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -58,17 +63,36 @@ STEINBERG_UNITS = 64
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: passed or not, what it swept or where it failed, and its cases."""
+
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+    cases: int = 1
+    sampled: bool = False  # a seeded sample of the cases, not every case
 
 
-def _sweep(name: str, cases, holds, detail: str) -> CheckResult:
-    """Check holds(*case) for each case in turn; a failure names the first failing case."""
-    for case in cases:
-        if not holds(*case):
-            return CheckResult(name, False, f"fails at ({'; '.join(map(str, case))})")
-    return CheckResult(name, True, detail)
+def _sweep(name, cases: list, holds, detail, sampled=False, witness=None) -> CheckResult:
+    """Check holds(*case) for each case in turn; a failure names the first failing case.
+
+    holds returns a bool, or an (ok, why) pair as `_four_way` does; witness(k,
+    case, why) words a failure of case number k, by default "fails at (case)".
+    """
+    for k, case in enumerate(cases):
+        outcome = holds(*case)
+        ok, why = outcome if isinstance(outcome, tuple) else (outcome, "")
+        if not ok:
+            text = witness(k, case, why) if witness else f"fails at ({'; '.join(map(str, case))})"
+            return CheckResult(name, False, text, len(cases), sampled)
+    return CheckResult(name, True, detail, len(cases), sampled)
+
+
+def _tuples(pool, arity: int, rng: random.Random | None = None, size: int = 0) -> list:
+    """Every arity-tuple of pool in itertools.product order, or, given rng,
+    size tuples of seeded rng.choice draws."""
+    if rng is None:
+        return list(itertools.product(pool, repeat=arity))
+    return [tuple(rng.choice(pool) for _ in range(arity)) for _ in range(size)]
 
 
 def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
@@ -77,24 +101,19 @@ def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]
 
     p = 3 runs exhaustively over the free symbolic gamma, so q is used from p = 5.
     """
-    rng = random.Random(seed)
-    if p == 3:
+    rng = random.Random(seed) if p > 3 else None
+    if rng is None:
         gamma = GammaAssignment.symbolic(p)
-        pairs = [(s, t) for s in all_points(p) for t in all_points(p)]
-        triples = [
-            (s, t, u) for s in all_points(p) for t in all_points(p) for u in all_points(p)
-        ]
         sweep = "exhaustive over all point pairs"
     else:
-        domain = PrimeFieldCoefficients(p, q)
-        gamma = GammaAssignment.random(domain, rng)
-        points = list(all_points(p))
-        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(100)]
-        triples = [tuple(rng.choice(points) for _ in range(3)) for _ in range(100)]
-        sweep = f"100 random point pairs over F_{domain.q}"
+        gamma = GammaAssignment.random(PrimeFieldCoefficients(p, q), rng)
+        sweep = f"100 random point pairs over F_{gamma.domain.q}"
+    points = list(all_points(p))
+    pairs, triples = _tuples(points, 2, rng, 100), _tuples(points, 3, rng, 100)
+    sampled = rng is not None
     domain = gamma.domain
     rho = coboundary(gamma)
-    singles = [(point,) for point in all_points(p)]
+    singles = _tuples(points, 1)
 
     def delta(point):
         return AlgebraElement.delta(domain, point)
@@ -126,7 +145,7 @@ def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]
         return holds
 
     return [
-        _sweep("indicator-product", pairs, product, sweep),
+        _sweep("indicator-product", pairs, product, sweep, sampled),
         _sweep(
             "unit",
             singles,
@@ -139,10 +158,10 @@ def star_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]
             lambda s: star(delta(s), delta_inverse(s, gamma), rho) == unit,
             "all indicators",
         ),
-        _sweep("commutation", pairs, commutes, sweep),
-        _sweep("associativity", triples, associates, sweep.replace("pairs", "triples")),
-        _sweep("shift-equivariance", pairs, equivariant(index_shift), sweep),
-        _sweep("shear-equivariance", pairs, equivariant(index_shear), sweep),
+        _sweep("commutation", pairs, commutes, sweep, sampled),
+        _sweep("associativity", triples, associates, sweep.replace("pairs", "triples"), sampled),
+        _sweep("shift-equivariance", pairs, equivariant(index_shift), sweep, sampled),
+        _sweep("shear-equivariance", pairs, equivariant(index_shear), sweep, sampled),
     ]
 
 
@@ -193,23 +212,21 @@ def closed_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResul
     if p >= MAX_SYMBOLIC_PRIME:
         domain = PrimeFieldCoefficients(p, q)
         rng = random.Random(seed)
-        failure = ""
-        for k in range(DEFAULT_GAMMA_COUNT):
-            gamma = GammaAssignment.random(domain, rng)
-            P, Q = _random_basis(p, rng)
-            ok, why = _four_way(gamma, P, Q)
-            if not ok:
-                failure = f"gamma #{k} on basis (P, Q) = ({P}; {Q}): {why}"
-                break
-        detail = failure or f"{DEFAULT_GAMMA_COUNT} random gamma and bases over F_{domain.q}"
-        results.append(CheckResult("closed-forms-numeric", not failure, detail))
+        draws = [(GammaAssignment.random(domain, rng), *_random_basis(p, rng))
+                 for _ in range(DEFAULT_GAMMA_COUNT)]
+        results.append(_sweep(
+            "closed-forms-numeric", draws, _four_way,
+            f"{len(draws)} random gamma and bases over F_{domain.q}", sampled=True,
+            witness=lambda k, draw, why: (
+                f"gamma #{k} on basis (P, Q) = ({draw[1]}; {draw[2]}): {why}"),
+        ))
     if p <= MAX_SYMBOLIC_PRIME:
         ok, why = _four_way(GammaAssignment.symbolic(p), *basis(p))
         results.append(CheckResult("closed-forms-symbolic", ok, why or "free gamma, exact"))
     return results
 
 
-def qplane_suite(p: int) -> list[CheckResult]:
+def qplane_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Plane product identity, plus the gamma form at the monomial gamma."""
     plane = qplane_identity_sides(p) == collapsed_power(p)
     spec = multiplicative_specialization(p) == collapsed_power(p)
@@ -219,32 +236,26 @@ def qplane_suite(p: int) -> list[CheckResult]:
     ]
 
 
-def norm_suite(p: int) -> list[CheckResult]:
+def norm_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
     """The norm form at the monomial gamma against the collapsed power."""
     ok = norm_identity_sides(p) == collapsed_power(p)
     return [CheckResult("norm-product-identity", ok, f"degree {p * (p - 1)}")]
 
 
 def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult]:
-    """Symbol laws, Steinberg, degeneracy, norm equivalence, unramified scaling."""
+    """Symbol laws, Steinberg, degeneracy, norm equivalence, unramified scaling
+    and the identification of the p-th roots with (1/p)Z / Z."""
     model = TameFieldModel.create(p, q)
     q = model.q
     rng = random.Random(seed)
     reps = class_representatives(model)
-
-    if p <= 5:
-        rep_triples = [(a, b, c) for a in reps for b in reps for c in reps]
-        tri_sweep = f"exhaustive over {len(rep_triples)} class triples"
-    else:
-        rep_triples = [tuple(rng.choice(reps) for _ in range(3)) for _ in range(200)]
-        tri_sweep = "200 random class triples"
-    rep_pairs = [(a, b) for a in reps for b in reps]
-    if p <= 7:
-        scale_pairs = rep_pairs
-        scale_sweep = "exhaustive pairs, d = 1..6"
-    else:
-        scale_pairs = [tuple(rng.choice(reps) for _ in range(2)) for _ in range(200)]
-        scale_sweep = "200 random pairs, d = 1..6"
+    # every class triple up to p = 5 and every scaled pair up to p = 7, else 200 draws
+    rep_triples = _tuples(reps, 3, rng if p > 5 else None, 200)
+    scale_pairs = _tuples(reps, 2, rng if p > 7 else None, 200)
+    rep_pairs = _tuples(reps, 2)
+    tri_sweep = (f"exhaustive over {len(rep_triples)} class triples" if p <= 5
+                 else "200 random class triples")
+    scale_sweep = ("exhaustive pairs" if p <= 7 else "200 random pairs") + ", d = 1..6"
 
     def bilinear(a, b, c):
         left = hilbert(a * b, c) == hilbert(a, c) + hilbert(b, c)
@@ -258,21 +269,17 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
     # units when there are at most STEINBERG_UNITS, else on a seeded sample
     # (drawn one by one: rng.sample takes len() of the range, which
     # overflows once q - 1 passes 2^63 - 1).
-    units, sampled = range(1, q), ""
+    units, unit_note = range(1, q), ""
     if q - 1 > STEINBERG_UNITS:
         drawn = set()
         while len(drawn) < STEINBERG_UNITS:
             drawn.add(rng.randrange(1, q))
         units = sorted(drawn)
-        sampled = f", {STEINBERG_UNITS} random units of {q - 1}"
-    non_one = [
-        (model.element(val, unit),)
-        for val in range(-p, p + 1)
-        for unit in units
-        if (val, unit) != (0, 1)
-    ]
+        unit_note = f", {STEINBERG_UNITS} random units of {q - 1}"
+    non_one = [(model.element(val, unit),) for val in range(-p, p + 1) for unit in units
+               if (val, unit) != (0, 1)]
     return [
-        _sweep("bilinearity", rep_triples, bilinear, tri_sweep),
+        _sweep("bilinearity", rep_triples, bilinear, tri_sweep, sampled=p > 5),
         _sweep(
             "antisymmetry",
             rep_pairs,
@@ -283,7 +290,8 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
             "steinberg",
             non_one,
             steinberg,
-            f"{len(non_one)} elements, valuations |v| <= {p}{sampled}",
+            f"{len(non_one)} elements, valuations |v| <= {p}{unit_note}",
+            sampled=bool(unit_note),
         ),
         _sweep(
             "pth-power-degeneracy",
@@ -302,33 +310,24 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
             [(a, b, d) for a, b in scale_pairs for d in range(1, 7)],
             lambda a, b, d: unramified_scaling(a, b, d) == d * hilbert(a, b),
             scale_sweep,
+            sampled=p > 7,
         ),
         _sweep(
             "root-identification",
-            [(k,) for k in range(p)],
+            _tuples(range(p), 1),
             lambda k: iota(model, pow(model.zeta, k, q)).numerator == k,
             "all p-th roots",
         ),
     ]
 
 
-# Each suite as a call (p, q, seed).
-_SUITES = {
-    "star": star_suite,
-    "closed": closed_suite,
-    "qplane": lambda p, q, seed: qplane_suite(p),
-    "norm": lambda p, q, seed: norm_suite(p),
-    "local": local_suite,
-}
+_SUITES = {"star": star_suite, "closed": closed_suite, "qplane": qplane_suite,
+           "norm": norm_suite, "local": local_suite}
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suites(
-    selection: str,
-    p: int,
-    q: int | None = None,
-    seed: int = 0,
-) -> list[tuple[str, CheckResult]]:
+def run_suites(selection: str, p: int, q: int | None = None,
+               seed: int = 0) -> list[tuple[str, CheckResult]]:
     """Run one named suite, or every suite."""
     if selection != "all" and selection not in _SUITES:
         raise ValueError(f"unknown suite {selection!r}")

@@ -1,6 +1,7 @@
 """The suites: which checks run at each p, and that a planted fault fails them by name."""
 
 import functools
+import hashlib
 import random
 
 import pytest
@@ -340,19 +341,48 @@ def _gamma_form_off_the_default_embedding(P, Q, gamma):
     return ClosedFormResult("gamma", closed_forms.gamma_form(P, Q, gamma).element + origin)
 
 
-# Planted faults that `verify` does not catch yet, one row each: the fix that
-# makes the named suite fail at every listed p turns the row into an XPASS.
-_KNOWN_GAPS = [
+def _patch(owner, name, fault):
+    """The plant that replaces owner.name by fault."""
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, fault)
+
+
+# One row per planted fault: the plant, a function of monkeypatch, and the
+# (suite, check) record that must report FAIL at each listed p.  A strict
+# xfail row is a fault `verify` does not catch yet, and the fix that makes
+# the check fail at every listed p turns it into an XPASS.  A row whose
+# catching check does not exist yet names None, which any failing check of
+# its suite satisfies.
+_FAULTS = [
     pytest.param(
-        star_algebra, "clock_shift_phases", _phases_h_plus_one, "star", (5, 7, 11, 13),
-        id="clock-shift-phases-h-plus-one",
+        _patch(suites, "star", _star_twisted_on_p_q), (3,), "star", "indicator-product",
+        id="star-twisted-on-p-q",
+    ),
+    pytest.param(
+        _patch(suites, "hilbert", _hilbert_without_b_factor), (3,), "local", "antisymmetry",
+        id="hilbert-without-b-factor",
+    ),
+    pytest.param(
+        _plant_eps_plus_b1_b2, (5, 7, 11, 13), "star", "shear-equivariance",
+        id="eps-plus-b1-b2",
+    ),
+    pytest.param(
+        _patch(suites, "rho_form", _rho_form_on_the_standard_basis), (7, 11, 13), "closed",
+        "closed-forms-numeric", id="rho-form-on-the-standard-basis",
+    ),
+    pytest.param(
+        _plant_norm_fault, (3, 5, 7, 11, 13), "norm", "norm-product-identity",
+        id="norm-form-without-k0",
+    ),
+    pytest.param(
+        _patch(star_algebra, "clock_shift_phases", _phases_h_plus_one), (5, 7, 11, 13), "star",
+        None, id="clock-shift-phases-h-plus-one",
         marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 4: no star-suite product is dense, so verify never takes "
             "the clock-and-shift path")),
     ),
     pytest.param(
-        suites, "gamma_form", _gamma_form_off_the_default_embedding, "closed", (11, 13),
-        id="gamma-form-off-the-default-embedding",
+        _patch(suites, "gamma_form", _gamma_form_off_the_default_embedding), (11, 13), "closed",
+        "closed-forms-numeric", id="gamma-form-off-the-default-embedding",
         marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 3: the numeric closed sweep runs under one embedding of "
             "Z[zeta_p], and p = 11, 13 has no symbolic check")),
@@ -360,11 +390,12 @@ _KNOWN_GAPS = [
 ]
 
 
-@pytest.mark.parametrize("owner, name, fault, suite, primes", _KNOWN_GAPS)
-def test_a_planted_fault_fails_verify(owner, name, fault, suite, primes, monkeypatch):
-    monkeypatch.setattr(owner, name, fault)
-    exits = [main(["verify", "--p", str(p), "--suite", suite]) for p in primes]
-    assert exits == [1] * len(primes)
+@pytest.mark.parametrize("plant, primes, suite, check", _FAULTS)
+def test_a_planted_fault_fails_verify(plant, primes, suite, check, monkeypatch):
+    plant(monkeypatch)
+    for p in primes:
+        failed = [record.name for _, record in suites.run_suites(suite, p) if not record.ok]
+        assert check in failed if check else failed, (p, failed)
 
 
 def test_the_embedding_only_fault_fails_the_symbolic_check(monkeypatch):
@@ -372,3 +403,93 @@ def test_the_embedding_only_fault_fails_the_symbolic_check(monkeypatch):
     [result] = suites.closed_suite(5)
     assert result.name == "closed-forms-symbolic"
     assert (result.ok, result.detail) == (False, "gamma form origin coefficient differs")
+
+
+_STAR_PAIR_CHECKS = ("indicator-product", "commutation", "shift-equivariance", "shear-equivariance")
+
+
+def _star_digests(pairs, triples):
+    """The star suite's pinned digests: its pair checks share one case list."""
+    return {**dict.fromkeys(_STAR_PAIR_CHECKS, pairs), "associativity": triples}
+
+
+# sha256 of each sampled check's case list at seed 0, one str(case) per line,
+# so a change to how a suite draws its cases shows even where every check
+# still passes and `verify` prints the same counts
+_SAMPLED_CASES = {
+    ("star", 5): _star_digests(
+        "4a1e4596aa699d54419f24644a006421ba999e7045536d579a2cbd2d57c538d3",
+        "cc71f499591cc16b660730586e4793ec38503f9c20c9794ea86a25fd1ed022ec",
+    ),
+    ("star", 13): _star_digests(
+        "9fe72280118dd69dd9552a1eaeb72ca0696d154681e6b8d0db3d01c6e470444c",
+        "f55b04f7bbe9ac926bbee4014ba060f4dd69833f63510c1263669e0bbf854b38",
+    ),
+    ("local", 13): {
+        "bilinearity": "a1240180ea5cbcbbb9d64a17ab2ed75abc10878b2d898a63da8943bf7a107cac",
+        "unramified-scaling": "ccc3368c4a2931453ab244e2c11fc85f55ca8b236a2c462137d9e8a626790797",
+    },
+}
+
+
+@pytest.mark.parametrize("suite, p", sorted(_SAMPLED_CASES))
+def test_sampled_case_lists_are_pinned(suite, p, monkeypatch):
+    digests = {}
+    run = suites._sweep
+
+    def record(name, cases, *args, **kwargs):
+        cases = list(cases)
+        digests[name] = hashlib.sha256("\n".join(map(str, cases)).encode()).hexdigest()
+        return run(name, cases, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "_sweep", record)
+    assert all(check.ok for _, check in suites.run_suites(suite, p))
+    assert {name: digests[name] for name in _SAMPLED_CASES[suite, p]} == _SAMPLED_CASES[suite, p]
+
+
+_STAR_SAMPLED = _STAR_PAIR_CHECKS + ("associativity",)
+_LOCAL_PAIR_CHECKS = ("antisymmetry", "pth-power-degeneracy", "norm-equivalence")
+
+# (cases, sampled) of every record of `verify --suite all` at seed 0
+_SWEEPS = {
+    5: {
+        **{("star", name): (100, True) for name in _STAR_SAMPLED},
+        ("star", "unit"): (25, False),
+        ("star", "inverse"): (25, False),
+        ("closed", "closed-forms-symbolic"): (1, False),
+        ("qplane", "plane-identity"): (1, False),
+        ("qplane", "specialization"): (1, False),
+        ("norm", "norm-product-identity"): (1, False),
+        ("local", "bilinearity"): (15625, False),
+        **{("local", name): (625, False) for name in _LOCAL_PAIR_CHECKS},
+        ("local", "steinberg"): (109, False),
+        ("local", "unramified-scaling"): (3750, False),
+        ("local", "root-identification"): (5, False),
+    },
+    13: {
+        **{("star", name): (100, True) for name in _STAR_SAMPLED},
+        ("star", "unit"): (169, False),
+        ("star", "inverse"): (169, False),
+        ("closed", "closed-forms-numeric"): (20, True),
+        ("qplane", "plane-identity"): (1, False),
+        ("qplane", "specialization"): (1, False),
+        ("norm", "norm-product-identity"): (1, False),
+        ("local", "bilinearity"): (200, True),
+        **{("local", name): (28561, False) for name in _LOCAL_PAIR_CHECKS},
+        ("local", "steinberg"): (1403, False),
+        ("local", "unramified-scaling"): (1200, True),
+        ("local", "root-identification"): (13, False),
+    },
+}
+
+
+@pytest.mark.parametrize("p", sorted(_SWEEPS))
+def test_each_record_holds_its_case_count_and_sampling_mode(p):
+    records = suites.run_suites("all", p)
+    assert all(record.ok for _, record in records)
+    assert {(suite, r.name): (r.cases, r.sampled) for suite, r in records} == _SWEEPS[p]
+
+
+def test_steinberg_samples_its_units_above_the_unit_budget():
+    [steinberg] = [r for r in suites.local_suite(3, WIDE_Q) if r.name == "steinberg"]
+    assert (steinberg.ok, steinberg.cases, steinberg.sampled) == (True, 448, True)
