@@ -181,7 +181,8 @@ def _monomial_gamma(p: int) -> GammaAssignment:
     """The symbolic gamma(aP + bQ) = x^a y^b, a and b in [0, p), on the standard basis,
     with x = g_P and y = g_Q the free symbols of the basis points."""
     P, Q = basis(p)
-    values = {T: LaurentPoly(p, [([(P, T.a), (Q, T.b)], 1)]) for T in all_points(p)}
+    x, y = LaurentPoly.variable(p, P), LaurentPoly.variable(p, Q)
+    values = {T: x ** T.a * y ** T.b for T in all_points(p)}
     return GammaAssignment(SymbolicCoefficients(p), values)
 
 

@@ -4,12 +4,13 @@ Elements are kept as p - 1 integer coordinates in the power basis 1, zeta,
 ..., zeta^(p-2), reduced with the two relations zeta^p = 1 and
 1 + zeta + ... + zeta^(p-1) = 0.  No floating point is used anywhere, and
 every coefficient the package builds lies in this ring: a sum adds the
-coordinates.  A product by a root of unity +-zeta^k (k = 0..p-1), recognised
-by one lookup of its coordinates in a per-p table of the 2p such tuples, is a
-signed cyclic shift of the other factor over zeta^0..zeta^(p-1), O(p); any
-other product convolves the coordinates, O(p^2).  Every constructor and
-product ends in `_fold`, the one place where zeta^(p-1) = -(1 + ... +
-zeta^(p-2)) takes coordinates over zeta^0..zeta^(p-1) back into the basis.
+coordinates.  The 2p roots of unity +-zeta^k are the powers (-zeta)^j, and a
+per-p table finds j from the coordinates: a product of two roots adds their
+j, one by a single root is a signed cyclic shift of the other factor over
+zeta^0..zeta^(p-1), O(p), and any other product convolves, O(p^2).  Every
+constructor and product ends in `_fold`, the one place where zeta^(p-1) =
+-(1 + ... + zeta^(p-2)) takes coordinates over zeta^0..zeta^(p-1) back into
+the basis.
 Public constructors check p by `torsion.validate_odd_prime` and each integer by
 `errors.integer`, so a bool, float or str raises TypeError; only units invert.
 """
@@ -29,25 +30,21 @@ def _fold(full: Sequence[int]) -> Sequence[int]:
     return [c - top for c in full[:-1]] if top else full[:-1]
 
 
-# p -> {coordinates of sign * zeta^k: (sign, k)}, filled by _roots_of_unity on first use
-_ROOTS: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
+# p -> ({coordinates of (-zeta)^j: j}, [(-zeta)^j for j = 0..2p-1]), filled on first use
+_ROOTS: dict[int, tuple[dict[tuple[int, ...], int], list[CycNumber]]] = {}
 
 
-def _roots_of_unity(p: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The table of the 2p roots of unity +-zeta^k of Z[zeta_p], by coordinates."""
-    table = {}
-    for k in range(p):
-        nums = _zeta(p, k).nums
-        table[nums] = (1, k)
-        table[tuple(-x for x in nums)] = (-1, k)
-    _ROOTS[p] = table
-    return table
+def _roots_of_unity(p: int) -> tuple[dict[tuple[int, ...], int], list[CycNumber]]:
+    """The 2p roots of unity (-zeta)^j of Z[zeta_p], and their j by coordinates."""
+    roots = [-_zeta(p, j) if j % 2 else _zeta(p, j) for j in range(2 * p)]
+    _ROOTS[p] = {root.nums: j for j, root in enumerate(roots)}, roots
+    return _ROOTS[p]
 
 
-def _rotate(p: int, nums: tuple[int, ...], sign: int, k: int) -> Sequence[int]:
-    """The coordinates of sign * zeta^k * x for x with coordinates nums."""
-    full = (nums if sign > 0 else tuple(-c for c in nums)) + (0,)  # over zeta^0..zeta^(p-1)
-    return _fold(full[p - k:] + full[:p - k])
+def _rotate(p: int, nums: tuple[int, ...], j: int) -> Sequence[int]:
+    """The coordinates of (-zeta)^j * x for x with coordinates nums."""
+    full = (tuple(-c for c in nums) if j % 2 else nums) + (0,)  # over zeta^0..zeta^(p-1)
+    return _fold(full[-j % p:] + full[:-j % p])
 
 
 class CycNumber:
@@ -122,15 +119,17 @@ class CycNumber:
         if other.p != self.p:
             raise mismatch("cyclotomic number", other.p, self.p)
         p = self.p
-        roots = _ROOTS.get(p) or _roots_of_unity(p)
-        unit, x = roots.get(other.nums), self
-        if unit is None:
-            unit, x = roots.get(self.nums), other
-            if unit is None:
+        table, roots = _ROOTS.get(p) or _roots_of_unity(p)
+        j, x = table.get(other.nums), self
+        if j is None:
+            j, x = table.get(self.nums), other
+            if j is None:
                 return self._convolve(other)
-        if unit == (1, 0):
+        elif j and (i := table.get(self.nums)) is not None:
+            return roots[(i + j) % (2 * p)]
+        if not j:
             return x
-        return CycNumber._make(p, _rotate(p, x.nums, *unit))
+        return CycNumber._make(p, _rotate(p, x.nums, j))
 
     def _convolve(self, other: CycNumber) -> CycNumber:
         """The product of two elements, neither a root of unity: O(p^2)."""
@@ -150,7 +149,7 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNumber:
-        """Inverse of a unit: +-zeta^-k for a root of unity +-zeta^k, else the
+        """Inverse of a unit: (-zeta)^-j for a root of unity (-zeta)^j, else the
         product of the other Galois conjugates over the norm.
 
         Raises ValueError when the norm to Z is not +-1, i.e. when the inverse
@@ -159,11 +158,10 @@ class CycNumber:
         if not self:
             raise ZeroDivisionError("inverse of zero in Z[zeta_p]")
         p = self.p
-        unit = (_ROOTS.get(p) or _roots_of_unity(p)).get(self.nums)
-        if unit is not None:
-            sign, k = unit
-            root = _zeta(p, -k)
-            return root if sign > 0 else -root
+        table, roots = _ROOTS.get(p) or _roots_of_unity(p)
+        j = table.get(self.nums)
+        if j is not None:
+            return roots[-j % (2 * p)]
         others = CycNumber.one(p)
         for k in range(2, p):  # the conjugate zeta -> zeta^k
             twisted = [0] * p

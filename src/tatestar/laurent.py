@@ -5,18 +5,19 @@ bool, by `errors.integer`) is accepted where a coefficient is expected, by the
 scalar rule of `cyclotomic._coerce`; anything else raises TypeError.
 
 The variables are the formal symbols g_T, one for each nonzero p-torsion
-point T over the polynomial's p.  Exponents, and the n of a power, are
-arbitrary integers, taken by the package's integer rule (`errors.integer`: a
-bool, float or str raises TypeError), and a monomial is the finite product of
-powers of distinct variables.
+point T over the polynomial's p, and a monomial is the finite product of
+powers of distinct variables.  Exponents, and the n of a power, are taken by
+the package's integer rule (`errors.integer`: a bool, float or str raises
+TypeError), and no exponent a polynomial holds or a product reaches may pass
++-MAX_EXPONENT: that raises OverflowError.
 
-Inside, a variable is its point's index a*p + b (see torsion.point_tables).
-A monomial is the tuple of its (index, exponent) pairs sorted by index, and
-that tuple is the term dict's key: equal monomials are equal tuples, and a
-product merges two integer tuples without hashing a point.  Callers pass and
-read a monomial as (point, exponent) pairs.  Index order is the (a, b) order
-of the points, so the output path `terms` sorts the key tuples themselves and
-`_decode` only looks the points up.
+Inside, a variable is its point's index i = a*p + b (see torsion.point_tables)
+and a monomial is one int, the term dict's key: the exponent of variable i is
+a signed digit of WIDTH bits at bit WIDTH*i, so a product of monomials adds
+their keys and an inverse negates one.  No digit may carry, so a polynomial
+keeps an upper bound on its |exponent|s, a product the sum of its factors'
+bounds, checked even where exponents would cancel.  `terms` reads the digits
+back as (index, exponent) pairs and sorts on them: the (a, b) order of points.
 
 A product by a single-term polynomial sends each term of the other factor to
 one output term: a fixed monomial maps distinct monomials to distinct ones,
@@ -26,7 +27,7 @@ product collects equal monomials and drops the sums that cancel.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .cyclotomic import CycNumber, _coerce
@@ -35,8 +36,10 @@ from .torsion import TorsionPoint, point_tables, validate_odd_prime
 
 Coefficient = Union[CycNumber, int]
 Pairs = Iterable[tuple[TorsionPoint, int]]
-# a monomial inside: its index-sorted tuple of nonzero (point index, exponent) pairs
-Key = tuple[tuple[int, int], ...]
+# the bits of one exponent digit of a monomial key, and the largest |exponent|
+WIDTH = 16
+MAX_EXPONENT = (1 << WIDTH - 1) - 1
+_MASK, _HALF = (1 << WIDTH) - 1, 1 << WIDTH - 1
 
 
 def _index(p: int, point: TorsionPoint) -> int:
@@ -50,35 +53,28 @@ def _index(p: int, point: TorsionPoint) -> int:
     return point.index
 
 
-def _encode(p: int, pairs: Pairs) -> Key:
-    """The key tuple of a product of (point, exponent) pairs."""
+def _encode(p: int, pairs: Pairs) -> tuple[int, int]:
+    """The key of a product of (point, exponent) pairs, and its largest |exponent|."""
     merged: dict[int, int] = {}
     for point, exp in pairs:
         index = _index(p, point)
         merged[index] = merged.get(index, 0) + integer(exp)
-    return tuple(sorted(item for item in merged.items() if item[1]))
+    bound = max(map(abs, merged.values()), default=0)
+    if bound > MAX_EXPONENT:
+        raise OverflowError(f"exponent {bound} in absolute value, past {MAX_EXPONENT}")
+    return sum(exp << WIDTH * index for index, exp in merged.items()), bound
 
 
-def _decode(p: int, mono: Key) -> tuple[tuple[TorsionPoint, int], ...]:
-    """(point, exponent) pairs of a key tuple, in the same order."""
-    return tuple((point_tables(p).points[index], exp) for index, exp in mono)
-
-
-def _merge(a: Key, b: Key) -> Key:
-    """The product of two key tuples, with zero exponents dropped."""
-    if not a:
-        return b
-    if not b:
-        return a
-    for pair in b:
-        key = pair[0]
-        i = bisect_left(a, (key,))
-        if i < len(a) and a[i][0] == key:
-            exp = a[i][1] + pair[1]
-            a = a[:i] + ((key, exp),) + a[i + 1:] if exp else a[:i] + a[i + 1:]
-        else:
-            a = a[:i] + (pair,) + a[i:]
-    return a
+def _decode(mono: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (index, exponent) pairs of a key, by index.  A digit reads as
+    signed, and a negative one borrows one from the digits above it."""
+    pairs = []
+    for index in range(mono.bit_length() // WIDTH + 1):
+        exp = (mono & _MASK ^ _HALF) - _HALF
+        if exp:
+            pairs.append((index, exp))
+        mono = (mono - exp) >> WIDTH
+    return tuple(pairs)
 
 
 def _add_into(terms: dict, items) -> None:
@@ -87,24 +83,23 @@ def _add_into(terms: dict, items) -> None:
         s = terms.get(mono)
         if s is None:
             terms[mono] = c
+        elif s := s + c:
+            terms[mono] = s
         else:
-            s = s + c
-            if not s:
-                del terms[mono]
-            else:
-                terms[mono] = s
+            del terms[mono]
 
 
 class LaurentPoly:
     """A finite Z[zeta_p]-linear combination of monomials."""
 
-    __slots__ = ("p", "_terms")
+    __slots__ = ("p", "_terms", "_bound")
 
     def __init__(self, p: int, terms: Iterable[tuple[Pairs, Coefficient]] = ()):
         self.p = p = validate_odd_prime(p)
-        self._terms: dict[Key, CycNumber] = {}
-        coerced = ((_encode(p, pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms)
-        _add_into(self._terms, ((mono, c) for mono, c in coerced if c))
+        self._terms: dict[int, CycNumber] = {}
+        coded = [(_encode(p, pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms]
+        _add_into(self._terms, ((mono, c) for (mono, _), c in coded if c))
+        self._bound = max((bound for (_, bound), _ in coded), default=0)
 
     @staticmethod
     def _coerce_coeff(p: int, coeff: Coefficient) -> CycNumber:
@@ -134,10 +129,12 @@ class LaurentPoly:
     def terms(self) -> list[tuple[Pairs, CycNumber]]:
         """(pairs, coefficient) terms in the canonical order (lexicographic on
         the points' (a, b), then exponents)."""
-        return [(_decode(self.p, mono), self._terms[mono]) for mono in sorted(self._terms)]
+        points = point_tables(self.p).points
+        decoded = sorted(((_decode(m), c) for m, c in self._terms.items()), key=itemgetter(0))
+        return [(tuple((points[index], exp) for index, exp in pairs), c) for pairs, c in decoded]
 
     def coefficient(self, pairs: Pairs) -> CycNumber:
-        return self._terms.get(_encode(self.p, pairs), CycNumber.zero(self.p))
+        return self._terms.get(_encode(self.p, pairs)[0], CycNumber.zero(self.p))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -150,12 +147,12 @@ class LaurentPoly:
             raise mismatch("polynomial", other.p, self.p)
         out = dict(self._terms)
         _add_into(out, other._terms.items())
-        return self._from_raw(self.p, out)
+        return self._from_raw(self.p, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return self._from_raw(self.p, {m: -c for m, c in self._terms.items()})
+        return self._from_raw(self.p, {m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce_poly(other)
@@ -173,6 +170,9 @@ class LaurentPoly:
                 return NotImplemented
         if other.p != self.p:
             raise mismatch("polynomial", other.p, self.p)
+        bound = self._bound + other._bound
+        if bound > MAX_EXPONENT:
+            raise OverflowError(f"a product may reach exponent {bound}, past {MAX_EXPONENT}")
         # Z[zeta_p] is a domain, so a product of two nonzero coefficients is nonzero
         left, right = self._terms, other._terms
         if len(left) == 1:
@@ -180,11 +180,10 @@ class LaurentPoly:
         if len(right) == 1:
             (m2, c2), = right.items()
             # a fixed monomial maps distinct monomials to distinct ones: nothing to collect
-            return self._from_raw(self.p, {_merge(m1, m2): c1 * c2 for m1, c1 in left.items()})
-        out: dict[Key, CycNumber] = {}
-        _add_into(out, ((_merge(m1, m2), c1 * c2)
-                        for m1, c1 in left.items() for m2, c2 in right.items()))
-        return self._from_raw(self.p, out)
+            return self._from_raw(self.p, {m1 + m2: c1 * c2 for m1, c1 in left.items()}, bound)
+        out: dict[int, CycNumber] = {}
+        _add_into(out, ((m1 + m2, c1 * c2) for m1, c1 in left.items() for m2, c2 in right.items()))
+        return self._from_raw(self.p, out, bound)
 
     __rmul__ = __mul__
 
@@ -199,23 +198,21 @@ class LaurentPoly:
             n >>= 1
             if n:
                 base = base * base
-        return LaurentPoly.one(self.p) if result is None else result
+        return self._from_raw(self.p, {0: _coerce(self.p, 1)}, 0) if result is None else result
 
     def inverse(self) -> LaurentPoly:
         """Inverse of a unit, i.e. a single-term element."""
         if len(self._terms) != 1:
-            raise ValueError(
-                "only single-term Laurent polynomials are invertible; "
-                f"this one has {len(self._terms)} terms"
-            )
+            raise ValueError("only single-term Laurent polynomials are invertible; "
+                             f"this one has {len(self._terms)} terms")
         (mono, coeff), = self._terms.items()
-        return self._from_raw(self.p, {tuple((key, -exp) for key, exp in mono): coeff.inverse()})
+        return self._from_raw(self.p, {-mono: coeff.inverse()}, self._bound)
 
     @classmethod
-    def _from_raw(cls, p: int, terms: dict[Key, CycNumber]) -> LaurentPoly:
+    def _from_raw(cls, p: int, terms: dict[int, CycNumber], bound: int) -> LaurentPoly:
+        """The terms over a p already checked, past the rule, with a bound on their |exponent|s."""
         self = object.__new__(cls)
-        self.p = p
-        self._terms = terms
+        self.p, self._terms, self._bound = p, terms, bound
         return self
 
     def _coerce_poly(self, other):
@@ -232,10 +229,8 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         # a constant equals its coefficient (zero equals 0), so it hashes like it
-        if not self._terms:
-            return 0
-        if () in self._terms and len(self._terms) == 1:
-            return hash(self._terms[()])
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash((self.p, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
@@ -245,16 +240,23 @@ class LaurentPoly:
 class PolyBuilder:
     """Mutable accumulator for building a polynomial term by term."""
 
-    __slots__ = ("p", "_terms")
+    __slots__ = ("p", "_terms", "_bound")
 
     def __init__(self, p: int):
-        self.p = validate_odd_prime(p)
-        self._terms: dict[Key, CycNumber] = {}
+        self.p, self._terms, self._bound = validate_odd_prime(p), {}, 0
+
+    @classmethod
+    def _from_raw(cls, p: int) -> PolyBuilder:
+        """An empty builder over a p already checked, past the rule."""
+        self = object.__new__(cls)
+        self.p, self._terms, self._bound = p, {}, 0
+        return self
 
     def add_poly(self, poly: LaurentPoly) -> None:
         if poly.p != self.p:
             raise mismatch("polynomial", poly.p, self.p)
         _add_into(self._terms, poly._terms.items())
+        self._bound = max(self._bound, poly._bound)
 
     def build(self) -> LaurentPoly:
-        return LaurentPoly._from_raw(self.p, dict(self._terms))
+        return LaurentPoly._from_raw(self.p, dict(self._terms), self._bound)

@@ -115,8 +115,8 @@ class SymbolicCoefficients(_Domain):
     def __init__(self, p: int):
         self.p = p = validate_odd_prime(p)
         self._key = (p,)
-        self._roots = [LaurentPoly._from_raw(p, {(): _zeta(p, k)}) for k in range(p)]
-        self._zero, self._one = LaurentPoly._from_raw(p, {}), self._roots[0]
+        self._roots = [LaurentPoly._from_raw(p, {0: _zeta(p, k)}, 0) for k in range(p)]
+        self._zero, self._one = LaurentPoly._from_raw(p, {}, 0), self._roots[0]
 
     def coerce(self, value) -> LaurentPoly:
         """A LaurentPoly over p as it is; an integer or CycNumber as the constant."""
@@ -136,7 +136,7 @@ class SymbolicCoefficients(_Domain):
         return a.inverse()
 
     def sum(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
-        builder = PolyBuilder(self.p)
+        builder = PolyBuilder._from_raw(self.p)
         for value in values:
             builder.add_poly(value)
         return builder.build()

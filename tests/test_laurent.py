@@ -5,7 +5,7 @@ import pytest
 
 from tatestar.cyclotomic import CycNumber
 from tatestar.errors import AmbientMismatchError
-from tatestar.laurent import LaurentPoly, PolyBuilder
+from tatestar.laurent import MAX_EXPONENT, WIDTH, LaurentPoly, PolyBuilder, _decode, _encode
 from tatestar.render import poly_json
 from tatestar.torsion import TorsionPoint, all_points
 
@@ -266,13 +266,24 @@ def _ref_of(poly):
 
 
 def _random_variables(rng, p):
+    """Seven variables, among them the lowest and the highest index."""
     points = _nonzero_points(p)
-    return rng.sample(points, 7)
+    return [points[0], points[-1]] + rng.sample(points[1:-1], 5)
 
 
-def _random_term(rng, p, variables, unit=False):
-    """(pairs, coordinates); a unit term has a coefficient +-zeta^k."""
-    pairs = [(rng.choice(variables), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
+# two factors' exponents of at most this size sum to at most MAX_EXPONENT - 1
+_HALF_BOUND = MAX_EXPONENT // 2
+
+
+def _random_term(rng, p, variables, unit=False, near_bound=False):
+    """(pairs, coordinates); a unit term has a coefficient +-zeta^k.  Near the
+    bound, distinct variables take exponents of either sign within 3 of
+    _HALF_BOUND, so a product's exponents reach up to MAX_EXPONENT - 1."""
+    if near_bound:
+        pairs = [(v, rng.choice((-1, 1)) * (_HALF_BOUND - rng.randrange(4)))
+                 for v in rng.sample(variables, rng.randint(0, 3))]
+    else:
+        pairs = [(rng.choice(variables), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
     if unit:
         vec = [0] * p
         vec[rng.randrange(p)] = rng.choice((-1, 1))
@@ -294,20 +305,23 @@ def _build(p, terms):
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_ring_operations_match_the_dict_reference(p):
     rng = random.Random(p)
-    for _ in range(40):
+    for trial in range(80):
+        # every other trial draws exponents near the bound, and powers up to 2
+        near = trial % 2 == 1
         variables = _random_variables(rng, p)
         (f, rf), (g, rg) = (
-            _build(p, [_random_term(rng, p, variables) for _ in range(rng.randint(0, 5))])
+            _build(p, [_random_term(rng, p, variables, near_bound=near)
+                       for _ in range(rng.randint(0, 5))])
             for _ in range(2)
         )
         assert _ref_of(f) == rf
         assert _ref_of(f + g) == _ref_add(p, rf, rg)
         assert _ref_of(f * g) == _ref_mul(p, rf, rg)
-        n = rng.randint(0, 3)
+        n = rng.randint(0, 2 if near else 3)
         assert _ref_of(f ** n) == _ref_pow(p, rf, n)
 
         # units: one term with coefficient +-zeta^k, inverted and raised to -n
-        (pairs, vec), = [_random_term(rng, p, variables, unit=True)]
+        (pairs, vec), = [_random_term(rng, p, variables, unit=True, near_bound=near)]
         u, ru = _build(p, [(pairs, vec)])
         k = next(e for e, c in enumerate(vec) if c)
         inv_vec = [0] * p
@@ -367,17 +381,63 @@ def test_a_monomial_exponent_must_be_an_integer():
     assert LaurentPoly.variable(3, P, -2) * x ** 2 == 1
 
 
-def test_product_terms_are_keyed_by_integer_pair_tuples():
+def test_product_terms_are_keyed_by_one_int():
     p = 5
     f = LaurentPoly.variable(p, TorsionPoint(p, 1, 0)) + LaurentPoly.variable(
         p, TorsionPoint(p, 2, 3), -2)
     product = f * (LaurentPoly.variable(p, TorsionPoint(p, 0, 4)) + 1)
     assert len(product._terms) == 4
-    assert ((TorsionPoint(p, 1, 0).index, 1),) in product._terms
+    # g_(1,0) is the digit 1 at bit WIDTH * index
+    assert 1 << WIDTH * TorsionPoint(p, 1, 0).index in product._terms
     for mono in product._terms:
-        assert type(mono) is tuple
-        for pair in mono:
-            assert type(pair) is tuple and [type(n) for n in pair] == [int, int]
+        assert type(mono) is int
+        pairs = _decode(mono)
+        assert [type(n) for pair in pairs for n in pair] == [int] * 2 * len(pairs)
+        assert _encode(p, [(TorsionPoint(p, i // p, i % p), e) for i, e in pairs])[0] == mono
+    assert sorted(map(_decode, product._terms)) == [
+        ((4, 1), (5, 1)), ((4, 1), (13, -2)), ((5, 1),), ((13, -2),)]
+
+
+# the highest variable index at p = 13, and the one below it
+_TOP, _NEXT = TorsionPoint(13, 12, 12), TorsionPoint(13, 12, 11)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(_TOP, MAX_EXPONENT)],
+    [(_TOP, -MAX_EXPONENT)],
+    # a negative digit borrows from the digit above it
+    [(_NEXT, -MAX_EXPONENT), (_TOP, MAX_EXPONENT)],
+    [(_NEXT, -MAX_EXPONENT), (_TOP, -MAX_EXPONENT)],
+    [(_NEXT, MAX_EXPONENT), (_TOP, -MAX_EXPONENT)],
+    [(TorsionPoint(13, 0, 1), -MAX_EXPONENT), (_NEXT, -1), (_TOP, 1)],
+], ids=["top", "top-negative", "borrow-up", "borrow-down", "positive-below", "lowest"])
+def test_the_largest_exponents_round_trip(pairs):
+    # the bound README states: a 16-bit signed digit, less one so that -MAX fits too
+    assert MAX_EXPONENT == 32767
+    poly = LaurentPoly(13, [(pairs, 1)])
+    assert poly.terms() == [(tuple(pairs), CycNumber.one(13))]
+    assert poly.coefficient(pairs) == 1
+    assert poly.inverse().terms() == [(tuple((T, -e) for T, e in pairs), CycNumber.one(13))]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_one_step_past_the_exponent_bound_raises(sign):
+    edge = LaurentPoly.variable(13, _TOP, sign * MAX_EXPONENT)
+    step = LaurentPoly.variable(13, _TOP, sign)
+    x = LaurentPoly.variable(13, _TOP)
+    for build in (
+        lambda: LaurentPoly.variable(13, _TOP, sign * (MAX_EXPONENT + 1)),
+        lambda: LaurentPoly(13, [([(_TOP, sign * MAX_EXPONENT), (_TOP, sign)], 1)]),
+        lambda: edge * step,
+        lambda: step * edge,
+        lambda: (edge + 1) * (step + 1),
+        lambda: x ** (sign * (MAX_EXPONENT + 1)),
+        lambda: step ** (MAX_EXPONENT + 1),
+    ):
+        with pytest.raises(OverflowError, match=str(MAX_EXPONENT)):
+            build()
+    assert x ** (sign * MAX_EXPONENT) == edge
+    assert (edge + 1) * 2 == 2 * edge + 2
 
 
 def _convolved(a, b):

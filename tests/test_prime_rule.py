@@ -7,6 +7,8 @@ value derived inside the package (a point sum, a product of ring elements)
 is read from a table or built past the checks instead.
 """
 
+from functools import partial
+
 import pytest
 
 from tatestar import cyclotomic, laurent, local_pairing, star_algebra, torsion
@@ -14,8 +16,10 @@ from tatestar.cyclotomic import CycNumber
 from tatestar.laurent import LaurentPoly, PolyBuilder
 from tatestar.local_pairing import PairingValue, TameFieldModel
 from tatestar.star_algebra import PrimeFieldCoefficients, SymbolicCoefficients
-from tatestar.suites import local_suite
-from tatestar.torsion import TorsionPoint, index_shear, index_shift, point_tables
+from tatestar.closed_forms import _monomial_gamma
+from tatestar.star_algebra import GammaAssignment
+from tatestar.suites import _four_way, local_suite
+from tatestar.torsion import TorsionPoint, basis, index_shear, index_shift, point_tables
 
 P = TorsionPoint(3, 1, 0)
 
@@ -85,10 +89,18 @@ def test_a_derived_point_is_the_tables_point(derive):
 @pytest.mark.parametrize("build, calls", [
     (lambda: SymbolicCoefficients(7), 1),
     (lambda: local_suite(13), 1),
-], ids=["symbolic-domain-p7", "local-suite-p13"])
+    # the free gamma and the basis come from outside; every sum the check adds
+    # up starts from a builder made past the rule
+    (partial(_four_way, GammaAssignment.symbolic(5), *basis(5)), 0),
+    # the domain, x = g_P and y = g_Q, and the two basis points
+    (lambda: _monomial_gamma(7), 5),
+], ids=["symbolic-domain-p7", "local-suite-p13", "symbolic-four-way-p5", "monomial-gamma-p7"])
 def test_derived_values_skip_the_rule(build, calls, monkeypatch):
     # the domain's roots, zero and one, and every symbol the local suite adds,
-    # negates, scales or reads off the tame formula, are built past the rule
+    # negates, scales or reads off the tame formula, are built past the rule;
+    # the point tables are built first, so they are not counted
+    for p in (5, 7, 13):
+        point_tables(p)
     seen, rule = [], torsion.validate_odd_prime
 
     def counted(p):
