@@ -1,8 +1,9 @@
 """Sparse Laurent polynomials over Z[zeta_p] in invertible formal variables.
 
-A coefficient is a CycNumber, p - 1 integer coordinates; an integer (not a
-bool, by `errors.integer`) is accepted where a coefficient is expected, by the
-scalar rule of `cyclotomic._coerce`; anything else raises TypeError.
+A coefficient is given as a CycNumber or an integer (not a bool), by the
+scalar rule of `cyclotomic._coerce`, else TypeError.  It is kept as its
+coordinate tuple, added and multiplied by `cyclotomic.add_coords` and
+`mul_coords`, and leaves as a CycNumber from `terms` and `coefficient`.
 
 The variables are the formal symbols g_T, one for each nonzero p-torsion
 point T over the polynomial's p, and a monomial is the finite product of
@@ -20,17 +21,19 @@ bounds, checked even where exponents would cancel.  `terms` reads the digits
 back as (index, exponent) pairs and sorts on them: the (a, b) order of points.
 
 A product by a single-term polynomial sends each term of the other factor to
-one output term: a fixed monomial maps distinct monomials to distinct ones,
-and Z[zeta_p] has no zero divisors, so nothing is collected.  Any other
-product collects equal monomials and drops the sums that cancel.
+one output term (a fixed monomial keeps distinct monomials distinct, and
+Z[zeta_p] has no zero divisors): a coefficient 1 only shifts keys, a root of
+unity rotates each coefficient.  Any other product collects equal monomials.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .cyclotomic import CycNumber, _coerce
+from .cyclotomic import (Coords, CycNumber, _coerce, _inverse, _roots_of_unity, _rotate,
+                         add_coords, mul_coords)
 from .errors import integer, mismatch
 from .torsion import TorsionPoint, point_tables, validate_odd_prime
 
@@ -83,7 +86,7 @@ def _add_into(terms: dict, items) -> None:
         s = terms.get(mono)
         if s is None:
             terms[mono] = c
-        elif s := s + c:
+        elif any(s := add_coords(s, c)):
             terms[mono] = s
         else:
             del terms[mono]
@@ -96,19 +99,22 @@ class LaurentPoly:
 
     def __init__(self, p: int, terms: Iterable[tuple[Pairs, Coefficient]] = ()):
         self.p = p = validate_odd_prime(p)
-        self._terms: dict[int, CycNumber] = {}
-        coded = [(_encode(p, pairs), self._coerce_coeff(p, coeff)) for pairs, coeff in terms]
-        _add_into(self._terms, ((mono, c) for (mono, _), c in coded if c))
-        self._bound = max((bound for (_, bound), _ in coded), default=0)
+        self._terms, self._bound = {}, 0
+        for pairs, coeff in terms:
+            term = self._term(p, coeff, pairs)
+            _add_into(self._terms, term._terms.items())
+            self._bound = max(self._bound, term._bound)
 
-    @staticmethod
-    def _coerce_coeff(p: int, coeff: Coefficient) -> CycNumber:
+    @classmethod
+    def _term(cls, p: int, coeff: Coefficient, pairs: Pairs = ()) -> LaurentPoly:
+        """coeff times the monomial of pairs, over a p already checked, past the rule."""
+        mono, bound = _encode(p, pairs)
         c = _coerce(p, coeff)
         if c is NotImplemented:
             raise TypeError(f"a coefficient must be a CycNumber or an int, got {coeff!r}")
         if c.p != p:
             raise mismatch("coefficient", c.p, p)
-        return c
+        return cls._from_raw(p, {mono: c.nums} if c else {}, bound)
 
     @classmethod
     def zero(cls, p: int) -> LaurentPoly:
@@ -131,10 +137,12 @@ class LaurentPoly:
         the points' (a, b), then exponents)."""
         points = point_tables(self.p).points
         decoded = sorted(((_decode(m), c) for m, c in self._terms.items()), key=itemgetter(0))
-        return [(tuple((points[index], exp) for index, exp in pairs), c) for pairs, c in decoded]
+        return [(tuple((points[index], exp) for index, exp in pairs), CycNumber._make(self.p, c))
+                for pairs, c in decoded]
 
     def coefficient(self, pairs: Pairs) -> CycNumber:
-        return self._terms.get(_encode(self.p, pairs)[0], CycNumber.zero(self.p))
+        c = self._terms.get(_encode(self.p, pairs)[0])
+        return CycNumber._make(self.p, c or (0,) * (self.p - 1))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -152,7 +160,8 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return self._from_raw(self.p, {m: -c for m, c in self._terms.items()}, self._bound)
+        return self._from_raw(self.p, {m: tuple([-x for x in c]) for m, c in self._terms.items()},
+                              self._bound)
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce_poly(other)
@@ -174,16 +183,20 @@ class LaurentPoly:
         if bound > MAX_EXPONENT:
             raise OverflowError(f"a product may reach exponent {bound}, past {MAX_EXPONENT}")
         # Z[zeta_p] is a domain, so a product of two nonzero coefficients is nonzero
-        left, right = self._terms, other._terms
+        p, left, right = self.p, self._terms, other._terms
         if len(left) == 1:
             left, right = right, left
         if len(right) == 1:
             (m2, c2), = right.items()
-            # a fixed monomial maps distinct monomials to distinct ones: nothing to collect
-            return self._from_raw(self.p, {m1 + m2: c1 * c2 for m1, c1 in left.items()}, bound)
-        out: dict[int, CycNumber] = {}
-        _add_into(out, ((m1 + m2, c1 * c2) for m1, c1 in left.items() for m2, c2 in right.items()))
-        return self._from_raw(self.p, out, bound)
+            j = _roots_of_unity(p)[0].get(c2)
+            if j == 0:
+                return self._from_raw(p, {m1 + m2: c1 for m1, c1 in left.items()}, bound)
+            times = partial(mul_coords, p, c2) if j is None else partial(_rotate, p, j)
+            return self._from_raw(p, {m1 + m2: times(c1) for m1, c1 in left.items()}, bound)
+        out: dict[int, Coords] = {}
+        _add_into(out, ((m1 + m2, mul_coords(p, c1, c2))
+                        for m1, c1 in left.items() for m2, c2 in right.items()))
+        return self._from_raw(p, out, bound)
 
     __rmul__ = __mul__
 
@@ -198,7 +211,7 @@ class LaurentPoly:
             n >>= 1
             if n:
                 base = base * base
-        return self._from_raw(self.p, {0: _coerce(self.p, 1)}, 0) if result is None else result
+        return self._term(self.p, 1) if result is None else result
 
     def inverse(self) -> LaurentPoly:
         """Inverse of a unit, i.e. a single-term element."""
@@ -206,10 +219,10 @@ class LaurentPoly:
             raise ValueError("only single-term Laurent polynomials are invertible; "
                              f"this one has {len(self._terms)} terms")
         (mono, coeff), = self._terms.items()
-        return self._from_raw(self.p, {-mono: coeff.inverse()}, self._bound)
+        return self._from_raw(self.p, {-mono: _inverse(self.p, coeff)}, self._bound)
 
     @classmethod
-    def _from_raw(cls, p: int, terms: dict[int, CycNumber], bound: int) -> LaurentPoly:
+    def _from_raw(cls, p: int, terms: dict[int, Coords], bound: int) -> LaurentPoly:
         """The terms over a p already checked, past the rule, with a bound on their |exponent|s."""
         self = object.__new__(cls)
         self.p, self._terms, self._bound = p, terms, bound
@@ -219,7 +232,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         c = _coerce(self.p, other)
-        return c if c is NotImplemented else LaurentPoly.constant(self.p, c)
+        return c if c is NotImplemented else LaurentPoly._term(self.p, c)
 
     def __eq__(self, other) -> bool:
         other = self._coerce_poly(other)
@@ -230,7 +243,7 @@ class LaurentPoly:
     def __hash__(self) -> int:
         # a constant equals its coefficient (zero equals 0), so it hashes like it
         if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))
+            return hash(CycNumber._make(self.p, self._terms[0])) if self._terms else 0
         return hash((self.p, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:

@@ -121,7 +121,7 @@ class SymbolicCoefficients(_Domain):
     def coerce(self, value) -> LaurentPoly:
         """A LaurentPoly over p as it is; an integer or CycNumber as the constant."""
         if not isinstance(value, LaurentPoly):
-            return LaurentPoly.constant(self.p, value)
+            return LaurentPoly._term(self.p, value)
         if value.p != self.p:
             raise mismatch("coefficient", value.p, self.p)
         return value
@@ -261,10 +261,11 @@ class GammaAssignment:
     def symbolic(cls, p: int) -> GammaAssignment:
         """One formal variable g_T per nonzero point."""
         domain = SymbolicCoefficients(p)
+        p = domain.p
         values: dict[TorsionPoint, Element] = {TorsionPoint.zero(p): domain.one()}
         for point in all_points(p):
             if not point.is_zero:
-                values[point] = LaurentPoly.variable(p, point)
+                values[point] = LaurentPoly._term(p, 1, [(point, 1)])
         return cls(domain, values)
 
     @classmethod
@@ -428,7 +429,9 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
         row = i * n
         for j, c2 in right:
             k = row + j
-            value = mul(mul(c1, c2), mul(root(eps[k]), twists[k]))
+            # c1, the growing left factor of a star power, goes in last: a
+            # symbolic product copies its terms once, not twice
+            value = mul(c1, mul(c2, mul(root(eps[k]), twists[k])))
             s = sums[k]
             total = out[s]
             out[s] = value if total is None else add(total, value)

@@ -29,6 +29,7 @@ import tatestar
 import tatestar.cli
 import tatestar.modular
 import tatestar.suites
+from tatestar import cyclotomic, laurent
 from tatestar.closed_forms import build_delta, gamma_form, intermediate_form, rho_form
 from tatestar.laurent import LaurentPoly
 from tatestar.star_algebra import (
@@ -310,9 +311,26 @@ def test_symbolic_four_way_hashes_points_a_few_times_per_point():
     assert tracer.counts()["torsion.TorsionPoint.hash.calls"] <= 3 * p ** 2
 
 
-def test_symbolic_four_way_ring_operation_counts_are_pinned():
-    # every product and sum goes through the patched methods; one that went
-    # around them would lower these counts
+def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
+    # every polynomial product and sum goes through the patched methods, and
+    # every coefficient sum and product through the coordinate functions, but
+    # for a single-term factor's 1 or root of unity: of the 5,301 coefficient
+    # products, 1,548 are rotations that laurent makes itself and the other
+    # 3,128 are by 1 and only shift keys.  One that went around them would
+    # lower these counts
+    coords = {"mul_coords": 0, "add_coords": 0, "_rotate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            coords[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in coords:
+        wrapper = counted(name, getattr(cyclotomic, name))
+        # mul_coords rotates too, so _rotate is counted only where laurent calls it
+        for module in (cyclotomic, laurent) if name != "_rotate" else (laurent,):
+            monkeypatch.setattr(module, name, wrapper)
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     with tracing.instrument(tatestar, tracer):
@@ -322,14 +340,11 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned():
     assert {name: counts[name] for name in (
         "laurent.LaurentPoly.mul.calls",
         "laurent.PolyBuilder.add_poly.calls",
-        "cyclotomic.CycNumber.mul.calls",
-        "cyclotomic.CycNumber.add.calls",
     )} == {
         "laurent.LaurentPoly.mul.calls": 2034,
         "laurent.PolyBuilder.add_poly.calls": 325,
-        "cyclotomic.CycNumber.mul.calls": 5301,
-        "cyclotomic.CycNumber.add.calls": 1895,
     }
+    assert coords == {"mul_coords": 625, "add_coords": 1895, "_rotate": 1548}
 
 
 @pytest.mark.parametrize("p, q, basis_of", [

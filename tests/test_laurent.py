@@ -332,6 +332,47 @@ def test_ring_operations_match_the_dict_reference(p):
         assert _ref_of(u * u.inverse()) == _ref_pow(p, ru, 0)
 
 
+def _coefficient_of_kind(rng, p, kind):
+    """Coordinates over zeta^0..zeta^(p-1): 1, +-zeta^j, or an even nonzero
+    element, which is no unit since 2 divides its norm."""
+    vec = [0] * p
+    if kind == "one":
+        vec[0] = 1
+    elif kind == "root":
+        vec[rng.randrange(p)] = rng.choice((-1, 1))
+    else:
+        while not any(_ref_reduce(p, vec)):
+            vec = [2 * rng.randint(-3, 3) for _ in range(p)]
+    return vec
+
+
+_KINDS = ("one", "root", "non-unit")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_products_match_the_dict_reference_on_every_product_path(p):
+    # a product of two multi-term factors collects; a single-term factor with
+    # coefficient 1 only shifts keys, one with +-zeta^j rotates each coefficient,
+    # and one with any other coefficient multiplies each
+    rng = random.Random(1000 + p)
+    for _ in range(30):
+        variables = _random_variables(rng, p)
+        (f, rf), (g, rg) = (
+            _build(p, [([(v, rng.choice((-2, -1, 1, 2)))], _coefficient_of_kind(rng, p, "non-unit"))
+                       for v in rng.sample(variables, rng.randint(2, 5))])
+            for _ in range(2)
+        )
+        assert len(rf) >= 2 and len(rg) >= 2
+        assert _ref_of(f * g) == _ref_mul(p, rf, rg)
+        for kind in _KINDS:
+            pairs = [(rng.choice(variables), rng.randint(-3, 3)) for _ in range(rng.randint(0, 2))]
+            u, ru = _build(p, [(pairs, _coefficient_of_kind(rng, p, kind))])
+            assert _ref_of(f * u) == _ref_of(u * f) == _ref_mul(p, rf, ru), kind
+            for other in _KINDS:
+                v, rv = _build(p, [([], _coefficient_of_kind(rng, p, other))])
+                assert _ref_of(u * v) == _ref_of(v * u) == _ref_mul(p, ru, rv), (kind, other)
+
+
 def test_monomial_identity_does_not_depend_on_input_order():
     rng = random.Random(11)
     variables = _random_variables(rng, 7)

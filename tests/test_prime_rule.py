@@ -94,7 +94,10 @@ def test_a_derived_point_is_the_tables_point(derive):
     (partial(_four_way, GammaAssignment.symbolic(5), *basis(5)), 0),
     # the domain, x = g_P and y = g_Q, and the two basis points
     (lambda: _monomial_gamma(7), 5),
-], ids=["symbolic-domain-p7", "local-suite-p13", "symbolic-four-way-p5", "monomial-gamma-p7"])
+    # the domain only: each free symbol, and its inverse, is built past the rule
+    (lambda: GammaAssignment.symbolic(5), 1),
+], ids=["symbolic-domain-p7", "local-suite-p13", "symbolic-four-way-p5", "monomial-gamma-p7",
+        "symbolic-gamma-p5"])
 def test_derived_values_skip_the_rule(build, calls, monkeypatch):
     # the domain's roots, zero and one, and every symbol the local suite adds,
     # negates, scales or reads off the tame formula, are built past the rule;
