@@ -24,7 +24,7 @@ step is a cyclic convolution with one row of p factors, built once per l
 (`convolve`).  rho_form reads rho at the running sum, so each of its steps
 takes one row per s (`transfer`), read from rho's flat table by the indices
 of the partial sums jQ + sP.  Over F_q each step is one packed big-integer
-expression, symbolically p^2 ring products.
+expression, symbolically p^2 products added into one dict per output.
 """
 
 from __future__ import annotations

@@ -20,10 +20,9 @@ keeps an upper bound on its |exponent|s, a product the sum of its factors'
 bounds, checked even where exponents would cancel.  `terms` reads the digits
 back as (index, exponent) pairs and sorts on them: the (a, b) order of points.
 
-A product by a single-term polynomial sends each term of the other factor to
-one output term (a fixed monomial keeps distinct monomials distinct, and
-Z[zeta_p] has no zero divisors): a coefficient 1 only shifts keys, a root of
-unity rotates each coefficient.  Any other product collects equal monomials.
+Every product is one pass of `_sum_of_products`: it adds term products into
+one dict and looks each coefficient of the factor with fewer terms up once
+(`_scaling`): 1 shifts keys, a root of unity rotates, others use mul_coords.
 """
 
 from __future__ import annotations
@@ -80,16 +79,46 @@ def _decode(mono: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _add_into(terms: dict, items) -> None:
-    """Add (monomial, nonzero coefficient) pairs into terms, dropping sums that cancel."""
-    for mono, c in items:
-        s = terms.get(mono)
+def _add_into(terms: dict, items: dict, shift: int = 0, times=None) -> None:
+    """Add each term m: c of items into terms as m + shift: times(c) (c for no times)."""
+    if not terms:  # distinct monomials shifted alike stay distinct
+        terms.update({m + shift: c if times is None else times(c) for m, c in items.items()})
+        return
+    for m, c in items.items():
+        m, c = m + shift, c if times is None else times(c)
+        s = terms.get(m)
         if s is None:
-            terms[mono] = c
+            terms[m] = c
         elif any(s := add_coords(s, c)):
-            terms[mono] = s
+            terms[m] = s
         else:
-            del terms[mono]
+            del terms[m]
+
+
+def _scaling(p: int, c: Coords):
+    """x -> c * x on coordinates for a nonzero c, None for 1: a root of unity rotates."""
+    j = _roots_of_unity(p)[0].get(c)
+    return partial(mul_coords, p, c) if j is None else partial(_rotate, p, j) if j else None
+
+
+def _product_bound(f: LaurentPoly, g: LaurentPoly) -> int:
+    """The bound on the |exponent|s of f * g, checked against MAX_EXPONENT."""
+    bound = f._bound + g._bound
+    if bound > MAX_EXPONENT:
+        raise OverflowError(f"a product may reach exponent {bound}, past {MAX_EXPONENT}")
+    return bound
+
+
+def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of f * g over the (f, g) pairs over p, in one dict.  Z[zeta_p] is a
+    domain, so no product of two terms is zero and only sums can cancel."""
+    terms, bound = {}, 0
+    for f, g in pairs:
+        bound = max(bound, _product_bound(f, g))
+        f, g = (g, f) if len(f._terms) < len(g._terms) else (f, g)  # g has fewer terms
+        for m2, c2 in g._terms.items():
+            _add_into(terms, f._terms, m2, _scaling(p, c2))
+    return LaurentPoly._from_raw(p, terms, bound)
 
 
 class LaurentPoly:
@@ -102,7 +131,7 @@ class LaurentPoly:
         self._terms, self._bound = {}, 0
         for pairs, coeff in terms:
             term = self._term(p, coeff, pairs)
-            _add_into(self._terms, term._terms.items())
+            _add_into(self._terms, term._terms)
             self._bound = max(self._bound, term._bound)
 
     @classmethod
@@ -154,7 +183,7 @@ class LaurentPoly:
         if other.p != self.p:
             raise mismatch("polynomial", other.p, self.p)
         out = dict(self._terms)
-        _add_into(out, other._terms.items())
+        _add_into(out, other._terms)
         return self._from_raw(self.p, out, max(self._bound, other._bound))
 
     __radd__ = __add__
@@ -179,24 +208,15 @@ class LaurentPoly:
                 return NotImplemented
         if other.p != self.p:
             raise mismatch("polynomial", other.p, self.p)
-        bound = self._bound + other._bound
-        if bound > MAX_EXPONENT:
-            raise OverflowError(f"a product may reach exponent {bound}, past {MAX_EXPONENT}")
-        # Z[zeta_p] is a domain, so a product of two nonzero coefficients is nonzero
         p, left, right = self.p, self._terms, other._terms
-        if len(left) == 1:
-            left, right = right, left
-        if len(right) == 1:
+        if len(left) == 1 == len(right):
+            (m1, c1), = left.items()
             (m2, c2), = right.items()
-            j = _roots_of_unity(p)[0].get(c2)
-            if j == 0:
-                return self._from_raw(p, {m1 + m2: c1 for m1, c1 in left.items()}, bound)
-            times = partial(mul_coords, p, c2) if j is None else partial(_rotate, p, j)
-            return self._from_raw(p, {m1 + m2: times(c1) for m1, c1 in left.items()}, bound)
-        out: dict[int, Coords] = {}
-        _add_into(out, ((m1 + m2, mul_coords(p, c1, c2))
-                        for m1, c1 in left.items() for m2, c2 in right.items()))
-        return self._from_raw(p, out, bound)
+            times, product = _scaling(p, c2), object.__new__(LaurentPoly)
+            product.p, product._bound = p, _product_bound(self, other)
+            product._terms = {m1 + m2: c1 if times is None else times(c1)}
+            return product
+        return _sum_of_products(p, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -268,7 +288,7 @@ class PolyBuilder:
     def add_poly(self, poly: LaurentPoly) -> None:
         if poly.p != self.p:
             raise mismatch("polynomial", poly.p, self.p)
-        _add_into(self._terms, poly._terms.items())
+        _add_into(self._terms, poly._terms)
         self._bound = max(self._bound, poly._bound)
 
     def build(self) -> LaurentPoly:

@@ -10,9 +10,9 @@ same symbols the monomial gamma(aP + bQ) = g_P^a g_Q^b specializes to.
 
 from __future__ import annotations
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _rotate
 from .errors import mismatch
-from .laurent import LaurentPoly, PolyBuilder
+from .laurent import LaurentPoly, _decode, _sum_of_products
 from .torsion import basis
 
 
@@ -21,22 +21,21 @@ def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
     Moving Y^b past X^c twists by zeta^(2bc), so with f_b the terms of f whose
     Y-exponent is b mod p, f*g is the sum over b of f_b times g with each
-    term's X^c scaled by zeta^(2bc).
+    term's X^c scaled by zeta^(2bc) = (-zeta)^(2bc), one rotation.
     """
     if g.p != f.p:
         raise mismatch("plane element", g.p, f.p)
     p = f.p
-    P, Q = basis(p)
-    parts = [[] for _ in range(p)]
-    for pairs, c in f.terms():
-        parts[dict(pairs).get(Q, 0) % p].append((pairs, c))
-    right = [(pairs, c, dict(pairs).get(P, 0)) for pairs, c in g.terms()]
-    out = PolyBuilder(p)
-    for b, part in enumerate(parts):
-        if part:
-            twisted = [(pairs, c * CycNumber.zeta_pow(p, 2 * b * x)) for pairs, c, x in right]
-            out.add_poly(LaurentPoly(p, part) * LaurentPoly(p, twisted))
-    return out.build()
+    # a variable is its point's index a*p + b: Y = g_Q is 1 and X = g_P is p
+    parts = [{} for _ in range(p)]
+    for m, c in f._terms.items():
+        parts[dict(_decode(m)).get(1, 0) % p][m] = c
+    right = [(m, c, dict(_decode(m)).get(p, 0)) for m, c in g._terms.items()]
+    return _sum_of_products(p, [
+        (LaurentPoly._from_raw(p, part, f._bound),
+         LaurentPoly._from_raw(p, {m: _rotate(p, 2 * b * x % (2 * p), c) for m, c, x in right},
+                               g._bound))
+        for b, part in enumerate(parts) if part])
 
 
 def collapsed_power(p: int) -> LaurentPoly:

@@ -42,8 +42,8 @@ elements compare and hash equal; a product is already made of domain values
 and is not taken through it again.  A domain value is zero
 exactly when it is falsy, as for ints, so the support is read by truth value.
 Both domains multiply lists entrywise (`mul_each`), convolve length-p lists
-and take a walk's transfer step, with ring products and `sum` symbolically
-and over F_q as packed kernels, and F_q adds `pack` and `combine`; a packed
+and take a walk's transfer step, symbolically in one dict per output of its p
+products and over F_q as packed kernels; F_q adds `pack` and `combine`, and a
 slot of (p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
 """
 
@@ -55,7 +55,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .cyclotomic import _zeta
 from .errors import integer, mismatch
-from .laurent import LaurentPoly, PolyBuilder
+from .laurent import LaurentPoly, PolyBuilder, _sum_of_products
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
 from .torsion import (
@@ -74,7 +74,7 @@ class _Domain:
     for k < p) and _key, which it compares and hashes by: (p,) or (p, q), and
     defines add, mul, inv and sum, the total of an iterable of values (zero
     when it is empty).  `mul_each`, `transfer` and `convolve` are ring
-    products and sums here, and packed kernels over F_q."""
+    products and sums here, the reference the domains' own kernels match."""
 
     def zero(self) -> Element:
         return self._zero
@@ -139,7 +139,13 @@ class SymbolicCoefficients(_Domain):
         builder = PolyBuilder._from_raw(self.p)
         for value in values:
             builder.add_poly(value)
-        return builder.build()
+        return LaurentPoly._from_raw(self.p, builder._terms, builder._bound)
+
+    def transfer(self, sums: Sequence[LaurentPoly], rows) -> list[LaurentPoly]:
+        """`_Domain.transfer` with each c_t collected in one dict over its p products."""
+        p, pairs = self.p, list(enumerate(zip(sums, rows)))
+        return [_sum_of_products(p, [(x, row[(t - s) % p]) for s, (x, row) in pairs])
+                for t in range(p)]
 
     def __repr__(self) -> str:
         return f"SymbolicCoefficients(p={self.p})"

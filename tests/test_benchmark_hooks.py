@@ -312,11 +312,15 @@ def test_symbolic_four_way_hashes_points_a_few_times_per_point():
 
 
 def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
-    # every polynomial product and sum goes through the patched methods, and
-    # every coefficient sum and product through the coordinate functions, but
-    # for a single-term factor's 1 or root of unity: of the 5,301 coefficient
-    # products, 1,548 are rotations that laurent makes itself and the other
-    # 3,128 are by 1 and only shift keys.  One that went around them would
+    # every polynomial product goes through the patched __mul__ but the walks'
+    # sums of products, which laurent collects in one dict each, and every
+    # polynomial sum of a domain's `sum` through add_poly; every coefficient
+    # sum goes through add_coords.  Each coefficient of a product's factor
+    # with fewer terms is looked up once: of the 4,776 coefficient products,
+    # 1,960 are by a root of unity, rotations that laurent makes itself, and
+    # the other 2,816 are by 1 and only shift keys.  No factor with fewer
+    # terms has any other coefficient here (norm_form's are roots of unity
+    # and 1), so mul_coords is not called.  One that went around them would
     # lower these counts
     coords = {"mul_coords": 0, "add_coords": 0, "_rotate": 0}
 
@@ -341,10 +345,10 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
         "laurent.LaurentPoly.mul.calls",
         "laurent.PolyBuilder.add_poly.calls",
     )} == {
-        "laurent.LaurentPoly.mul.calls": 2034,
-        "laurent.PolyBuilder.add_poly.calls": 325,
+        "laurent.LaurentPoly.mul.calls": 1734,
+        "laurent.PolyBuilder.add_poly.calls": 25,
     }
-    assert coords == {"mul_coords": 625, "add_coords": 1895, "_rotate": 1548}
+    assert coords == {"mul_coords": 0, "add_coords": 1895, "_rotate": 1960}
 
 
 @pytest.mark.parametrize("p, q, basis_of", [

@@ -11,12 +11,13 @@ from functools import partial
 
 import pytest
 
-from tatestar import cyclotomic, laurent, local_pairing, star_algebra, torsion
+from tatestar import cyclotomic, laurent, local_pairing, qplane, star_algebra, torsion
 from tatestar.cyclotomic import CycNumber
 from tatestar.laurent import LaurentPoly, PolyBuilder
 from tatestar.local_pairing import PairingValue, TameFieldModel
 from tatestar.star_algebra import PrimeFieldCoefficients, SymbolicCoefficients
 from tatestar.closed_forms import _monomial_gamma
+from tatestar.qplane import qplane_identity_sides
 from tatestar.star_algebra import GammaAssignment
 from tatestar.suites import _four_way, local_suite
 from tatestar.torsion import TorsionPoint, basis, index_shear, index_shift, point_tables
@@ -96,8 +97,11 @@ def test_a_derived_point_is_the_tables_point(derive):
     (lambda: _monomial_gamma(7), 5),
     # the domain only: each free symbol, and its inverse, is built past the rule
     (lambda: GammaAssignment.symbolic(5), 1),
+    # line_operator's basis points, its p roots and the polynomial; each plane
+    # product splits and twists the terms it is given
+    (partial(qplane_identity_sides, 5), 8),
 ], ids=["symbolic-domain-p7", "local-suite-p13", "symbolic-four-way-p5", "monomial-gamma-p7",
-        "symbolic-gamma-p5"])
+        "symbolic-gamma-p5", "qplane-identity-p5"])
 def test_derived_values_skip_the_rule(build, calls, monkeypatch):
     # the domain's roots, zero and one, and every symbol the local suite adds,
     # negates, scales or reads off the tame formula, are built past the rule;
@@ -110,7 +114,8 @@ def test_derived_values_skip_the_rule(build, calls, monkeypatch):
         seen.append(p)
         return rule(p)
 
-    for module in (torsion, cyclotomic, laurent, local_pairing, star_algebra):
-        monkeypatch.setattr(module, "validate_odd_prime", counted)
+    # qplane does not look the rule up itself; if it ever does, it is counted
+    for module in (torsion, cyclotomic, laurent, local_pairing, qplane, star_algebra):
+        monkeypatch.setattr(module, "validate_odd_prime", counted, raising=module is not qplane)
     build()
     assert len(seen) == calls
