@@ -20,9 +20,10 @@ keeps an upper bound on its |exponent|s, a product the sum of its factors'
 bounds, checked even where exponents would cancel.  `terms` reads the digits
 back as (index, exponent) pairs and sorts on them: the (a, b) order of points.
 
-Every product is one pass of `_sum_of_products`: it adds term products into
-one dict and looks each coefficient of the factor with fewer terms up once
-(`_scaling`): 1 shifts keys, a root of unity rotates, others use mul_coords.
+A product adds term products into one dict (`_sum_of_products`; by a single
+term, one comprehension) and looks each coefficient of the factor with fewer
+terms up once (`_scaling`): 1 shifts keys, a root of unity rotates, others
+use mul_coords.  Two single terms take one mul_coords: two roots, one lookup.
 """
 
 from __future__ import annotations
@@ -101,9 +102,8 @@ def _scaling(p: int, c: Coords):
     return partial(mul_coords, p, c) if j is None else partial(_rotate, p, j) if j else None
 
 
-def _product_bound(f: LaurentPoly, g: LaurentPoly) -> int:
-    """The bound on the |exponent|s of f * g, checked against MAX_EXPONENT."""
-    bound = f._bound + g._bound
+def _bounded(bound: int) -> int:
+    """A product's |exponent| bound, the sum of its factors', checked against MAX_EXPONENT."""
     if bound > MAX_EXPONENT:
         raise OverflowError(f"a product may reach exponent {bound}, past {MAX_EXPONENT}")
     return bound
@@ -114,11 +114,32 @@ def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -
     domain, so no product of two terms is zero and only sums can cancel."""
     terms, bound = {}, 0
     for f, g in pairs:
-        bound = max(bound, _product_bound(f, g))
+        bound = max(bound, _bounded(f._bound + g._bound))
         f, g = (g, f) if len(f._terms) < len(g._terms) else (f, g)  # g has fewer terms
         for m2, c2 in g._terms.items():
             _add_into(terms, f._terms, m2, _scaling(p, c2))
     return LaurentPoly._from_raw(p, terms, bound)
+
+
+def _unit_twists(p: int, values: list, inverses: list, sums: tuple) -> list[LaurentPoly]:
+    """values[i] * values[j] * inverses[sums[i*n + j]] at i*n + j, for single terms: each
+    entry is the term of key m_i + m_j + m'_k, coefficient c_i c_j c'_k (one root-table
+    lookup when all three are roots of unity) and bound b_i + b_j + b'_k."""
+    index, roots = _roots_of_unity(p)
+
+    def unit(poly: LaurentPoly) -> tuple:
+        (m, c), = poly._terms.items()
+        return m, c, index.get(c), poly._bound
+    left, right, table, n = [*map(unit, values)], [*map(unit, inverses)], [], len(values)
+    for i, (m1, c1, j1, b1) in enumerate(left):
+        for (m2, c2, j2, b2), k in zip(left, sums[i * n:(i + 1) * n]):
+            m3, c3, j3, b3 = right[k]
+            if j1 is None or j2 is None or j3 is None:
+                c = mul_coords(p, mul_coords(p, c1, c2), c3)
+            else:
+                c = roots[(j1 + j2 + j3) % (2 * p)]
+            table.append(LaurentPoly._from_raw(p, {m1 + m2 + m3: c}, _bounded(b1 + b2 + b3)))
+    return table
 
 
 class LaurentPoly:
@@ -209,14 +230,18 @@ class LaurentPoly:
         if other.p != self.p:
             raise mismatch("polynomial", other.p, self.p)
         p, left, right = self.p, self._terms, other._terms
-        if len(left) == 1 == len(right):
+        if len(left) == 1:
+            left, right = right, left  # right is a single term if either factor is
+        if len(right) != 1:
+            return _sum_of_products(p, [(self, other)])
+        (m2, c2), = right.items()
+        bound = _bounded(self._bound + other._bound)
+        if len(left) == 1:
             (m1, c1), = left.items()
-            (m2, c2), = right.items()
-            times, product = _scaling(p, c2), object.__new__(LaurentPoly)
-            product.p, product._bound = p, _product_bound(self, other)
-            product._terms = {m1 + m2: c1 if times is None else times(c1)}
-            return product
-        return _sum_of_products(p, [(self, other)])
+            return self._from_raw(p, {m1 + m2: mul_coords(p, c1, c2)}, bound)
+        if (times := _scaling(p, c2)) is None:
+            return self._from_raw(p, {m + m2: c for m, c in left.items()}, bound)
+        return self._from_raw(p, {m + m2: times(c) for m, c in left.items()}, bound)
 
     __rmul__ = __mul__
 

@@ -45,6 +45,7 @@ Both domains multiply lists entrywise (`mul_each`), convolve length-p lists
 and take a walk's transfer step, symbolically in one dict per output of its p
 products and over F_q as packed kernels; F_q adds `pack` and `combine`, and a
 slot of (p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
+Both build a gamma's twist table (`twists`), the symbolic one by key arithmetic.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .cyclotomic import _zeta
 from .errors import integer, mismatch
-from .laurent import LaurentPoly, PolyBuilder, _sum_of_products
+from .laurent import LaurentPoly, PolyBuilder, _sum_of_products, _unit_twists
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
 from .torsion import (
@@ -73,8 +74,8 @@ class _Domain:
     """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
     for k < p) and _key, which it compares and hashes by: (p,) or (p, q), and
     defines add, mul, inv and sum, the total of an iterable of values (zero
-    when it is empty).  `mul_each`, `transfer` and `convolve` are ring
-    products and sums here, the reference the domains' own kernels match."""
+    when it is empty).  `mul_each`, `transfer`, `convolve` and `twists` are
+    ring products and sums here, the reference the domains' own kernels match."""
 
     def zero(self) -> Element:
         return self._zero
@@ -101,6 +102,13 @@ class _Domain:
     def convolve(self, a: Sequence[Element], b: Sequence[Element]) -> list[Element]:
         """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
         return self.transfer(a, [b] * self.p)
+
+    def twists(self, values: Sequence[Element], inverses: Sequence[Element]) -> list[Element]:
+        """The flat table of values[i] * values[j] * inverses[i + j] at i*n + j, for a
+        gamma's n = p^2 values and inverses by point index: two products an entry."""
+        mul, n, sums = self.mul, len(values), point_tables(self.p).sums
+        return [mul(mul(g1, g2), inverses[k]) for i, g1 in enumerate(values)
+                for g2, k in zip(values, sums[i * n:(i + 1) * n])]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _Domain) and other._key == self._key
@@ -146,6 +154,10 @@ class SymbolicCoefficients(_Domain):
         p, pairs = self.p, list(enumerate(zip(sums, rows)))
         return [_sum_of_products(p, [(x, row[(t - s) % p]) for s, (x, row) in pairs])
                 for t in range(p)]
+
+    def twists(self, values: Sequence[LaurentPoly], inverses) -> list[LaurentPoly]:
+        """`_Domain.twists` by key arithmetic, with no polynomial product (`_unit_twists`)."""
+        return _unit_twists(self.p, values, inverses, point_tables(self.p).sums)
 
     def __repr__(self) -> str:
         return f"SymbolicCoefficients(p={self.p})"
@@ -299,22 +311,14 @@ class RhoAssignment:
 
     It is normalized, rho(O, T) = rho(T, O) = 1, since gamma(O) = 1, and
     symmetric.  `_values` is its flat table, entry i*n + j at (point i, point
-    j), and `_gamma` the gamma it was made from.
+    j), built by the domain's `twists`, and `_gamma` the gamma it was made from.
     """
 
     __slots__ = ("domain", "_values", "_gamma")
 
     def __init__(self, gamma: GammaAssignment):
-        domain = gamma.domain
-        mul = domain.mul
-        values, inverse = gamma._values, gamma._inverses
-        n = len(values)
-        sums = point_tables(domain.p).sums
-        table: list[Element] = []
-        for i, g1 in enumerate(values):
-            row = sums[i * n:(i + 1) * n]
-            table += [mul(mul(g1, g2), inverse[k]) for g2, k in zip(values, row)]
-        self.domain, self._values, self._gamma = domain, table, gamma
+        self.domain, self._gamma = gamma.domain, gamma
+        self._values = gamma.domain.twists(gamma._values, gamma._inverses)
 
     def value(self, t1: TorsionPoint, t2: TorsionPoint) -> Element:
         p = self.domain.p

@@ -10,11 +10,13 @@ make every multiplication there, and a four-way check to invert each gamma
 value once.  The F_q packed kernels (the clock-and-shift path for dense
 numeric products, the walks of the closed forms) are not counted there: a
 dense product and a numeric rho_form are pinned at no counted product and
-their kernel calls are counted here instead.  The symbolic ring keys
-monomials by point indices, so a symbolic four-way check hashes torsion
-points only at the algebra's interface, a few times per point.  Last, each
-closed-p7 operation must make at least as many domain products as the
-product perfbench/selftest.py breaks, or its planted fault could not fire.
+their kernel calls are counted here instead.  The symbolic twist table is
+built by key arithmetic and pinned at no polynomial product.  The symbolic
+ring keys monomials by point indices, so a symbolic four-way check hashes
+torsion points only at the algebra's interface, a few times per point.
+Last, each closed-p7 operation must make at least as many domain products as
+the product perfbench/selftest.py breaks, or its planted fault could not
+fire.
 """
 
 import ast
@@ -37,6 +39,7 @@ from tatestar.star_algebra import (
     GammaAssignment,
     PrimeFieldCoefficients,
     SymbolicCoefficients,
+    _Domain,
     coboundary,
     delta_inverse,
     star,
@@ -102,10 +105,10 @@ def test_a_domain_is_its_ring_operations():
     # the operations counting_domain wraps or reads, the n-ary `sum` (which it
     # does not wrap) and the entry rule `coerce`: a domain writes no output and
     # holds no other helper, inherited or its own; both multiply entrywise,
-    # convolve and take transfer steps for the walks, and F_q adds the packed
-    # kernels of the clock-and-shift star
+    # convolve, take transfer steps for the walks and build a gamma's twist
+    # table, and F_q adds the packed kernels of the clock-and-shift star
     ring = {"zero", "one", "root", "add", "mul", "inv", "sum", "coerce",
-            "mul_each", "convolve", "transfer"}
+            "mul_each", "convolve", "transfer", "twists"}
     packed = {"pack", "combine"}
 
     def public(cls):
@@ -313,15 +316,16 @@ def test_symbolic_four_way_hashes_points_a_few_times_per_point():
 
 def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
     # every polynomial product goes through the patched __mul__ but the walks'
-    # sums of products, which laurent collects in one dict each, and every
-    # polynomial sum of a domain's `sum` through add_poly; every coefficient
-    # sum goes through add_coords.  Each coefficient of a product's factor
-    # with fewer terms is looked up once: of the 4,776 coefficient products,
-    # 1,960 are by a root of unity, rotations that laurent makes itself, and
-    # the other 2,816 are by 1 and only shift keys.  No factor with fewer
-    # terms has any other coefficient here (norm_form's are roots of unity
-    # and 1), so mul_coords is not called.  One that went around them would
-    # lower these counts
+    # sums of products, which laurent collects in one dict each, and the twist
+    # table, which SymbolicCoefficients.twists builds by key arithmetic; every
+    # polynomial sum of a domain's `sum` goes through add_poly and every
+    # coefficient sum through add_coords.  400 of the 484 products are of two
+    # single terms, one mul_coords call each: here 1 * 1, 1 * zeta^k or
+    # zeta^k * 1, read from the root table.  In the others each coefficient of
+    # the factor with fewer terms is looked up once: a root of unity rotates
+    # (1,860 times, in laurent itself) and a 1 only shifts keys; no such factor
+    # has any other coefficient here (norm_form's are roots of unity and 1).
+    # One that went around them would lower these counts
     coords = {"mul_coords": 0, "add_coords": 0, "_rotate": 0}
 
     def counted(name, fn):
@@ -345,10 +349,33 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
         "laurent.LaurentPoly.mul.calls",
         "laurent.PolyBuilder.add_poly.calls",
     )} == {
-        "laurent.LaurentPoly.mul.calls": 1734,
+        "laurent.LaurentPoly.mul.calls": 484,
         "laurent.PolyBuilder.add_poly.calls": 25,
     }
-    assert coords == {"mul_coords": 0, "add_coords": 1895, "_rotate": 1960}
+    assert coords == {"mul_coords": 400, "add_coords": 1895, "_rotate": 1860}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_free_symbolic_twist_table_makes_no_product(p, monkeypatch):
+    # each entry adds three keys and reads its coefficient, a 1, from the root
+    # table; the reference loop of _Domain.twists, which F_q takes, makes two
+    # products an entry, and the same counters see every one of them
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return cyclotomic.mul_coords(*args)
+
+    monkeypatch.setattr(laurent, "mul_coords", counted)
+    gamma = GammaAssignment.symbolic(p)
+    tracing = _load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    with tracing.instrument(tatestar, tracer):
+        rho = coboundary(gamma)
+        assert (tracer.counts()["laurent.LaurentPoly.mul.calls"], calls[0]) == (0, 0)
+        reference = _Domain.twists(gamma.domain, gamma._values, gamma._inverses)
+        assert tracer.counts()["laurent.LaurentPoly.mul.calls"] == 2 * p ** 4
+    assert rho._values == reference
 
 
 @pytest.mark.parametrize("p, q, basis_of", [
