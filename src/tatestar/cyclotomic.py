@@ -1,110 +1,138 @@
 """Exact arithmetic in Z[zeta_p] for an odd prime p.
 
-An element is a tuple of p - 1 integer coordinates in the power basis 1, zeta,
-..., zeta^(p-2), reduced by zeta^p = 1 and 1 + ... + zeta^(p-1) = 0 (`_fold`).
-The arithmetic is written once, on such tuples: `add_coords` adds them, and
-`mul_coords` finds a root of unity (-zeta)^j by a per-p table, so a product of
-two roots adds their j, one by a single root is a signed cyclic shift
-(`_rotate`), O(p), and any other product convolves, O(p^2).  LaurentPoly keeps
-its coefficients as tuples; CycNumber, a p and a tuple, wraps the same
-functions at the interface.  Public constructors check p by
-`torsion.validate_odd_prime` and each integer by `errors.integer`, so a bool,
-float or str raises TypeError; only units invert.  No floating point is used.
+An element is one int of p slots of SLOT bits, slot e for zeta^e: the group
+ring Z[C_p] packed by Kronecker substitution.  A slot holds its coordinate
+plus the bias 2^(SLOT-2) (offset binary), from -MAX_COORDINATE - 1 to
+MAX_COORDINATE, with its top bit, the guard bit, clear.  An element is
+canonical, with equal elements equal ints, when its zeta^(p-1) slot holds 0
+(by 1 + zeta + ... + zeta^(p-1) = 0); its other slots are then its
+coordinates in the power basis 1, zeta, ..., zeta^(p-2), which `nums` reads.
+`Packing(p)` holds the arithmetic.  A sum is one int addition less the bias
+vector, and a product by a root of unity (-zeta)^j rotates the slots,
+negated for odd j (`rotors`); `fold` makes it canonical again by one product
+by the all-ones vector, so a sum of rotations folds once.  Any other product
+decodes and convolves, O(p^2).  After each construction, sum, negation and
+fold one mask test of the guard bits raises OverflowError if a slot left its
+range, so no slot carries into the next unseen.  Public constructors check p
+by `torsion.validate_odd_prime` and each integer by `errors.integer`, so a
+bool, float or str raises TypeError; only units invert.  No floating point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Sequence
 
 from .errors import integer, mismatch
 from .torsion import validate_odd_prime
 
-Coords = tuple[int, ...]
+# the bits of one slot of a packed element, and the largest coordinate it holds
+SLOT = 102
+MAX_COORDINATE = (1 << SLOT - 2) - 1
+_BIAS, _MASK = MAX_COORDINATE + 1, (1 << SLOT) - 1
 
 
-def _fold(full: Sequence[int]) -> Coords:
-    """The power-basis coordinates of sum(full[e] * zeta^e) over e = 0..p-1,
-    by zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
-    top = full[-1]
-    return tuple([c - top for c in full[:-1]]) if top else tuple(full[:-1])
+class Packing:
+    """The packed arithmetic of Z[zeta_p] for one p (`packing`): the all-ones vector, zero (the
+    bias in every slot), the guard bits, and the roots (-zeta)^j by j and j by root (`index`)."""
 
+    __slots__ = ("p", "ones", "zero", "guard", "_top", "rotors", "neg", "roots", "index")
 
-def _zeta(p: int, k: int) -> Coords:
-    """The coordinates of zeta^k, for a p already checked and an int k."""
-    full = [0] * p
-    full[k % p] = 1
-    return _fold(full)
+    def __init__(self, p: int):
+        self.p, self._top = p, SLOT * (p - 1)
+        self.ones = sum(1 << SLOT * e for e in range(p))
+        self.zero, self.guard = _BIAS * self.ones, 2 * _BIAS * self.ones
+        self.rotors = [self._rotor(j) for j in range(2 * p)]
+        self.neg = self.rotors[p]  # (-zeta)^p = -1
+        self.roots = [self.fold(rotor(self.zero + 1)) for rotor in self.rotors]
+        self.index = {root: j for j, root in enumerate(self.roots)}
 
+    def _overflow(self) -> OverflowError:
+        return OverflowError(f"a Z[zeta_{self.p}] coordinate left the slot bound {MAX_COORDINATE}")
 
-@lru_cache(maxsize=None)
-def _roots_of_unity(p: int) -> tuple[dict[Coords, int], list[Coords]]:
-    """The coordinates of the 2p roots of unity (-zeta)^j, and their j by coordinates."""
-    roots = [tuple(-c for c in _zeta(p, j)) if j % 2 else _zeta(p, j) for j in range(2 * p)]
-    return {root: j for j, root in enumerate(roots)}, roots
+    def pack(self, full: Sequence[int]) -> int:
+        """The canonical element sum(full[e] * zeta^e) over e = 0..p-1."""
+        c, seen, top = 0, 0, full[-1]
+        for x in reversed(full):
+            x += _BIAS - top  # by zeta^(p-1) = -(1 + ... + zeta^(p-2))
+            c, seen = c << SLOT | x, seen | x
+        if seen >> SLOT - 1:  # a slot is negative or reaches its guard bit
+            raise self._overflow()
+        return c
 
+    def unpack(self, c: int) -> tuple[int, ...]:
+        """The power-basis coordinates of c, canonical or not."""
+        full = [(c >> SLOT * e & _MASK) - _BIAS for e in range(self.p)]
+        return tuple([x - full[-1] for x in full[:-1]])
 
-def _rotate(p: int, j: int, nums: Coords) -> Coords:
-    """The coordinates of (-zeta)^j * x for x with coordinates nums."""
-    full = (tuple(-c for c in nums) if j % 2 else nums) + (0,)  # over zeta^0..zeta^(p-1)
-    return _fold(full[-j % p:] + full[:-j % p])
+    def add(self, a: int, b: int) -> int:
+        if (c := a + b - self.zero) & self.guard:
+            raise self._overflow()
+        return c
 
+    def _rotor(self, j: int):
+        """c -> (-zeta)^j * c for 0 <= j < 2p, not folded: the slots of c rotated by
+        j mod p, and for odd j taken from the guard bits, which negates each slot."""
+        up, down, guard = SLOT * (j % self.p), SLOT * self.p, self.guard
+        down, mask = down - up, (1 << down) - 1
+        if not j & 1:
+            return lambda c: c << up & mask | c >> down
 
-def add_coords(a: Coords, b: Coords) -> Coords:
-    """The coordinates of a + b."""
-    return tuple(map(add, a, b))
+        def rotor(c: int) -> int:
+            if (c := guard - (c << up & mask | c >> down)) & guard:
+                raise self._overflow()
+            return c
+        return rotor
 
+    def fold(self, c: int) -> int:
+        """The canonical form of c: its zeta^(p-1) coordinate taken from every slot."""
+        if (c := c - ((c >> self._top) - _BIAS) * self.ones) & self.guard:
+            raise self._overflow()
+        return c
 
-def mul_coords(p: int, a: Coords, b: Coords) -> Coords:
-    """The coordinates of a * b: by the root table when a factor is a root of unity."""
-    table, roots = _roots_of_unity(p)
-    j, x = table.get(b), a
-    if j is None:
-        j, x = table.get(a), b
+    def mul(self, a: int, b: int) -> int:
+        """a * b, canonical: by the root table when a factor is a root of unity."""
+        index, p = self.index, self.p
+        j, x = index.get(b), a
         if j is None:
-            return _convolve(p, a, b)
-    elif j and (i := table.get(a)) is not None:
-        return roots[(i + j) % (2 * p)]
-    return _rotate(p, j, x) if j else x
+            j, x = index.get(a), b
+            if j is None:  # neither is a root of unity: O(p^2)
+                full, right = [0] * p, self.unpack(b)
+                for i, s in enumerate(self.unpack(a)):
+                    if s:
+                        for k, t in enumerate(right, i):
+                            full[k % p] += s * t
+                return self.pack(full)
+        elif j and (i := index.get(a)) is not None:
+            return self.roots[(i + j) % (2 * p)]
+        return self.fold(self.rotors[j](x)) if j else x
+
+    def inverse(self, c: int) -> int:
+        """The inverse of a nonzero c: (-zeta)^-j for a root of unity (-zeta)^j, else the
+        product of the other Galois conjugates over the norm, which must be +-1."""
+        p = self.p
+        if (j := self.index.get(c)) is not None:
+            return self.roots[-j % (2 * p)]
+        nums, others = self.unpack(c), self.roots[0]
+        for k in range(2, p):  # the conjugate zeta -> zeta^k
+            twisted = [0] * p
+            for e, x in enumerate(nums):
+                twisted[e * k % p] += x
+            others = self.mul(others, self.pack(twisted))
+        norm = self.unpack(self.mul(c, others))[0]  # a nonzero integer, the norm to Z
+        if norm not in (1, -1):
+            raise ValueError(f"CycNumber({p}, {list(nums)}) is not a unit of Z[zeta_{p}]: "
+                             f"its norm is {norm}")
+        return others if norm == 1 else self.neg(others)
 
 
-def _convolve(p: int, a: Coords, b: Coords) -> Coords:
-    """The product of two elements, neither a root of unity: O(p^2)."""
-    conv = [0] * (2 * p - 3)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                conv[j] += x * y
-    for e in range(p, 2 * p - 3):  # zeta^e = zeta^(e-p)
-        conv[e - p] += conv[e]
-    del conv[p:]
-    return _fold(conv)
-
-
-def _inverse(p: int, nums: Coords) -> Coords:
-    """The inverse of a nonzero element: (-zeta)^-j for a root of unity (-zeta)^j, else
-    the product of the other Galois conjugates over the norm, which must be +-1."""
-    table, roots = _roots_of_unity(p)
-    if (j := table.get(nums)) is not None:
-        return roots[-j % (2 * p)]
-    others = roots[0]
-    for k in range(2, p):  # the conjugate zeta -> zeta^k
-        twisted = [0] * p
-        for e, x in enumerate(nums):
-            twisted[e * k % p] += x
-        others = mul_coords(p, others, _fold(twisted))
-    norm = mul_coords(p, nums, others)[0]  # a nonzero integer, the norm to Z
-    if norm not in (1, -1):
-        raise ValueError(f"CycNumber({p}, {list(nums)}) is not a unit of Z[zeta_{p}]: "
-                         f"its norm is {norm}")
-    return tuple([norm * c for c in others])
+packing = lru_cache(maxsize=None)(Packing)
 
 
 class CycNumber:
-    """An element of Z[zeta_p], stored exactly."""
+    """An element of Z[zeta_p], stored exactly as one packed int."""
 
-    __slots__ = ("p", "nums")
+    __slots__ = ("p", "_c")
 
     def __init__(self, p: int, coeffs=()):
         """Build sum(coeffs[e] * zeta^e) from integers; coeffs may have any length."""
@@ -112,14 +140,18 @@ class CycNumber:
         full = [0] * p
         for e, c in enumerate(coeffs):
             full[e % p] += integer(c)
-        self.nums = _fold(full)
+        self._c = packing(p).pack(full)
 
     @classmethod
-    def _make(cls, p: int, nums: Sequence[int]) -> CycNumber:
+    def _make(cls, p: int, c: int) -> CycNumber:
         self = object.__new__(cls)
-        self.p = p
-        self.nums = tuple(nums)
+        self.p, self._c = p, c
         return self
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """The p - 1 coordinates in the power basis 1, zeta, ..., zeta^(p-2)."""
+        return packing(self.p).unpack(self._c)
 
     @classmethod
     def zero(cls, p: int) -> CycNumber:
@@ -136,33 +168,34 @@ class CycNumber:
 
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNumber:
-        """The root of unity zeta^k."""
-        return cls._make(p := validate_odd_prime(p), _zeta(p, integer(k)))
+        """The root of unity zeta^k = (-zeta)^(k(p+1))."""
+        p = validate_odd_prime(p)
+        return cls._make(p, packing(p).roots[integer(k) * (p + 1) % (2 * p)])
 
     def __bool__(self) -> bool:
-        return any(self.nums)
+        return self._c != packing(self.p).zero
 
     def _operand(self, other):
-        """The coordinates of other over self's p, or NotImplemented."""
+        """The packed value of other over self's p, or NotImplemented."""
         other = _coerce(self.p, other)
         if other is NotImplemented:
             return other
         if other.p != self.p:
             raise mismatch("cyclotomic number", other.p, self.p)
-        return other.nums
+        return other._c
 
     def __add__(self, other) -> CycNumber:
         b = self._operand(other)
-        return b if b is NotImplemented else CycNumber._make(self.p, add_coords(self.nums, b))
+        return b if b is NotImplemented else self._make(self.p, packing(self.p).add(self._c, b))
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNumber:
-        return CycNumber._make(self.p, [-x for x in self.nums])
+        return self._make(self.p, packing(self.p).neg(self._c))
 
     def __sub__(self, other) -> CycNumber:
         b = self._operand(other)
-        return b if b is NotImplemented else self + CycNumber._make(self.p, [-x for x in b])
+        return b if b is NotImplemented else self + self._make(self.p, packing(self.p).neg(b))
 
     def __rsub__(self, other) -> CycNumber:
         return -(self - other)
@@ -171,28 +204,27 @@ class CycNumber:
         b = self._operand(other)
         if b is NotImplemented:
             return b
-        b = mul_coords(self.p, self.nums, b)
-        return self if b is self.nums else CycNumber._make(self.p, b)  # x * 1 is x
+        b = packing(self.p).mul(self._c, b)
+        return self if b is self._c else self._make(self.p, b)  # x * 1 is x
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNumber:
-        """Inverse of a unit; ValueError when the norm to Z is not +-1 (`_inverse`)."""
+        """Inverse of a unit; ValueError when the norm to Z is not +-1 (`Packing.inverse`)."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Z[zeta_p]")
-        return CycNumber._make(self.p, _inverse(self.p, self.nums))
+        return self._make(self.p, packing(self.p).inverse(self._c))
 
     def __eq__(self, other) -> bool:
         other = _coerce(self.p, other)
         if other is NotImplemented:
             return NotImplemented
-        return self.p == other.p and self.nums == other.nums
+        return self.p == other.p and self._c == other._c
 
     def __hash__(self) -> int:
-        # a rational equals its integer, so it hashes like it
-        if not any(self.nums[1:]):
-            return hash(self.nums[0])
-        return hash((self.p, self.nums))
+        # a rational equals its integer, so it hashes like it; c - zero is only then in one slot
+        n = self._c - packing(self.p).zero
+        return hash(n) if -_BIAS <= n < _BIAS else hash((self.p, self._c))
 
     def __repr__(self) -> str:
         return f"CycNumber({self.p}, {list(self.nums)})"
@@ -204,6 +236,6 @@ def _coerce(p: int, value):
     if isinstance(value, CycNumber):
         return value
     try:
-        return CycNumber._make(p, (integer(value),) + (0,) * (p - 2))
+        return CycNumber._make(p, packing(p).pack([integer(value)] + [0] * (p - 1)))
     except TypeError:
         return NotImplemented

@@ -2,8 +2,8 @@
 
 A coefficient is given as a CycNumber or an integer (not a bool), by the
 scalar rule of `cyclotomic._coerce`, else TypeError.  It is kept as its
-coordinate tuple, added and multiplied by `cyclotomic.add_coords` and
-`mul_coords`, and leaves as a CycNumber from `terms` and `coefficient`.
+canonical packed int (`cyclotomic.Packing`) and leaves as a CycNumber from
+`terms` and `coefficient`.
 
 The variables are the formal symbols g_T, one for each nonzero p-torsion
 point T over the polynomial's p, and a monomial is the finite product of
@@ -22,8 +22,9 @@ back as (index, exponent) pairs and sorts on them: the (a, b) order of points.
 
 A product adds term products into one dict (`_sum_of_products`; by a single
 term, one comprehension) and looks each coefficient of the factor with fewer
-terms up once (`_scaling`): 1 shifts keys, a root of unity rotates, others
-use mul_coords.  Two single terms take one mul_coords: two roots, one lookup.
+terms up once (`_scaling`): 1 shifts keys, a root of unity rotates slots and
+others multiply; the dict folds each output term once, at the end.  Two
+single terms take one `mul`: two roots, one lookup.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .cyclotomic import (Coords, CycNumber, _coerce, _inverse, _roots_of_unity, _rotate,
-                         add_coords, mul_coords)
+from .cyclotomic import CycNumber, Packing, _coerce, packing
 from .errors import integer, mismatch
 from .torsion import TorsionPoint, point_tables, validate_odd_prime
 
@@ -80,26 +80,27 @@ def _decode(mono: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _add_into(terms: dict, items: dict, shift: int = 0, times=None) -> None:
+def _add_into(ring: Packing, terms: dict, items: dict, shift: int = 0, times=None) -> None:
     """Add each term m: c of items into terms as m + shift: times(c) (c for no times)."""
     if not terms:  # distinct monomials shifted alike stay distinct
         terms.update({m + shift: c if times is None else times(c) for m, c in items.items()})
         return
+    add, zero = ring.add, ring.zero
     for m, c in items.items():
         m, c = m + shift, c if times is None else times(c)
         s = terms.get(m)
         if s is None:
             terms[m] = c
-        elif any(s := add_coords(s, c)):
+        elif (s := add(s, c)) != zero:
             terms[m] = s
         else:
             del terms[m]
 
 
-def _scaling(p: int, c: Coords):
-    """x -> c * x on coordinates for a nonzero c, None for 1: a root of unity rotates."""
-    j = _roots_of_unity(p)[0].get(c)
-    return partial(mul_coords, p, c) if j is None else partial(_rotate, p, j) if j else None
+def _scaling(ring: Packing, c: int):
+    """x -> c * x for a nonzero c, None for 1: a root of unity rotates, unfolded."""
+    j = ring.index.get(c)
+    return partial(ring.mul, c) if j is None else ring.rotors[j] if j else None
 
 
 def _bounded(bound: int) -> int:
@@ -112,32 +113,34 @@ def _bounded(bound: int) -> int:
 def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """The sum of f * g over the (f, g) pairs over p, in one dict.  Z[zeta_p] is a
     domain, so no product of two terms is zero and only sums can cancel."""
-    terms, bound = {}, 0
+    ring, terms, bound = packing(p), {}, 0
     for f, g in pairs:
         bound = max(bound, _bounded(f._bound + g._bound))
         f, g = (g, f) if len(f._terms) < len(g._terms) else (f, g)  # g has fewer terms
         for m2, c2 in g._terms.items():
-            _add_into(terms, f._terms, m2, _scaling(p, c2))
-    return LaurentPoly._from_raw(p, terms, bound)
+            _add_into(ring, terms, f._terms, m2, _scaling(ring, c2))
+    fold, zero = ring.fold, ring.zero
+    return LaurentPoly._from_raw(p, {m: c for m, s in terms.items() if (c := fold(s)) != zero},
+                                 bound)
 
 
 def _unit_twists(p: int, values: list, inverses: list, sums: tuple) -> list[LaurentPoly]:
     """values[i] * values[j] * inverses[sums[i*n + j]] at i*n + j, for single terms: each
     entry is the term of key m_i + m_j + m'_k, coefficient c_i c_j c'_k (one root-table
     lookup when all three are roots of unity) and bound b_i + b_j + b'_k."""
-    index, roots = _roots_of_unity(p)
+    ring = packing(p)
 
     def unit(poly: LaurentPoly) -> tuple:
         (m, c), = poly._terms.items()
-        return m, c, index.get(c), poly._bound
+        return m, c, ring.index.get(c), poly._bound
     left, right, table, n = [*map(unit, values)], [*map(unit, inverses)], [], len(values)
     for i, (m1, c1, j1, b1) in enumerate(left):
         for (m2, c2, j2, b2), k in zip(left, sums[i * n:(i + 1) * n]):
             m3, c3, j3, b3 = right[k]
             if j1 is None or j2 is None or j3 is None:
-                c = mul_coords(p, mul_coords(p, c1, c2), c3)
+                c = ring.mul(ring.mul(c1, c2), c3)
             else:
-                c = roots[(j1 + j2 + j3) % (2 * p)]
+                c = ring.roots[(j1 + j2 + j3) % (2 * p)]
             table.append(LaurentPoly._from_raw(p, {m1 + m2 + m3: c}, _bounded(b1 + b2 + b3)))
     return table
 
@@ -149,10 +152,10 @@ class LaurentPoly:
 
     def __init__(self, p: int, terms: Iterable[tuple[Pairs, Coefficient]] = ()):
         self.p = p = validate_odd_prime(p)
-        self._terms, self._bound = {}, 0
+        self._terms, self._bound, ring = {}, 0, packing(p)
         for pairs, coeff in terms:
             term = self._term(p, coeff, pairs)
-            _add_into(self._terms, term._terms)
+            _add_into(ring, self._terms, term._terms)
             self._bound = max(self._bound, term._bound)
 
     @classmethod
@@ -164,7 +167,7 @@ class LaurentPoly:
             raise TypeError(f"a coefficient must be a CycNumber or an int, got {coeff!r}")
         if c.p != p:
             raise mismatch("coefficient", c.p, p)
-        return cls._from_raw(p, {mono: c.nums} if c else {}, bound)
+        return cls._from_raw(p, {mono: c._c} if c else {}, bound)
 
     @classmethod
     def zero(cls, p: int) -> LaurentPoly:
@@ -191,8 +194,8 @@ class LaurentPoly:
                 for pairs, c in decoded]
 
     def coefficient(self, pairs: Pairs) -> CycNumber:
-        c = self._terms.get(_encode(self.p, pairs)[0])
-        return CycNumber._make(self.p, c or (0,) * (self.p - 1))
+        c = self._terms.get(_encode(self.p, pairs)[0], packing(self.p).zero)
+        return CycNumber._make(self.p, c)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -204,14 +207,14 @@ class LaurentPoly:
         if other.p != self.p:
             raise mismatch("polynomial", other.p, self.p)
         out = dict(self._terms)
-        _add_into(out, other._terms)
+        _add_into(packing(self.p), out, other._terms)
         return self._from_raw(self.p, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return self._from_raw(self.p, {m: tuple([-x for x in c]) for m, c in self._terms.items()},
-                              self._bound)
+        neg = packing(self.p).neg
+        return self._from_raw(self.p, {m: neg(c) for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce_poly(other)
@@ -229,7 +232,7 @@ class LaurentPoly:
                 return NotImplemented
         if other.p != self.p:
             raise mismatch("polynomial", other.p, self.p)
-        p, left, right = self.p, self._terms, other._terms
+        p, left, right, ring = self.p, self._terms, other._terms, packing(self.p)
         if len(left) == 1:
             left, right = right, left  # right is a single term if either factor is
         if len(right) != 1:
@@ -238,10 +241,10 @@ class LaurentPoly:
         bound = _bounded(self._bound + other._bound)
         if len(left) == 1:
             (m1, c1), = left.items()
-            return self._from_raw(p, {m1 + m2: mul_coords(p, c1, c2)}, bound)
-        if (times := _scaling(p, c2)) is None:
+            return self._from_raw(p, {m1 + m2: ring.mul(c1, c2)}, bound)
+        if (times := _scaling(ring, c2)) is None:
             return self._from_raw(p, {m + m2: c for m, c in left.items()}, bound)
-        return self._from_raw(p, {m + m2: times(c) for m, c in left.items()}, bound)
+        return self._from_raw(p, {m + m2: ring.fold(times(c)) for m, c in left.items()}, bound)
 
     __rmul__ = __mul__
 
@@ -264,10 +267,10 @@ class LaurentPoly:
             raise ValueError("only single-term Laurent polynomials are invertible; "
                              f"this one has {len(self._terms)} terms")
         (mono, coeff), = self._terms.items()
-        return self._from_raw(self.p, {-mono: _inverse(self.p, coeff)}, self._bound)
+        return self._from_raw(self.p, {-mono: packing(self.p).inverse(coeff)}, self._bound)
 
     @classmethod
-    def _from_raw(cls, p: int, terms: dict[int, Coords], bound: int) -> LaurentPoly:
+    def _from_raw(cls, p: int, terms: dict[int, int], bound: int) -> LaurentPoly:
         """The terms over a p already checked, past the rule, with a bound on their |exponent|s."""
         self = object.__new__(cls)
         self.p, self._terms, self._bound = p, terms, bound
@@ -313,7 +316,7 @@ class PolyBuilder:
     def add_poly(self, poly: LaurentPoly) -> None:
         if poly.p != self.p:
             raise mismatch("polynomial", poly.p, self.p)
-        _add_into(self._terms, poly._terms)
+        _add_into(packing(self.p), self._terms, poly._terms)
         self._bound = max(self._bound, poly._bound)
 
     def build(self) -> LaurentPoly:

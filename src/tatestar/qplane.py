@@ -5,12 +5,13 @@ LaurentPoly in the variables g_P and g_Q of the standard basis (P, Q), read
 normal-ordered as a sum of terms c * X^a Y^b with X = g_P and Y = g_Q: the
 same symbols the monomial gamma(aP + bQ) = g_P^a g_Q^b specializes to.
 `plane_mul` is its product, under which monomials multiply by
-(X^a Y^b)(X^c Y^d) = zeta^(2bc) X^(a+c) Y^(b+d).
+(X^a Y^b)(X^c Y^d) = zeta^(2bc) X^(a+c) Y^(b+d): the twist zeta^(2bc)
+rotates the slots of a packed coefficient and folds it (`cyclotomic.Packing`).
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycNumber, _rotate
+from .cyclotomic import CycNumber, packing
 from .errors import mismatch
 from .laurent import LaurentPoly, _decode, _sum_of_products
 from .torsion import basis
@@ -21,11 +22,11 @@ def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
     Moving Y^b past X^c twists by zeta^(2bc), so with f_b the terms of f whose
     Y-exponent is b mod p, f*g is the sum over b of f_b times g with each
-    term's X^c scaled by zeta^(2bc) = (-zeta)^(2bc), one rotation.
+    term's X^c scaled by zeta^(2bc) = (-zeta)^(2bc), one rotation and one fold.
     """
     if g.p != f.p:
         raise mismatch("plane element", g.p, f.p)
-    p = f.p
+    p, ring = f.p, packing(f.p)
     # a variable is its point's index a*p + b: Y = g_Q is 1 and X = g_P is p
     parts = [{} for _ in range(p)]
     for m, c in f._terms.items():
@@ -33,8 +34,8 @@ def plane_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     right = [(m, c, dict(_decode(m)).get(p, 0)) for m, c in g._terms.items()]
     return _sum_of_products(p, [
         (LaurentPoly._from_raw(p, part, f._bound),
-         LaurentPoly._from_raw(p, {m: _rotate(p, 2 * b * x % (2 * p), c) for m, c, x in right},
-                               g._bound))
+         LaurentPoly._from_raw(p, {m: ring.fold(ring.rotors[2 * b * x % (2 * p)](c))
+                                   for m, c, x in right}, g._bound))
         for b, part in enumerate(parts) if part])
 
 

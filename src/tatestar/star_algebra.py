@@ -54,7 +54,7 @@ import operator
 import random
 from typing import Iterable, Mapping, Sequence, Union
 
-from .cyclotomic import _zeta
+from .cyclotomic import packing
 from .errors import integer, mismatch
 from .laurent import LaurentPoly, PolyBuilder, _sum_of_products, _unit_twists
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
@@ -74,8 +74,8 @@ class _Domain:
     """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
     for k < p) and _key, which it compares and hashes by: (p,) or (p, q), and
     defines add, mul, inv and sum, the total of an iterable of values (zero
-    when it is empty).  `mul_each`, `transfer`, `convolve` and `twists` are
-    ring products and sums here, the reference the domains' own kernels match."""
+    when it is empty), and its own `transfer` and `convolve`.  `mul_each` and
+    `twists` are ring products here, the reference the domains' kernels match."""
 
     def zero(self) -> Element:
         return self._zero
@@ -90,18 +90,6 @@ class _Domain:
     def mul_each(self, a: Iterable[Element], b: Iterable[Element]) -> list[Element]:
         """The products a[k] * b[k]."""
         return [self.mul(x, y) for x, y in zip(a, b)]
-
-    def transfer(
-        self, sums: Sequence[Element], rows: Sequence[Sequence[Element]]
-    ) -> list[Element]:
-        """c_t = sum_s sums[s] rows[s][t - s mod p], for p sums and p rows of length p."""
-        p = self.p
-        pairs = list(enumerate(zip(sums, rows)))
-        return [self.sum(self.mul(x, row[(t - s) % p]) for s, (x, row) in pairs) for t in range(p)]
-
-    def convolve(self, a: Sequence[Element], b: Sequence[Element]) -> list[Element]:
-        """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
-        return self.transfer(a, [b] * self.p)
 
     def twists(self, values: Sequence[Element], inverses: Sequence[Element]) -> list[Element]:
         """The flat table of values[i] * values[j] * inverses[i + j] at i*n + j, for a
@@ -123,7 +111,9 @@ class SymbolicCoefficients(_Domain):
     def __init__(self, p: int):
         self.p = p = validate_odd_prime(p)
         self._key = (p,)
-        self._roots = [LaurentPoly._from_raw(p, {0: _zeta(p, k)}, 0) for k in range(p)]
+        roots = packing(p).roots  # zeta^k = (-zeta)^(k(p+1))
+        self._roots = [LaurentPoly._from_raw(p, {0: roots[k * (p + 1) % (2 * p)]}, 0)
+                       for k in range(p)]
         self._zero, self._one = LaurentPoly._from_raw(p, {}, 0), self._roots[0]
 
     def coerce(self, value) -> LaurentPoly:
@@ -150,10 +140,14 @@ class SymbolicCoefficients(_Domain):
         return LaurentPoly._from_raw(self.p, builder._terms, builder._bound)
 
     def transfer(self, sums: Sequence[LaurentPoly], rows) -> list[LaurentPoly]:
-        """`_Domain.transfer` with each c_t collected in one dict over its p products."""
+        """c_t = sum_s sums[s] rows[s][t - s mod p], each in one dict over its p products."""
         p, pairs = self.p, list(enumerate(zip(sums, rows)))
         return [_sum_of_products(p, [(x, row[(t - s) % p]) for s, (x, row) in pairs])
                 for t in range(p)]
+
+    def convolve(self, a: Sequence[LaurentPoly], b: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+        """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
+        return self.transfer(a, [b] * self.p)
 
     def twists(self, values: Sequence[LaurentPoly], inverses) -> list[LaurentPoly]:
         """`_Domain.twists` by key arithmetic, with no polynomial product (`_unit_twists`)."""

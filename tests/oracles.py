@@ -2,10 +2,13 @@
 
 They add and hash TorsionPoints and key their values by points, where the
 package reads flat tables by point index, and they sum the formulas of the
-closed forms literally, tuple by tuple.  A `TableTwist` is a twist given by
-its values on pairs of points, checked only for normalization: the package
-makes every rho as the coboundary of a gamma, so a twist that is no
-coboundary (or not symmetric) exists only here.
+closed forms literally, tuple by tuple.  `transfer` is a walk step made of
+a domain's `mul` and `sum`, the reference both domains' kernels match.
+`schoolbook` and `fold` multiply and reduce Z[zeta_p] elements as coordinate
+tuples, the reference of the packed arithmetic in `cyclotomic`.  A
+`TableTwist` is a twist given by its values on pairs of points, checked only
+for normalization: the package makes every rho as the coboundary of a gamma,
+so a twist that is no coboundary (or not symmetric) exists only here.
 """
 
 from itertools import product
@@ -32,6 +35,31 @@ class TableTwist:
 
     def value(self, s, t):
         return self._pairs[(s, t)]
+
+
+def transfer(domain, sums, rows):
+    """c_t = sum_s sums[s] rows[s][t - s mod p], for p sums and p rows of length p,
+    as p products and one `sum` per output."""
+    p = domain.p
+    pairs = list(enumerate(zip(sums, rows)))
+    return [domain.sum(domain.mul(x, row[(t - s) % p]) for s, (x, row) in pairs)
+            for t in range(p)]
+
+
+def fold(p, full):
+    """The power-basis coordinates of sum(full[e] * zeta^e) over e = 0..p-1,
+    by zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
+    return tuple(c - full[p - 1] for c in full[:p - 1])
+
+
+def schoolbook(p, a, b):
+    """The coordinates of a * b for coordinate tuples a and b: every product
+    a_i b_j lands on zeta^(i+j mod p), and the sum is folded."""
+    full = [0] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            full[(i + j) % p] += x * y
+    return fold(p, full)
 
 
 def reference_coboundary(gamma):

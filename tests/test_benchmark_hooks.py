@@ -319,26 +319,28 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
     # sums of products, which laurent collects in one dict each, and the twist
     # table, which SymbolicCoefficients.twists builds by key arithmetic; every
     # polynomial sum of a domain's `sum` goes through add_poly and every
-    # coefficient sum through add_coords.  400 of the 484 products are of two
-    # single terms, one mul_coords call each: here 1 * 1, 1 * zeta^k or
+    # coefficient sum through Packing.add.  400 of the 484 products are of two
+    # single terms, one Packing.mul call each: here 1 * 1, 1 * zeta^k or
     # zeta^k * 1, read from the root table.  In the others each coefficient of
     # the factor with fewer terms is looked up once: a root of unity rotates
-    # (1,860 times, in laurent itself) and a 1 only shifts keys; no such factor
-    # has any other coefficient here (norm_form's are roots of unity and 1).
-    # One that went around them would lower these counts
-    coords = {"mul_coords": 0, "add_coords": 0, "_rotate": 0}
+    # the slots (1,860 rotor calls, all from laurent) and a 1 only shifts keys;
+    # no such factor has any other coefficient here (norm_form's are roots of
+    # unity and 1).  A sum of products folds each output term once, at the end,
+    # and a product by one term each rotated term.  One that went around them
+    # would lower these counts
+    ring = cyclotomic.packing(5)
+    kernels = {"mul": 0, "add": 0, "fold": 0, "rotors": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            coords[name] += 1
+            kernels[name] += 1
             return fn(*args)
         return wrapper
 
-    for name in coords:
-        wrapper = counted(name, getattr(cyclotomic, name))
-        # mul_coords rotates too, so _rotate is counted only where laurent calls it
-        for module in (cyclotomic, laurent) if name != "_rotate" else (laurent,):
-            monkeypatch.setattr(module, name, wrapper)
+    for name in ("mul", "add", "fold"):
+        kernel = counted(name, getattr(cyclotomic.Packing, name))
+        monkeypatch.setattr(cyclotomic.Packing, name, kernel)
+    monkeypatch.setattr(ring, "rotors", [counted("rotors", rotor) for rotor in ring.rotors])
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     with tracing.instrument(tatestar, tracer):
@@ -352,7 +354,7 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
         "laurent.LaurentPoly.mul.calls": 484,
         "laurent.PolyBuilder.add_poly.calls": 25,
     }
-    assert coords == {"mul_coords": 400, "add_coords": 1895, "_rotate": 1860}
+    assert kernels == {"mul": 400, "add": 1895, "fold": 1176, "rotors": 1860}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -361,12 +363,13 @@ def test_the_free_symbolic_twist_table_makes_no_product(p, monkeypatch):
     # table; the reference loop of _Domain.twists, which F_q takes, makes two
     # products an entry, and the same counters see every one of them
     calls = [0]
+    mul = cyclotomic.Packing.mul
 
     def counted(*args):
         calls[0] += 1
-        return cyclotomic.mul_coords(*args)
+        return mul(*args)
 
-    monkeypatch.setattr(laurent, "mul_coords", counted)
+    monkeypatch.setattr(cyclotomic.Packing, "mul", counted)
     gamma = GammaAssignment.symbolic(p)
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
@@ -374,7 +377,7 @@ def test_the_free_symbolic_twist_table_makes_no_product(p, monkeypatch):
         rho = coboundary(gamma)
         assert (tracer.counts()["laurent.LaurentPoly.mul.calls"], calls[0]) == (0, 0)
         reference = _Domain.twists(gamma.domain, gamma._values, gamma._inverses)
-        assert tracer.counts()["laurent.LaurentPoly.mul.calls"] == 2 * p ** 4
+        assert tracer.counts()["laurent.LaurentPoly.mul.calls"] == calls[0] == 2 * p ** 4
     assert rho._values == reference
 
 

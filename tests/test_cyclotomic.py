@@ -1,9 +1,11 @@
 """Exactness checks for the Z[zeta_p] arithmetic.
 
-The representation is p - 1 integer coordinates in the power basis, so these
-tests lean on random sweeps against independent references (the schoolbook
-product, the norm as a product of all conjugates), plus a few identities with
-known values.
+An element is packed into one int, and `nums` reads back its p - 1 integer
+coordinates in the power basis, so these tests lean on random sweeps of
+those coordinates against independent references (the schoolbook product,
+the norm as a product of all conjugates), plus a few identities with known
+values.  tests/test_packed_cyclotomic.py checks the packed kernels at the
+slot bound.
 """
 
 import random

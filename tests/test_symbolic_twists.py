@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from tatestar.cyclotomic import CycNumber, _roots_of_unity
+from tatestar.cyclotomic import CycNumber, packing
 from tatestar.laurent import MAX_EXPONENT, LaurentPoly
 from tatestar.star_algebra import GammaAssignment, SymbolicCoefficients, _Domain
 from tatestar.torsion import TorsionPoint, all_points, point_tables
@@ -66,8 +66,8 @@ def test_twists_with_roots_units_and_negative_exponents_match_the_reference(p):
 
     gamma = _gamma(p, term)
     table = _same_tables(gamma)
-    # both coefficient paths are taken: the root-table lookup and mul_coords
-    roots = _roots_of_unity(p)[0]
+    # both coefficient paths are taken: the root-table lookup and Packing.mul
+    roots = packing(p).index
     kinds = {roots.get(c, "unit") for value in gamma._values for c in value._terms.values()}
     assert "unit" in kinds and kinds - {0, "unit"}
     assert any(e < 0 for value in gamma._values for pairs, _ in value.terms() for _, e in pairs)

@@ -3,7 +3,7 @@
 SymbolicCoefficients.transfer (and `convolve`, which takes it) collects each
 c_t = sum_s sums[s] rows[s][t - s mod p] in one dict (laurent._sum_of_products)
 instead of building p products and adding them up.  These tests run it on
-seeded random polynomials against `_Domain.transfer`, the generic step made
+seeded random polynomials against `oracles.transfer`, the generic step made
 of the domain's `mul` and `sum`: multi-term row entries, coefficients that
 are neither 1 nor a root of unity, and sums that cancel, partly or to zero.
 The exponent bound is checked per product, as `LaurentPoly.__mul__` does.
@@ -12,10 +12,11 @@ The exponent bound is checked per product, as `LaurentPoly.__mul__` does.
 import random
 
 import pytest
+from oracles import transfer
 
 from tatestar.cyclotomic import CycNumber
 from tatestar.laurent import MAX_EXPONENT, LaurentPoly
-from tatestar.star_algebra import SymbolicCoefficients, _Domain
+from tatestar.star_algebra import SymbolicCoefficients
 from tatestar.torsion import TorsionPoint, all_points
 
 
@@ -66,7 +67,7 @@ def test_symbolic_transfer_matches_the_ring_product_reference(p):
     domain = SymbolicCoefficients(p)
     zero_outputs = 0
     for trial, sums, rows in _cases(p, random.Random(300 + p)):
-        expected = _Domain.transfer(domain, sums, rows)
+        expected = transfer(domain, sums, rows)
         _same(domain.transfer(sums, rows), expected)
         if trial % 3 == 2:
             assert not any(expected)
@@ -79,7 +80,7 @@ def test_symbolic_convolve_matches_the_ring_product_reference(p):
     domain = SymbolicCoefficients(p)
     for _, a, rows in _cases(p, random.Random(400 + p)):
         b = rows[0]
-        _same(domain.convolve(a, b), _Domain.transfer(domain, a, [b] * p))
+        _same(domain.convolve(a, b), transfer(domain, a, [b] * p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -100,4 +101,4 @@ def test_a_walk_step_past_the_exponent_bound_raises(p):
         domain.convolve(sums, rows[0])
     # one below the bound, the same step goes through and matches the reference
     below = [LaurentPoly.variable(p, T, MAX_EXPONENT - 1) + 2] + sums[1:]
-    _same(domain.transfer(below, rows), _Domain.transfer(domain, below, rows))
+    _same(domain.transfer(below, rows), transfer(domain, below, rows))
