@@ -23,13 +23,17 @@ back as (index, exponent) pairs and sorts on them: the (a, b) order of points.
 A product adds term products into one dict (`_sum_of_products`; by a single
 term, one comprehension) and looks each coefficient of the factor with fewer
 terms up once (`_scaling`): 1 shifts keys, a root of unity rotates slots and
-others multiply; the dict folds each output term once, at the end.  Two
-single terms take one `mul`: two roots, one lookup.
+others multiply.  Each output term sums unfolded in a one-item list, so a
+term product hashes its key once, and folds once, at the end.  Two single
+terms take one `mul`: two roots, one lookup.  A sum may weight each product
+by a single term (a symbolic star's zeta^eps rho, `_twisted_convolution`),
+whose key shifts the keys and whose coefficient scales each looked-up one.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -80,14 +84,13 @@ def _decode(mono: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _add_into(ring: Packing, terms: dict, items: dict, shift: int = 0, times=None) -> None:
-    """Add each term m: c of items into terms as m + shift: times(c) (c for no times)."""
-    if not terms:  # distinct monomials shifted alike stay distinct
-        terms.update({m + shift: c if times is None else times(c) for m, c in items.items()})
+def _add_into(ring: Packing, terms: dict, items: dict) -> None:
+    """Add each term m: c of items into terms."""
+    if not terms:
+        terms.update(items)
         return
     add, zero = ring.add, ring.zero
     for m, c in items.items():
-        m, c = m + shift, c if times is None else times(c)
         s = terms.get(m)
         if s is None:
             terms[m] = c
@@ -110,18 +113,47 @@ def _bounded(bound: int) -> int:
     return bound
 
 
-def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """The sum of f * g over the (f, g) pairs over p, in one dict.  Z[zeta_p] is a
-    domain, so no product of two terms is zero and only sums can cancel."""
-    ring, terms, bound = packing(p), {}, 0
-    for f, g in pairs:
-        bound = max(bound, _bounded(f._bound + g._bound))
+def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
+                     units: Iterable[tuple[int, int, int]] | None = None) -> LaurentPoly:
+    """The sum of f * g * u over the (f, g) pairs over p, in one dict, for u the single term
+    (key, coefficient, bound) of units alongside each pair, or 1 with no units.  Each output
+    term sums unfolded in a one-item list, so a term product hashes its key once.  Z[zeta_p]
+    is a domain, so no product of terms is zero and only sums can cancel."""
+    ring, cells, bound = packing(p), {}, 0
+    add, get = ring.add, cells.get
+    for (f, g), (m, c, b) in zip(pairs, repeat((0, None, 0)) if units is None else units):
+        bound = max(bound, _bounded(f._bound + g._bound + b))
         f, g = (g, f) if len(f._terms) < len(g._terms) else (f, g)  # g has fewer terms
         for m2, c2 in g._terms.items():
-            _add_into(ring, terms, f._terms, m2, _scaling(ring, c2))
+            times, shift = _scaling(ring, c2 if c is None else ring.mul(c2, c)), m2 + m
+            for m1, c1 in f._terms.items():
+                m1, c1 = m1 + shift, c1 if times is None else times(c1)
+                if (cell := get(m1)) is None:
+                    cells[m1] = [c1]
+                else:
+                    cell[0] = add(cell[0], c1)
     fold, zero = ring.fold, ring.zero
-    return LaurentPoly._from_raw(p, {m: c for m, s in terms.items() if (c := fold(s)) != zero},
+    return LaurentPoly._from_raw(p, {m: c for m, (s,) in cells.items() if (c := fold(s)) != zero},
                                  bound)
+
+
+def _twisted_convolution(p: int, left: list, right: list, twists: list, sums: tuple,
+                         eps: tuple) -> list[LaurentPoly]:
+    """out[s] = sum c1 * c2 * zeta^eps[k] * twists[k] over the terms (i, c1) of left and
+    (j, c2) of right with k = i*n + j and sums[k] = s, each out[s] one `_sum_of_products`:
+    a twist is a single term, so its unit zeta^eps[k] * twists[k] is one key, one
+    coefficient (one root-table lookup for roots of unity) and one bound."""
+    ring, n = packing(p), p * p
+    zeta = [ring.roots[k * (p + 1) % (2 * p)] for k in range(p)]  # zeta^k = (-zeta)^(k(p+1))
+    pairs, units = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, c1 in left:
+        for j, c2 in right:
+            k = i * n + j
+            twist, s = twists[k], sums[k]
+            (m, c), = twist._terms.items()
+            pairs[s].append((c1, c2))
+            units[s].append((m, ring.mul(zeta[eps[k]], c), twist._bound))
+    return [_sum_of_products(p, *out) for out in zip(pairs, units)]
 
 
 def _unit_twists(p: int, values: list, inverses: list, sums: tuple) -> list[LaurentPoly]:

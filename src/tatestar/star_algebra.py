@@ -30,8 +30,11 @@ length p, and F_q packs a vector into one int (Kronecker substitution), so a
 product costs 4p packed combinations, O(p^2) big-integer operations, and no
 ring operation, against the loop's 3*m*n products for supports of sizes m
 and n.  `star` takes it when m*n > 8*p^2, where it is the faster of the two.
-Sparse products (Delta and its powers, indicators) and the symbolic domain,
-where Z[zeta_p] has no 1/p, stay on the loop.
+Every other product is the domain's `twisted_convolution` over the pairs of
+terms: sparse numeric products (Delta and its powers, indicators) take the
+reference loop of `_Domain`, and the symbolic domain, where Z[zeta_p] has no
+1/p, sums each output in one dict with no polynomial product
+(`laurent._twisted_convolution`).
 
 A domain is its ring operations (`add`, `mul`, `inv`, the n-ary `sum`)
 and one entry rule, `coerce`: over F_q an integer (`errors.integer`, so not a
@@ -45,7 +48,8 @@ Both domains multiply lists entrywise (`mul_each`), convolve length-p lists
 and take a walk's transfer step, symbolically in one dict per output of its p
 products and over F_q as packed kernels; F_q adds `pack` and `combine`, and a
 slot of (p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
-Both build a gamma's twist table (`twists`), the symbolic one by key arithmetic.
+Both build a gamma's twist table (`twists`), the symbolic one by key arithmetic,
+and both take star's sparse products (`twisted_convolution`).
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .cyclotomic import packing
 from .errors import integer, mismatch
-from .laurent import LaurentPoly, PolyBuilder, _sum_of_products, _unit_twists
+from .laurent import (LaurentPoly, PolyBuilder, _sum_of_products, _twisted_convolution,
+                      _unit_twists)
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
 from .torsion import (
@@ -74,8 +79,9 @@ class _Domain:
     """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
     for k < p) and _key, which it compares and hashes by: (p,) or (p, q), and
     defines add, mul, inv and sum, the total of an iterable of values (zero
-    when it is empty), and its own `transfer` and `convolve`.  `mul_each` and
-    `twists` are ring products here, the reference the domains' kernels match."""
+    when it is empty), and its own `transfer` and `convolve`.  `mul_each`, `twists`
+    and `twisted_convolution` are ring products here, the reference the domains'
+    kernels match; F_q inherits the last two."""
 
     def zero(self) -> Element:
         return self._zero
@@ -97,6 +103,26 @@ class _Domain:
         mul, n, sums = self.mul, len(values), point_tables(self.p).sums
         return [mul(mul(g1, g2), inverses[k]) for i, g1 in enumerate(values)
                 for g2, k in zip(values, sums[i * n:(i + 1) * n])]
+
+    def twisted_convolution(self, left: list, right: list, twists) -> list[Element]:
+        """The table of f *_rho g by index, for the (index, value) terms of f and g and
+        rho's flat table: three products a pair of terms, and a sum per collision."""
+        mul, add, root = self.mul, self.add, self.root
+        tables = point_tables(self.p)
+        sums, eps = tables.sums, tables.eps
+        n = len(tables.points)
+        out: list[Element | None] = [None] * n
+        for i, c1 in left:
+            row = i * n
+            for j, c2 in right:
+                k = row + j
+                # the symbolic kernel makes none of these three products
+                value = mul(c1, mul(c2, mul(root(eps[k]), twists[k])))
+                s = sums[k]
+                total = out[s]
+                out[s] = value if total is None else add(total, value)
+        zero = self.zero()
+        return [zero if c is None else c for c in out]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _Domain) and other._key == self._key
@@ -152,6 +178,11 @@ class SymbolicCoefficients(_Domain):
     def twists(self, values: Sequence[LaurentPoly], inverses) -> list[LaurentPoly]:
         """`_Domain.twists` by key arithmetic, with no polynomial product (`_unit_twists`)."""
         return _unit_twists(self.p, values, inverses, point_tables(self.p).sums)
+
+    def twisted_convolution(self, left: list, right: list, twists) -> list[LaurentPoly]:
+        """`_Domain.twisted_convolution`, each output one dict (`_twisted_convolution`)."""
+        tables = point_tables(self.p)
+        return _twisted_convolution(self.p, left, right, twists, tables.sums, tables.eps)
 
     def __repr__(self) -> str:
         return f"SymbolicCoefficients(p={self.p})"
@@ -424,23 +455,7 @@ def star(f: AlgebraElement, g: AlgebraElement, rho: RhoAssignment) -> AlgebraEle
     left, right = f._terms(), g._terms()
     if isinstance(domain, PrimeFieldCoefficients) and len(left) * len(right) > 8 * domain.p ** 2:
         return _clock_shift_star(f, g, rho._gamma)
-    mul, add, root = domain.mul, domain.add, domain.root
-    tables = point_tables(domain.p)
-    sums, eps, twists = tables.sums, tables.eps, rho._values
-    n = len(tables.points)
-    out: list[Element | None] = [None] * n
-    for i, c1 in left:
-        row = i * n
-        for j, c2 in right:
-            k = row + j
-            # c1, the growing left factor of a star power, goes in last: a
-            # symbolic product copies its terms once, not twice
-            value = mul(c1, mul(c2, mul(root(eps[k]), twists[k])))
-            s = sums[k]
-            total = out[s]
-            out[s] = value if total is None else add(total, value)
-    zero = domain.zero()
-    return AlgebraElement._from_table(domain, [zero if c is None else c for c in out])
+    return AlgebraElement._from_table(domain, domain.twisted_convolution(left, right, rho._values))
 
 
 def _clock_shift_star(

@@ -247,11 +247,16 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
     and the identification of the p-th roots with (1/p)Z / Z."""
     model = TameFieldModel.create(p, q)
     q = model.q
-    rng = random.Random(seed)
     reps = class_representatives(model)
+
+    def stream(check):
+        """The check's own random stream, so one check's sample size moves no other's
+        cases; a str seed goes through SHA-512 and does not depend on PYTHONHASHSEED."""
+        return random.Random(f"{seed}/local/{check}")
+
     # every class triple up to p = 5 and every scaled pair up to p = 7, else 200 draws
-    rep_triples = _tuples(reps, 3, rng if p > 5 else None, 200)
-    scale_pairs = _tuples(reps, 2, rng if p > 7 else None, 200)
+    rep_triples = _tuples(reps, 3, stream("bilinearity") if p > 5 else None, 200)
+    scale_pairs = _tuples(reps, 2, stream("unramified-scaling") if p > 7 else None, 200)
     rep_pairs = _tuples(reps, 2)
     tri_sweep = (f"exhaustive over {len(rep_triples)} class triples" if p <= 5
                  else "200 random class triples")
@@ -271,7 +276,7 @@ def local_suite(p: int, q: int | None = None, seed: int = 0) -> list[CheckResult
     # overflows once q - 1 passes 2^63 - 1).
     units, unit_note = range(1, q), ""
     if q - 1 > STEINBERG_UNITS:
-        drawn = set()
+        drawn, rng = set(), stream("steinberg")
         while len(drawn) < STEINBERG_UNITS:
             drawn.add(rng.randrange(1, q))
         units = sorted(drawn)

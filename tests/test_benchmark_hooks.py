@@ -105,10 +105,11 @@ def test_a_domain_is_its_ring_operations():
     # the operations counting_domain wraps or reads, the n-ary `sum` (which it
     # does not wrap) and the entry rule `coerce`: a domain writes no output and
     # holds no other helper, inherited or its own; both multiply entrywise,
-    # convolve, take transfer steps for the walks and build a gamma's twist
-    # table, and F_q adds the packed kernels of the clock-and-shift star
+    # convolve, take transfer steps for the walks, build a gamma's twist
+    # table and take star's sparse products (`twisted_convolution`), and F_q
+    # adds the packed kernels of the clock-and-shift star
     ring = {"zero", "one", "root", "add", "mul", "inv", "sum", "coerce",
-            "mul_each", "convolve", "transfer", "twists"}
+            "mul_each", "convolve", "transfer", "twists", "twisted_convolution"}
     packed = {"pack", "combine"}
 
     def public(cls):
@@ -211,8 +212,11 @@ def test_the_packed_root_vectors_are_built_once_per_domain_and_phase_table():
     assert tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)._clock_shift is None
 
 
-def test_sparse_and_symbolic_products_stay_on_the_generic_loop():
-    # each pair of terms costs 3 muls: the coefficients, the twist, and both
+def test_sparse_products_take_the_generic_loop_and_symbolic_ones_the_kernel():
+    # over F_q each pair of terms costs 3 muls: the coefficients, the twist,
+    # and both; a symbolic product is SymbolicCoefficients.twisted_convolution,
+    # which makes none of them (it adds each pair's terms scaled by its twist
+    # into one dict per output), where the reference loop makes 3 * 9 * 9
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     p = 5
@@ -237,7 +241,14 @@ def test_sparse_and_symbolic_products_stay_on_the_generic_loop():
                                        for t in points})
     rho = coboundary(gamma)
     f = AlgebraElement(symbolic, [(t, symbolic.root(t.a) + 2) for t in points])
-    assert _ring_counts(tracer, lambda: star(f, f, rho))["mul"] == 3 * 9 * 9
+    assert _ring_counts(tracer, lambda: star(f, f, rho)) == {"mul": 0, "add": 0, "root": 0}
+    terms = f._terms()
+
+    def reference():
+        return _Domain.twisted_convolution(symbolic, terms, terms, rho._values)
+
+    assert _ring_counts(tracer, reference)["mul"] == 3 * 9 * 9
+    assert star(f, f, rho)._values == reference()
 
 
 # The domain calls of star_suite's numeric sweep.  Three coboundaries (of
@@ -316,18 +327,23 @@ def test_symbolic_four_way_hashes_points_a_few_times_per_point():
 
 def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
     # every polynomial product goes through the patched __mul__ but the walks'
-    # sums of products, which laurent collects in one dict each, and the twist
-    # table, which SymbolicCoefficients.twists builds by key arithmetic; every
-    # polynomial sum of a domain's `sum` goes through add_poly and every
-    # coefficient sum through Packing.add.  400 of the 484 products are of two
-    # single terms, one Packing.mul call each: here 1 * 1, 1 * zeta^k or
-    # zeta^k * 1, read from the root table.  In the others each coefficient of
-    # the factor with fewer terms is looked up once: a root of unity rotates
-    # the slots (1,860 rotor calls, all from laurent) and a 1 only shifts keys;
-    # no such factor has any other coefficient here (norm_form's are roots of
-    # unity and 1).  A sum of products folds each output term once, at the end,
-    # and a product by one term each rotated term.  One that went around them
-    # would lower these counts
+    # sums of products, which laurent collects in one dict each, the twist
+    # table, which SymbolicCoefficients.twists builds by key arithmetic, and
+    # star's products, which SymbolicCoefficients.twisted_convolution sums in
+    # one dict per output (the generic loop would make 300: 3 for each of
+    # star_pow's 100 pairs of terms); every polynomial sum of a domain's `sum`
+    # goes through add_poly and every coefficient sum through Packing.add.
+    # 175 of the 184 products are of two single terms, one Packing.mul call
+    # each: here 1 * 1, 1 * zeta^k or zeta^k * 1, read from the root table.
+    # The kernel makes two root-table lookups a pair, for the unit zeta^eps *
+    # rho and its product with Delta's coefficient 1: 200 of the 375
+    # Packing.mul calls.  In the others each coefficient of the factor with
+    # fewer terms is looked up once: a root of unity rotates the slots (1,880
+    # rotor calls, all from laurent) and a 1 only shifts keys; no such factor
+    # has any other coefficient here (norm_form's are roots of unity and 1).
+    # A sum of products folds each output term once, at the end, those that
+    # cancel included: 1,230 folds, 500 of them to zero.  One that went
+    # around them would lower these counts
     ring = cyclotomic.packing(5)
     kernels = {"mul": 0, "add": 0, "fold": 0, "rotors": 0}
 
@@ -351,10 +367,33 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
         "laurent.LaurentPoly.mul.calls",
         "laurent.PolyBuilder.add_poly.calls",
     )} == {
-        "laurent.LaurentPoly.mul.calls": 484,
+        "laurent.LaurentPoly.mul.calls": 184,
         "laurent.PolyBuilder.add_poly.calls": 25,
     }
-    assert kernels == {"mul": 400, "add": 1895, "fold": 1176, "rotors": 1860}
+    assert kernels == {"mul": 375, "add": 1895, "fold": 1230, "rotors": 1880}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_symbolic_power_of_delta_makes_no_product_by_a_multi_term_factor(p, monkeypatch):
+    # the kernel adds each pair's terms, scaled by a single-term twist, into
+    # one dict per output; the reference loop multiplies the growing
+    # coefficient by each twisted term of Delta, a product by a multi-term
+    # factor per pair of terms from the third power on
+    gamma = GammaAssignment.symbolic(p)
+    rho = coboundary(gamma)
+    delta = build_delta(gamma.domain, *basis(p))
+    mul, sizes = LaurentPoly.__mul__, []
+
+    def counted(self, other):
+        sizes.append(max(len(self._terms), len(other._terms)))
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    powered = star_pow(delta, p, rho)
+    assert [n for n in sizes if n > 1] == []
+    monkeypatch.setattr(SymbolicCoefficients, "twisted_convolution", _Domain.twisted_convolution)
+    assert star_pow(delta, p, rho) == powered
+    assert len([n for n in sizes if n > 1]) == (p - 2) * p ** 2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -440,25 +440,53 @@ _SAMPLED_CASES = {
         "f55b04f7bbe9ac926bbee4014ba060f4dd69833f63510c1263669e0bbf854b38",
     ),
     ("local", 13): {
-        "bilinearity": "a1240180ea5cbcbbb9d64a17ab2ed75abc10878b2d898a63da8943bf7a107cac",
-        "unramified-scaling": "ccc3368c4a2931453ab244e2c11fc85f55ca8b236a2c462137d9e8a626790797",
+        "bilinearity": "044a22478af7394a4dfd6cc37fb85a32202299a40bec3821d855b52a45e3b383",
+        "unramified-scaling": "d616ef401a61b03ff981cc6a35323a9459f74d403c94ee8feb2f2baa56079002",
     },
 }
 
 
-@pytest.mark.parametrize("suite, p", sorted(_SAMPLED_CASES))
-def test_sampled_case_lists_are_pinned(suite, p, monkeypatch):
+def _case_digests(monkeypatch, run):
+    """sha256 of each check's case list in run(), one str(case) per line."""
     digests = {}
-    run = suites._sweep
+    sweep = suites._sweep
 
     def record(name, cases, *args, **kwargs):
         cases = list(cases)
         digests[name] = hashlib.sha256("\n".join(map(str, cases)).encode()).hexdigest()
-        return run(name, cases, *args, **kwargs)
+        return sweep(name, cases, *args, **kwargs)
 
-    monkeypatch.setattr(suites, "_sweep", record)
-    assert all(check.ok for _, check in suites.run_suites(suite, p))
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "_sweep", record)
+        assert all(check.ok for check in run())
+    return digests
+
+
+@pytest.mark.parametrize("suite, p", sorted(_SAMPLED_CASES))
+def test_sampled_case_lists_are_pinned(suite, p, monkeypatch):
+    digests = _case_digests(monkeypatch, lambda: [c for _, c in suites.run_suites(suite, p)])
     assert {name: digests[name] for name in _SAMPLED_CASES[suite, p]} == _SAMPLED_CASES[suite, p]
+
+
+def test_a_local_checks_sample_size_moves_no_other_checks_cases(monkeypatch):
+    # each local check draws from its own stream: at p = 11 and q = 67 the
+    # bilinearity triples, scale pairs and Steinberg units are all sampled,
+    # and fewer triples leave the other two case lists as they were
+    records = []
+
+    def run():
+        records[:] = suites.local_suite(11, 67)
+        return records
+
+    before = _case_digests(monkeypatch, run)
+    assert {r.name for r in records if r.sampled} == {
+        "bilinearity", "unramified-scaling", "steinberg"}
+    tuples = suites._tuples
+    monkeypatch.setattr(suites, "_tuples", lambda pool, arity, rng=None, size=0:
+                        tuples(pool, arity, rng, 50 if arity == 3 and rng else size))
+    after = _case_digests(monkeypatch, run)
+    assert before.pop("bilinearity") != after.pop("bilinearity")
+    assert after == before
 
 
 _STAR_SAMPLED = _STAR_PAIR_CHECKS + ("associativity",)
