@@ -17,13 +17,14 @@ In the first three forms the weight of a tuple (i_1, ..., i_p) is a product
 of one factor per index.  The factor for i_l depends only on l, i_l and the
 running sum s = i_1 + ... + i_{l-1} mod p, and where the tuple lands depends
 only on its final sum.  So no tuple is enumerated: one walk over l = 1..p carries the
-p partial sums indexed by s.  That is a product of p transfer matrices of
-size p x p (the transfer-matrix method), O(p^3) ring operations in all.
+p partial sums indexed by s, a product of p transfer matrices of size p x p
+(the transfer-matrix method), O(p^3) ring operations in all.  gamma_form and
+rho_form read only the origin, so their last step is p products (`_origin`).
 In gamma_form and intermediate_form the factor does not depend on s, so each
 step is a cyclic convolution with one row of p factors, built once per l
 (`convolve`).  rho_form reads rho at the running sum, so each of its steps
 takes one row per s (`transfer`), read from rho's flat table by the indices
-of the partial sums jQ + sP.  Over F_q each step is one packed big-integer
+of the partial sums jQ + sP.  Over F_q each full step is one packed big-integer
 expression, symbolically p^2 products added into one dict per output.
 """
 
@@ -84,14 +85,20 @@ def _walk(domain: Domain, sums: list[Element], steps) -> list[Element]:
     return reduce(domain.transfer, steps, sums)
 
 
-def _convolution_walk(domain: Domain, factor) -> list[Element]:
-    """_walk for a factor(l, i) that does not depend on the running sum.
+def _convolution_walk(domain: Domain, factor, last: int | None = None) -> list[Element]:
+    """_walk over l = 1..last (default p) for a factor(l, i) independent of the running sum.
 
     Each step is then the cyclic convolution of the partial sums with the
     row factor(l, .), built once per l.
     """
     p = domain.p
-    return reduce(domain.convolve, [[factor(l, i) for i in range(p)] for l in range(1, p + 1)])
+    rows = [[factor(l, i) for i in range(p)] for l in range(1, (last or p) + 1)]
+    return reduce(domain.convolve, rows)
+
+
+def _origin(domain: Domain, sums: list[Element], entries: list[Element]) -> Element:
+    """Output 0 of a walk step, sum_s sums[s] entries[s] for entries[s] = rows[s][-s mod p]."""
+    return domain.sum(domain.mul_each(sums, entries))
 
 
 def gamma_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> ClosedFormResult:
@@ -109,7 +116,8 @@ def gamma_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> Clos
         return domain.mul(domain.root(d * l * i), gvals[i])
 
     origin = TorsionPoint.zero(p)
-    value = _convolution_walk(domain, factor)[0]
+    sums = _convolution_walk(domain, factor, p - 1)
+    value = _origin(domain, sums, [factor(p, -s % p) for s in range(p)])
     return ClosedFormResult("gamma", AlgebraElement(domain, [(origin, value)]))
 
 
@@ -152,12 +160,15 @@ def rho_form(P: TorsionPoint, Q: TorsionPoint, rho: RhoAssignment) -> ClosedForm
     n, sums, values, q_index = p * p, point_tables(p).sums, rho._values, Q.index
     # partial[s] is the index of jQ + sP, rho's first argument at index l = j + 1
     steps, partial = [], coset
-    for row_weights in weights[1:]:
+    for row_weights in weights[1:-1]:
         steps.append([domain.mul_each(row_weights, [values[k * n + c] for c in coset])
                       for k in partial])
         partial = [sums[k * n + q_index] for k in partial]
+    # the last step reads index i = -s mod p after running sum s: one entry per row
+    entries = domain.mul_each([weights[-1][-s % p] for s in range(p)],
+                              [values[k * n + coset[-s % p]] for s, k in enumerate(partial)])
     origin = TorsionPoint.zero(p)
-    value = _walk(domain, weights[0], steps)[0]
+    value = _origin(domain, _walk(domain, weights[0], steps), entries)
     return ClosedFormResult("rho", AlgebraElement(domain, [(origin, value)]))
 
 

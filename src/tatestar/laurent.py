@@ -24,10 +24,11 @@ A product adds term products into one dict (`_sum_of_products`; by a single
 term, one comprehension) and looks each coefficient of the factor with fewer
 terms up once (`_scaling`): 1 shifts keys, a root of unity rotates slots and
 others multiply.  Each output term sums unfolded in a one-item list, so a
-term product hashes its key once, and folds once, at the end.  Two single
-terms take one `mul`: two roots, one lookup.  A sum may weight each product
-by a single term (a symbolic star's zeta^eps rho, `_twisted_convolution`),
-whose key shifts the keys and whose coefficient scales each looked-up one.
+term product hashes its key once and adds in place under `Packing.add`'s guard
+test, and folds once, at the end.  Two single terms take one `mul`.  A sum may
+weight each product by a single term (a symbolic star's zeta^eps rho,
+`_twisted_convolution`), whose key shifts the keys and whose coefficient
+scales each looked-up one.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
     term sums unfolded in a one-item list, so a term product hashes its key once.  Z[zeta_p]
     is a domain, so no product of terms is zero and only sums can cancel."""
     ring, cells, bound = packing(p), {}, 0
-    add, get = ring.add, cells.get
+    get, zero, guard, fold = cells.get, ring.zero, ring.guard, ring.fold
     for (f, g), (m, c, b) in zip(pairs, repeat((0, None, 0)) if units is None else units):
         bound = max(bound, _bounded(f._bound + g._bound + b))
         f, g = (g, f) if len(f._terms) < len(g._terms) else (f, g)  # g has fewer terms
@@ -130,9 +131,10 @@ def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
                 m1, c1 = m1 + shift, c1 if times is None else times(c1)
                 if (cell := get(m1)) is None:
                     cells[m1] = [c1]
+                elif (c1 := cell[0] + c1 - zero) & guard:  # Packing.add, in place
+                    raise ring._overflow()
                 else:
-                    cell[0] = add(cell[0], c1)
-    fold, zero = ring.fold, ring.zero
+                    cell[0] = c1
     return LaurentPoly._from_raw(p, {m: c for m, (s,) in cells.items() if (c := fold(s)) != zero},
                                  bound)
 
@@ -140,9 +142,9 @@ def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
 def _twisted_convolution(p: int, left: list, right: list, twists: list, sums: tuple,
                          eps: tuple) -> list[LaurentPoly]:
     """out[s] = sum c1 * c2 * zeta^eps[k] * twists[k] over the terms (i, c1) of left and
-    (j, c2) of right with k = i*n + j and sums[k] = s, each out[s] one `_sum_of_products`:
-    a twist is a single term, so its unit zeta^eps[k] * twists[k] is one key, one
-    coefficient (one root-table lookup for roots of unity) and one bound."""
+    (j, c2) of right with k = i*n + j and sums[k] = s, each out[s] one `_sum_of_products`
+    or, if no pair lands on s, zero: a twist is a single term, so its unit zeta^eps[k] *
+    twists[k] is one key, one coefficient (a root-table lookup for roots) and one bound."""
     ring, n = packing(p), p * p
     zeta = [ring.roots[k * (p + 1) % (2 * p)] for k in range(p)]  # zeta^k = (-zeta)^(k(p+1))
     pairs, units = [[] for _ in range(n)], [[] for _ in range(n)]
@@ -153,7 +155,8 @@ def _twisted_convolution(p: int, left: list, right: list, twists: list, sums: tu
             (m, c), = twist._terms.items()
             pairs[s].append((c1, c2))
             units[s].append((m, ring.mul(zeta[eps[k]], c), twist._bound))
-    return [_sum_of_products(p, *out) for out in zip(pairs, units)]
+    return [_sum_of_products(p, *out) if out[0] else LaurentPoly._from_raw(p, {}, 0)
+            for out in zip(pairs, units)]
 
 
 def _unit_twists(p: int, values: list, inverses: list, sums: tuple) -> list[LaurentPoly]:
@@ -173,7 +176,8 @@ def _unit_twists(p: int, values: list, inverses: list, sums: tuple) -> list[Laur
                 c = ring.mul(ring.mul(c1, c2), c3)
             else:
                 c = ring.roots[(j1 + j2 + j3) % (2 * p)]
-            table.append(LaurentPoly._from_raw(p, {m1 + m2 + m3: c}, _bounded(b1 + b2 + b3)))
+            table.append(entry := object.__new__(LaurentPoly))  # LaurentPoly._from_raw, inline
+            entry.p, entry._terms, entry._bound = p, {m1 + m2 + m3: c}, _bounded(b1 + b2 + b3)
     return table
 
 

@@ -277,9 +277,10 @@ def test_star_suite_ring_operation_counts_are_pinned(p, monkeypatch):
 
 
 def test_numeric_rho_form_takes_one_packed_transfer_per_index():
-    # rho_form reads rho by flat index and each index l > 1 is one transfer
-    # step, so over F_q no product is a counted ring operation; the roots
-    # are the p^2 weights zeta^(d*l*i)
+    # rho_form reads rho by flat index and each index 1 < l < p is one
+    # transfer step; the last index reads only the origin, one `sum` of p
+    # products (`_origin`).  So over F_q no product is a counted ring
+    # operation; the roots are the p^2 weights zeta^(d*l*i)
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     p = 7
@@ -289,7 +290,33 @@ def test_numeric_rho_form_takes_one_packed_transfer_per_index():
     kernels = _count_kernels(domain, ("transfer", "convolve", "sum"))
     counts = _ring_counts(tracer, lambda: rho_form(P, Q, rho))
     assert counts == {"mul": 0, "add": 0, "root": p ** 2}
-    assert kernels == {"transfer": p - 1, "convolve": 0, "sum": 0}
+    assert kernels == {"transfer": p - 2, "convolve": 0, "sum": 1}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("kind", ["numeric", "symbolic"])
+def test_the_last_step_of_gamma_and_rho_form_reads_p_row_entries(kind, p):
+    # a full step of rho_form builds p rows of p entries, one mul_each a row;
+    # its last step builds one mul_each of the p entries that reach the
+    # origin, rows[s][-s mod p], and one more multiplies them into the p
+    # sums before one `sum`.  gamma_form makes its p^2 factors by `mul` and
+    # convolves p - 2 times, then takes the same last step.  The symbolic
+    # domain's mul_each and convolve take its own `mul` and `transfer`
+    if kind == "numeric":
+        gamma = GammaAssignment.random(PrimeFieldCoefficients(p), random.Random(12))
+    else:
+        gamma = GammaAssignment.symbolic(p)
+    domain, rho = gamma.domain, coboundary(gamma)
+    P, Q = basis(p)
+    kernels = _count_kernels(domain, ("mul", "mul_each", "transfer", "convolve", "sum"))
+    rho_form(P, Q, rho)
+    symbolic = kind == "symbolic"
+    assert kernels == {"mul": symbolic * (p * p * (p - 2) + 2 * p), "mul_each": p * (p - 2) + 2,
+                       "transfer": p - 2, "convolve": 0, "sum": 1}
+    kernels.update(dict.fromkeys(kernels, 0))
+    gamma_form(P, Q, gamma)
+    assert kernels == {"mul": p * p + symbolic * p, "mul_each": 1,
+                       "transfer": symbolic * (p - 2), "convolve": p - 2, "sum": 1}
 
 
 def test_four_way_inverts_each_gamma_value_once():
@@ -332,18 +359,24 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
     # star's products, which SymbolicCoefficients.twisted_convolution sums in
     # one dict per output (the generic loop would make 300: 3 for each of
     # star_pow's 100 pairs of terms); every polynomial sum of a domain's `sum`
-    # goes through add_poly and every coefficient sum through Packing.add.
-    # 175 of the 184 products are of two single terms, one Packing.mul call
+    # goes through add_poly.  The last walk step of gamma_form and of rho_form
+    # reads the origin only (`closed_forms._origin`): p products of a partial
+    # sum by a single term and one `sum` of the p products, and rho_form
+    # builds the p entries of its last row that step reads, not p^2.
+    # 155 of the 174 products are of two single terms, one Packing.mul call
     # each: here 1 * 1, 1 * zeta^k or zeta^k * 1, read from the root table.
     # The kernel makes two root-table lookups a pair, for the unit zeta^eps *
-    # rho and its product with Delta's coefficient 1: 200 of the 375
+    # rho and its product with Delta's coefficient 1: 200 of the 355
     # Packing.mul calls.  In the others each coefficient of the factor with
     # fewer terms is looked up once: a root of unity rotates the slots (1,880
     # rotor calls, all from laurent) and a 1 only shifts keys; no such factor
     # has any other coefficient here (norm_form's are roots of unity and 1).
-    # A sum of products folds each output term once, at the end, those that
-    # cancel included: 1,230 folds, 500 of them to zero.  One that went
-    # around them would lower these counts
+    # A sum of products adds each collision in place, with no Packing.add
+    # call (calling it would make 1,895 more here), and folds each output
+    # term once, at the end, those that cancel included: 978 folds, 300 of
+    # them to zero.  The 88 Packing.add calls are the collisions of the two
+    # origin sums (`laurent._add_into`).  One that went around them would
+    # lower these counts
     ring = cyclotomic.packing(5)
     kernels = {"mul": 0, "add": 0, "fold": 0, "rotors": 0}
 
@@ -367,10 +400,10 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
         "laurent.LaurentPoly.mul.calls",
         "laurent.PolyBuilder.add_poly.calls",
     )} == {
-        "laurent.LaurentPoly.mul.calls": 184,
-        "laurent.PolyBuilder.add_poly.calls": 25,
+        "laurent.LaurentPoly.mul.calls": 174,
+        "laurent.PolyBuilder.add_poly.calls": 35,
     }
-    assert kernels == {"mul": 375, "add": 1895, "fold": 1230, "rotors": 1880}
+    assert kernels == {"mul": 355, "add": 88, "fold": 978, "rotors": 1880}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -19,6 +19,7 @@ from oracles import fold, schoolbook
 
 from tatestar.cyclotomic import MAX_COORDINATE, SLOT, CycNumber, packing
 from tatestar.laurent import LaurentPoly
+from tatestar.star_algebra import SymbolicCoefficients
 from tatestar.torsion import TorsionPoint
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -211,3 +212,10 @@ def test_polynomial_sums_of_products_check_the_bound(p):
     # here every term of x + TOP is rotated, and x's two rotations meet unfolded
     with pytest.raises(OverflowError, match=str(MAX_COORDINATE)):
         (x + TOP) * (x * zeta + zeta)
+    # each collision is checked as it is added, as a sum is: in a walk step
+    # TOP + TOP leaves the slot before the third product, -TOP, brings it back
+    one, domain = LaurentPoly.one(p), SymbolicCoefficients(p)
+    sums = [LaurentPoly.constant(p, c) for c in (TOP, TOP, -TOP, *[0] * (p - 3))]
+    with pytest.raises(OverflowError, match=str(MAX_COORDINATE)):
+        domain.transfer(sums, [[one] * p] * p)
+    assert domain.transfer(sums[::-1], [[one] * p] * p) == [LaurentPoly.constant(p, TOP)] * p

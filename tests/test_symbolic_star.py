@@ -16,6 +16,7 @@ import random
 import pytest
 from oracles import reference_star
 
+from tatestar import laurent
 from tatestar.closed_forms import build_delta
 from tatestar.cyclotomic import CycNumber, packing
 from tatestar.laurent import MAX_EXPONENT, LaurentPoly
@@ -60,6 +61,34 @@ def test_the_powers_of_delta_for_the_free_gamma_match_the_reference(p):
         powered = _same_products(powered, delta, rho)
     assert powered == star_pow(delta, p, rho)
     assert powered.support() == [TorsionPoint.zero(p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_product_of_two_indicators_makes_one_sum_of_products(p, monkeypatch):
+    # its one pair of terms lands on S + T; the other p^2 - 1 outputs receive
+    # no pair and are zero without a `_sum_of_products` call, each with a terms
+    # dict of its own, so that no two values of the product share one dict
+    gamma = GammaAssignment.symbolic(p)
+    domain, rho = gamma.domain, coboundary(gamma)
+    S, T = TorsionPoint(p, 1, 2), TorsionPoint(p, 2, 0)
+    f, g = AlgebraElement.delta(domain, S), AlgebraElement.delta(domain, T)
+    calls, kernel = [], laurent._sum_of_products
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(laurent, "_sum_of_products", counted)
+    product = star(f, g, rho)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert product == reference_star(f, g, rho)
+    assert product.support() == [S + T]
+    others = [c for i, c in enumerate(product._values) if i != (S + T).index]
+    assert len(others) == p ** 2 - 1
+    assert all(c == domain.zero() and c._bound == 0 for c in others)
+    dicts = {id(c._terms) for c in product._values} | {id(domain.zero()._terms)}
+    assert len(dicts) == p ** 2 + 1
 
 
 def _random_poly(p, rng, terms, units_only=False):
