@@ -7,12 +7,14 @@ Subcommands:
   hilbert  evaluate the degree-p tame symbol of two elements
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or validation error.
-All output is deterministic for fixed flags.
+All output is deterministic for fixed flags. The parser, and the tame model of each
+(p, q, g) that pair and hilbert use, are built once per process, on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,6 +35,8 @@ _FORMS = {
 }
 
 
+# cached: the cmd_* handlers are bound at the first build, so patching one needs cache_clear()
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tatestar",
@@ -123,7 +127,7 @@ def cmd_verify(args) -> int:
 
 def cmd_symbol(args) -> int:
     """`pair` (qk_split) or `hilbert` of the two elements a and b in the model."""
-    model = TameFieldModel.create(args.p, args.q, args.gen)
+    model = _model(args.p, args.q, args.gen)
     a, b = model.parse(args.a), model.parse(args.b)
     # named here, not stored at import, so a wrapped cli.qk_split or cli.hilbert runs
     value = qk_split(a, b) if args.command == "pair" else hilbert(a, b)
@@ -131,9 +135,15 @@ def cmd_symbol(args) -> int:
     return 0
 
 
+@functools.cache
+def _model(p: int, q: int | None, gen: int | None) -> TameFieldModel:
+    """The frozen model of argparse's ints; a bad q or gen is not cached, so it raises again."""
+    return TameFieldModel.create(p, q, gen)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the parser and each (p, q, g) model are built once per process."""
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,10 +1,17 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tatestar import suites
+import tatestar
+from tatestar import cli, suites
 from tatestar.cli import main
+from tatestar.local_pairing import TameFieldModel
 
 
 def _run(capsys, *argv):
@@ -344,3 +351,97 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of one command in a new interpreter, 80 columns wide."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(tatestar.__file__).resolve().parents[1]))
+    script = "import sys; from tatestar.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _run_exiting(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process command, argparse's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_HELP = [["--help"]] + [[command, "--help"] for command in ("expand", "verify", "pair", "hilbert")]
+_USAGE_ERROR = ["hilbert", "--p", "3"]
+
+
+def test_the_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["hilbert", "--p", "3", "--q", "7", "--a", "1:1", "--b", "0:3"],
+        ["pair", "--p", "3", "--q", "7", "--alpha-p", "0:3", "--alpha-q", "1:1"],
+        _USAGE_ERROR,
+        ["pair", "--p", "3", "--q", "5", "--alpha-p", "0:1", "--alpha-q", "1:1"],
+        *_HELP,
+        ["expand", "--p", "3"],
+        ["verify", "--p", "3", "--suite", "norm"],
+    ]
+    cli.build_parser.cache_clear()
+    first = [_run_exiting(capsys, argv) for argv in sequence]
+    assert first == [_run_exiting(capsys, argv) for argv in sequence]
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0]
+    usage = first[2]
+    assert usage[1] == "" and usage[2].startswith("usage: tatestar hilbert")
+    for argv, outcome in zip(sequence, first):
+        if argv in _HELP or argv == _USAGE_ERROR:
+            assert outcome == _fresh_process(argv), argv
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argv = ["hilbert", "--p", "3", "--q", "7", "--a", "1:1", "--b", "0:3"]
+    assert main(argv) == 0
+    # the top level and its four subcommands
+    assert len(built) == 5
+    for _ in range(20):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 5
+
+
+def test_each_model_is_built_once_and_equals_a_new_one(capsys, monkeypatch):
+    seen, payload = [], cli.symbol_payload
+
+    def recording(command, model, value):
+        seen.append(model)
+        return payload(command, model, value)
+
+    monkeypatch.setattr(cli, "symbol_payload", recording)
+    flags = ["--p", "3", "--q", "7"]
+    assert main(["hilbert", *flags, "--a", "1:1", "--b", "0:3"]) == 0
+    assert main(["pair", *flags, "--alpha-p", "0:3", "--alpha-q", "1:1"]) == 0
+    assert main(["hilbert", *flags, "--gen", "5", "--a", "1:1", "--b", "0:3"]) == 0
+    capsys.readouterr()
+    assert seen[0] is seen[1] and seen[2] is not seen[0]
+    assert seen[0] == TameFieldModel.create(3, 7, None)
+    assert seen[2] == TameFieldModel.create(3, 7, 5)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "8"], "error: q must be prime, got 8\n"),
+    (["--q", "7", "--gen", "2"], "error: g=2 is not a primitive root mod 7\n"),
+], ids=["q", "gen"])
+def test_a_rejected_model_is_rejected_on_every_call(capsys, flags, message):
+    argv = ["hilbert", "--p", "3", *flags, "--a", "1:1", "--b", "0:3"]
+    assert [_run(capsys, *argv) for _ in range(3)] == [(2, "", message)] * 3
