@@ -98,7 +98,7 @@ def _convolution_walk(domain: Domain, factor, last: int | None = None) -> list[E
 
 def _origin(domain: Domain, sums: list[Element], entries: list[Element]) -> Element:
     """Output 0 of a walk step, sum_s sums[s] entries[s] for entries[s] = rows[s][-s mod p]."""
-    return domain.sum(domain.mul_each(sums, entries))
+    return domain.dot(sums, entries)
 
 
 def gamma_form(P: TorsionPoint, Q: TorsionPoint, gamma: GammaAssignment) -> ClosedFormResult:

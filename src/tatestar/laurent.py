@@ -27,8 +27,9 @@ others multiply.  Each output term sums unfolded in a one-item list, so a
 term product hashes its key once and adds in place under `Packing.add`'s guard
 test, and folds once, at the end.  Two single terms take one `mul`.  A sum may
 weight each product by a single term (a symbolic star's zeta^eps rho,
-`_twisted_convolution`), whose key shifts the keys and whose coefficient
-scales each looked-up one.
+`_twisted_convolution`, read from the twist table `_UnitTwists`, which builds
+an entry by key arithmetic when it is read), whose key shifts the keys and
+whose coefficient scales each looked-up one.
 """
 
 from __future__ import annotations
@@ -139,46 +140,60 @@ def _sum_of_products(p: int, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]],
                                  bound)
 
 
-def _twisted_convolution(p: int, left: list, right: list, twists: list, sums: tuple,
+def _twisted_convolution(p: int, left: list, right: list, twists: _UnitTwists, sums: tuple,
                          eps: tuple) -> list[LaurentPoly]:
     """out[s] = sum c1 * c2 * zeta^eps[k] * twists[k] over the terms (i, c1) of left and
     (j, c2) of right with k = i*n + j and sums[k] = s, each out[s] one `_sum_of_products`
-    or, if no pair lands on s, zero: a twist is a single term, so its unit zeta^eps[k] *
-    twists[k] is one key, one coefficient (a root-table lookup for roots) and one bound."""
-    ring, n = packing(p), p * p
+    or, if no pair lands on s, zero: a twist is a single term, read as its unit, so
+    zeta^eps[k] * twists[k] is one key, one coefficient (a root lookup for roots), one bound."""
+    ring, n, unit = packing(p), p * p, twists.unit
     zeta = [ring.roots[k * (p + 1) % (2 * p)] for k in range(p)]  # zeta^k = (-zeta)^(k(p+1))
     pairs, units = [[] for _ in range(n)], [[] for _ in range(n)]
     for i, c1 in left:
         for j, c2 in right:
             k = i * n + j
-            twist, s = twists[k], sums[k]
-            (m, c), = twist._terms.items()
-            pairs[s].append((c1, c2))
-            units[s].append((m, ring.mul(zeta[eps[k]], c), twist._bound))
+            m, c, bound = unit(k)
+            pairs[sums[k]].append((c1, c2))
+            units[sums[k]].append((m, ring.mul(zeta[eps[k]], c), bound))
     return [_sum_of_products(p, *out) if out[0] else LaurentPoly._from_raw(p, {}, 0)
             for out in zip(pairs, units)]
 
 
-def _unit_twists(p: int, values: list, inverses: list, sums: tuple) -> list[LaurentPoly]:
-    """values[i] * values[j] * inverses[sums[i*n + j]] at i*n + j, for single terms: each
-    entry is the term of key m_i + m_j + m'_k, coefficient c_i c_j c'_k (one root-table
-    lookup when all three are roots of unity) and bound b_i + b_j + b'_k."""
-    ring = packing(p)
+class _UnitTwists:
+    """The read-only table values[i] * values[j] * inverses[k] at i*n + j, k = sums[i*n + j],
+    for single terms, each entry built when read: key m_i + m_j + m'_k, coefficient c_i c_j c'_k
+    (one root-table lookup if all three are roots of unity), bound b_i + b_j + b'_k.  Each bound
+    is checked up front, scanning the p^4 bound sums only if 2 max(b) + max(b') > MAX_EXPONENT."""
 
-    def unit(poly: LaurentPoly) -> tuple:
-        (m, c), = poly._terms.items()
-        return m, c, ring.index.get(c), poly._bound
-    left, right, table, n = [*map(unit, values)], [*map(unit, inverses)], [], len(values)
-    for i, (m1, c1, j1, b1) in enumerate(left):
-        for (m2, c2, j2, b2), k in zip(left, sums[i * n:(i + 1) * n]):
-            m3, c3, j3, b3 = right[k]
-            if j1 is None or j2 is None or j3 is None:
-                c = ring.mul(ring.mul(c1, c2), c3)
-            else:
-                c = ring.roots[(j1 + j2 + j3) % (2 * p)]
-            table.append(entry := object.__new__(LaurentPoly))  # LaurentPoly._from_raw, inline
-            entry.p, entry._terms, entry._bound = p, {m1 + m2 + m3: c}, _bounded(b1 + b2 + b3)
-    return table
+    __slots__ = ("p", "_ring", "_left", "_right", "_sums")
+
+    def __init__(self, p: int, values: list, inverses: list, sums: tuple):
+        ring = self._ring = packing(p)
+
+        def unit(poly: LaurentPoly) -> tuple:
+            (m, c), = poly._terms.items()
+            return m, c, ring.index.get(c), poly._bound
+        self.p, self._sums, n = p, sums, len(values)
+        self._left, self._right = left, right = [*map(unit, values)], [*map(unit, inverses)]
+        if 2 * max(u[3] for u in left) + max(u[3] for u in right) > MAX_EXPONENT:
+            _bounded(max(left[k // n][3] + left[k % n][3] + right[s][3] for k, s in enumerate(sums)))
+
+    def __len__(self) -> int:
+        return len(self._sums)
+
+    def unit(self, k: int) -> tuple[int, int, int]:
+        """Entry k as its single term's (key, coefficient, bound)."""
+        i, j = divmod(k, len(self._left))
+        (m1, c1, j1, b1), (m2, c2, j2, b2) = self._left[i], self._left[j]
+        m3, c3, j3, b3 = self._right[self._sums[k]]
+        ring = self._ring
+        c = (ring.mul(ring.mul(c1, c2), c3) if j1 is None or j2 is None or j3 is None
+             else ring.roots[(j1 + j2 + j3) % (2 * self.p)])
+        return m1 + m2 + m3, c, b1 + b2 + b3
+
+    def __getitem__(self, k: int) -> LaurentPoly:
+        m, c, bound = self.unit(k)
+        return LaurentPoly._from_raw(self.p, {m: c}, bound)
 
 
 class LaurentPoly:

@@ -12,7 +12,7 @@ of polynomials and many times numerically as a fast randomized check.
 
 Inside, a point is its index i = a*p + b (see torsion.point_tables): gamma
 and an AlgebraElement are lists of their n = p^2 values by i, zeros included,
-rho a flat list by i*n + j, and `coboundary` and `star` read the tables of
+rho a flat table by i*n + j, and `coboundary` and `star` read the tables of
 index sums and eps exponents instead of adding and hashing points.
 TorsionPoint appears only at the interface: in the terms an element is built
 from and the points its `support` and `items` return, and as the arguments
@@ -44,12 +44,13 @@ or CycNumber as the constant; anything else raises TypeError.  AlgebraElement
 elements compare and hash equal; a product is already made of domain values
 and is not taken through it again.  A domain value is zero
 exactly when it is falsy, as for ints, so the support is read by truth value.
-Both domains multiply lists entrywise (`mul_each`), convolve length-p lists
-and take a walk's transfer step, symbolically in one dict per output of its p
-products and over F_q as packed kernels; F_q adds `pack` and `combine`, and a
-slot of (p*(q-1)^2).bit_length() bits holds any sum of p products of residues.
-Both build a gamma's twist table (`twists`), the symbolic one by key arithmetic,
-and both take star's sparse products (`twisted_convolution`).
+Both domains multiply lists entrywise (`mul_each`) and sum such products
+(`dot`), convolve length-p lists and take a walk's transfer step, symbolically
+in one dict per output of its p products and over F_q as packed kernels; F_q
+adds `pack` and `combine`, and a slot of (p*(q-1)^2).bit_length() bits holds
+any sum of p products of residues.  Both build a gamma's twist table (`twists`),
+over F_q as a list and symbolically as a view that builds an entry, by key
+arithmetic, when it is read; both take star's sparse products (`twisted_convolution`).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .cyclotomic import packing
 from .errors import integer, mismatch
 from .laurent import (LaurentPoly, PolyBuilder, _sum_of_products, _twisted_convolution,
-                      _unit_twists)
+                      _UnitTwists)
 from .modular import is_prime  # noqa: F401  (perfbench/tracing.py patches this name here)
 from .modular import split_field
 from .torsion import (
@@ -79,9 +80,9 @@ class _Domain:
     """What both domains share.  A domain sets p, _zero, _one, _roots (zeta^k
     for k < p) and _key, which it compares and hashes by: (p,) or (p, q), and
     defines add, mul, inv and sum, the total of an iterable of values (zero
-    when it is empty), and its own `transfer` and `convolve`.  `mul_each`, `twists`
-    and `twisted_convolution` are ring products here, the reference the domains'
-    kernels match; F_q inherits the last two."""
+    when it is empty), and its own `transfer` and `convolve`.  `mul_each`, `dot`,
+    `twists` and `twisted_convolution` are ring products here, the reference the
+    domains' kernels match; F_q inherits the last three."""
 
     def zero(self) -> Element:
         return self._zero
@@ -96,6 +97,10 @@ class _Domain:
     def mul_each(self, a: Iterable[Element], b: Iterable[Element]) -> list[Element]:
         """The products a[k] * b[k]."""
         return [self.mul(x, y) for x, y in zip(a, b)]
+
+    def dot(self, a: Sequence[Element], b: Sequence[Element]) -> Element:
+        """The sum of the products a[k] * b[k]."""
+        return self.sum(self.mul_each(a, b))
 
     def twists(self, values: Sequence[Element], inverses: Sequence[Element]) -> list[Element]:
         """The flat table of values[i] * values[j] * inverses[i + j] at i*n + j, for a
@@ -175,9 +180,13 @@ class SymbolicCoefficients(_Domain):
         """The cyclic convolution c_t = sum_s a_s b_(t - s mod p) of two length-p lists."""
         return self.transfer(a, [b] * self.p)
 
-    def twists(self, values: Sequence[LaurentPoly], inverses) -> list[LaurentPoly]:
-        """`_Domain.twists` by key arithmetic, with no polynomial product (`_unit_twists`)."""
-        return _unit_twists(self.p, values, inverses, point_tables(self.p).sums)
+    def dot(self, a: Sequence[LaurentPoly], b: Sequence[LaurentPoly]) -> LaurentPoly:
+        """`_Domain.dot` in one dict, with no polynomial per product."""
+        return _sum_of_products(self.p, zip(a, b))
+
+    def twists(self, values: Sequence[LaurentPoly], inverses) -> _UnitTwists:
+        """`_Domain.twists` as a view that builds an entry, with no product, when read."""
+        return _UnitTwists(self.p, values, inverses, point_tables(self.p).sums)
 
     def twisted_convolution(self, left: list, right: list, twists) -> list[LaurentPoly]:
         """`_Domain.twisted_convolution`, each output one dict (`_twisted_convolution`)."""
@@ -335,8 +344,9 @@ class RhoAssignment:
     """The twist rho(T1, T2) = gamma(T1) * gamma(T2) / gamma(T1 + T2) of a gamma.
 
     It is normalized, rho(O, T) = rho(T, O) = 1, since gamma(O) = 1, and
-    symmetric.  `_values` is its flat table, entry i*n + j at (point i, point
-    j), built by the domain's `twists`, and `_gamma` the gamma it was made from.
+    symmetric.  `_values` reads as its flat table, entry i*n + j at (point i, point
+    j), from the domain's `twists` (symbolically a view that builds an entry when
+    read), and `_gamma` is the gamma it was made from.
     """
 
     __slots__ = ("domain", "_values", "_gamma")

@@ -105,11 +105,12 @@ def test_a_domain_is_its_ring_operations():
     # the operations counting_domain wraps or reads, the n-ary `sum` (which it
     # does not wrap) and the entry rule `coerce`: a domain writes no output and
     # holds no other helper, inherited or its own; both multiply entrywise,
+    # sum entrywise products (`dot`, a walk's origin-only last step),
     # convolve, take transfer steps for the walks, build a gamma's twist
     # table and take star's sparse products (`twisted_convolution`), and F_q
     # adds the packed kernels of the clock-and-shift star
-    ring = {"zero", "one", "root", "add", "mul", "inv", "sum", "coerce",
-            "mul_each", "convolve", "transfer", "twists", "twisted_convolution"}
+    ring = {"zero", "one", "root", "add", "mul", "inv", "sum", "coerce", "mul_each", "dot",
+            "convolve", "transfer", "twists", "twisted_convolution"}
     packed = {"pack", "combine"}
 
     def public(cls):
@@ -278,8 +279,8 @@ def test_star_suite_ring_operation_counts_are_pinned(p, monkeypatch):
 
 def test_numeric_rho_form_takes_one_packed_transfer_per_index():
     # rho_form reads rho by flat index and each index 1 < l < p is one
-    # transfer step; the last index reads only the origin, one `sum` of p
-    # products (`_origin`).  So over F_q no product is a counted ring
+    # transfer step; the last index reads only the origin, one `dot` of p
+    # products (`_origin`), whose F_q reference is one `sum` of `mul_each`.  So over F_q no product is a counted ring
     # operation; the roots are the p^2 weights zeta^(d*l*i)
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
@@ -287,10 +288,10 @@ def test_numeric_rho_form_takes_one_packed_transfer_per_index():
     domain = tracing.counting_domain(PrimeFieldCoefficients, tracer)(p)
     rho = coboundary(GammaAssignment.random(domain, random.Random(11)))
     P, Q = TorsionPoint(p, 2, 3), TorsionPoint(p, 1, 4)
-    kernels = _count_kernels(domain, ("transfer", "convolve", "sum"))
+    kernels = _count_kernels(domain, ("transfer", "convolve", "dot", "sum"))
     counts = _ring_counts(tracer, lambda: rho_form(P, Q, rho))
     assert counts == {"mul": 0, "add": 0, "root": p ** 2}
-    assert kernels == {"transfer": p - 2, "convolve": 0, "sum": 1}
+    assert kernels == {"transfer": p - 2, "convolve": 0, "dot": 1, "sum": 1}
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -298,8 +299,9 @@ def test_numeric_rho_form_takes_one_packed_transfer_per_index():
 def test_the_last_step_of_gamma_and_rho_form_reads_p_row_entries(kind, p):
     # a full step of rho_form builds p rows of p entries, one mul_each a row;
     # its last step builds one mul_each of the p entries that reach the
-    # origin, rows[s][-s mod p], and one more multiplies them into the p
-    # sums before one `sum`.  gamma_form makes its p^2 factors by `mul` and
+    # origin, rows[s][-s mod p], and one `dot` sums their products with the
+    # p sums: over F_q one more mul_each and one `sum`, symbolically one
+    # dict with neither.  gamma_form makes its p^2 factors by `mul` and
     # convolves p - 2 times, then takes the same last step.  The symbolic
     # domain's mul_each and convolve take its own `mul` and `transfer`
     if kind == "numeric":
@@ -308,15 +310,16 @@ def test_the_last_step_of_gamma_and_rho_form_reads_p_row_entries(kind, p):
         gamma = GammaAssignment.symbolic(p)
     domain, rho = gamma.domain, coboundary(gamma)
     P, Q = basis(p)
-    kernels = _count_kernels(domain, ("mul", "mul_each", "transfer", "convolve", "sum"))
+    kernels = _count_kernels(domain, ("mul", "mul_each", "transfer", "convolve", "dot", "sum"))
     rho_form(P, Q, rho)
-    symbolic = kind == "symbolic"
-    assert kernels == {"mul": symbolic * (p * p * (p - 2) + 2 * p), "mul_each": p * (p - 2) + 2,
-                       "transfer": p - 2, "convolve": 0, "sum": 1}
+    numeric = kind == "numeric"
+    assert kernels == {"mul": (not numeric) * (p * p * (p - 2) + p),
+                       "mul_each": p * (p - 2) + 1 + numeric, "transfer": p - 2, "convolve": 0,
+                       "dot": 1, "sum": numeric}
     kernels.update(dict.fromkeys(kernels, 0))
     gamma_form(P, Q, gamma)
-    assert kernels == {"mul": p * p + symbolic * p, "mul_each": 1,
-                       "transfer": symbolic * (p - 2), "convolve": p - 2, "sum": 1}
+    assert kernels == {"mul": p * p, "mul_each": numeric, "transfer": (not numeric) * (p - 2),
+                       "convolve": p - 2, "dot": 1, "sum": numeric}
 
 
 def test_four_way_inverts_each_gamma_value_once():
@@ -360,10 +363,10 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
     # one dict per output (the generic loop would make 300: 3 for each of
     # star_pow's 100 pairs of terms); every polynomial sum of a domain's `sum`
     # goes through add_poly.  The last walk step of gamma_form and of rho_form
-    # reads the origin only (`closed_forms._origin`): p products of a partial
-    # sum by a single term and one `sum` of the p products, and rho_form
-    # builds the p entries of its last row that step reads, not p^2.
-    # 155 of the 174 products are of two single terms, one Packing.mul call
+    # reads the origin only (`closed_forms._origin`): one `dot`, which adds
+    # the p products of a partial sum by a single term into one dict, and
+    # rho_form builds the p entries of its last row that step reads, not p^2.
+    # 155 of the 164 products are of two single terms, one Packing.mul call
     # each: here 1 * 1, 1 * zeta^k or zeta^k * 1, read from the root table.
     # The kernel makes two root-table lookups a pair, for the unit zeta^eps *
     # rho and its product with Delta's coefficient 1: 200 of the 355
@@ -372,11 +375,11 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
     # rotor calls, all from laurent) and a 1 only shifts keys; no such factor
     # has any other coefficient here (norm_form's are roots of unity and 1).
     # A sum of products adds each collision in place, with no Packing.add
-    # call (calling it would make 1,895 more here), and folds each output
-    # term once, at the end, those that cancel included: 978 folds, 300 of
-    # them to zero.  The 88 Packing.add calls are the collisions of the two
-    # origin sums (`laurent._add_into`).  One that went around them would
-    # lower these counts
+    # call, and folds each output term once, at the end, those that cancel
+    # included: 1,030 folds, 300 of them to zero.  No Packing.add is left:
+    # the two origin sums, which made 88 through `laurent._add_into`, are
+    # sums of products now.  One that went around them would lower these
+    # counts
     ring = cyclotomic.packing(5)
     kernels = {"mul": 0, "add": 0, "fold": 0, "rotors": 0}
 
@@ -400,10 +403,10 @@ def test_symbolic_four_way_ring_operation_counts_are_pinned(monkeypatch):
         "laurent.LaurentPoly.mul.calls",
         "laurent.PolyBuilder.add_poly.calls",
     )} == {
-        "laurent.LaurentPoly.mul.calls": 174,
-        "laurent.PolyBuilder.add_poly.calls": 35,
+        "laurent.LaurentPoly.mul.calls": 164,
+        "laurent.PolyBuilder.add_poly.calls": 25,
     }
-    assert kernels == {"mul": 355, "add": 88, "fold": 978, "rotors": 1880}
+    assert kernels == {"mul": 355, "add": 0, "fold": 1030, "rotors": 1880}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -450,7 +453,7 @@ def test_the_free_symbolic_twist_table_makes_no_product(p, monkeypatch):
         assert (tracer.counts()["laurent.LaurentPoly.mul.calls"], calls[0]) == (0, 0)
         reference = _Domain.twists(gamma.domain, gamma._values, gamma._inverses)
         assert tracer.counts()["laurent.LaurentPoly.mul.calls"] == calls[0] == 2 * p ** 4
-    assert rho._values == reference
+    assert list(rho._values) == reference
 
 
 @pytest.mark.parametrize("p, q, basis_of", [

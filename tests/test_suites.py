@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tatestar import closed_forms, star_algebra, suites
+from tatestar import closed_forms, laurent, star_algebra, suites
 from tatestar.cli import main
 from tatestar.closed_forms import ClosedFormResult
 from tatestar.local_pairing import hilbert, iota
@@ -347,6 +347,16 @@ def _unramified_scaling_as_d_times_hilbert(a, b, d):
     return d * hilbert(a, b)
 
 
+def _unit_reading_the_next_inverse(self, k):
+    """A symbolic twist entry built with gamma's inverse at (sums[k] + 1) mod n, where
+    rho(S, T) reads it at S + T: the coefficient by `Packing.mul`, the bound unchecked."""
+    n = len(self._left)
+    i, j = divmod(k, n)
+    (m1, c1, _, b1), (m2, c2, _, b2) = self._left[i], self._left[j]
+    m3, c3, _, b3 = self._right[(self._sums[k] + 1) % n]
+    return m1 + m2 + m3, self._ring.mul(self._ring.mul(c1, c2), c3), b1 + b2 + b3
+
+
 def _patch(owner, name, fault):
     """The plant that replaces owner.name by fault."""
     return lambda monkeypatch: monkeypatch.setattr(owner, name, fault)
@@ -378,6 +388,10 @@ _FAULTS = [
     pytest.param(
         _plant_norm_fault, (3, 5, 7, 11, 13), "norm", "norm-product-identity",
         id="norm-form-without-k0",
+    ),
+    pytest.param(
+        _patch(laurent._UnitTwists, "unit", _unit_reading_the_next_inverse), (3, 5), "closed",
+        "closed-forms-symbolic", id="symbolic-twist-reading-the-next-inverse",
     ),
     pytest.param(
         _patch(star_algebra, "clock_shift_phases", _phases_h_plus_one), (5, 7, 11, 13), "star",

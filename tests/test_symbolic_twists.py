@@ -1,22 +1,34 @@
 """The symbolic twist table against the reference made of ring products.
 
-SymbolicCoefficients.twists builds rho(S, T) = gamma(S) gamma(T) / gamma(S + T)
-without a polynomial product: each gamma value and inverse is a single term,
-so an entry's key, coefficient and exponent bound are read off the three
-terms.  These tests compare it, entry by entry, with `_Domain.twists`, two
-`mul` calls an entry: on the free gamma, on gammas whose coefficients are
-+-zeta^j or units that are no root of unity and whose exponents are negative,
-and at the exponent bound, which both must check alike.
+SymbolicCoefficients.twists returns a read-only view of rho(S, T) = gamma(S)
+gamma(T) / gamma(S + T) that builds an entry, with no polynomial product, when
+it is read: each gamma value and inverse is a single term, so an entry's key,
+coefficient and exponent bound are read off the three terms.  These tests
+compare it, entry by entry, with `_Domain.twists`, two `mul` calls an entry:
+on the free gamma, on gammas whose coefficients are +-zeta^j or units that are
+no root of unity and whose exponents are negative, and at the exponent bound,
+which both must check alike and which the view checks for every entry before
+any is read.  Last, they count the entries a computation builds: none in
+`coboundary`, and in a four-way check only those star_pow and rho_form read.
 """
 
 import random
 
 import pytest
 
+from tatestar import laurent
+from tatestar.closed_forms import build_delta, rho_form
 from tatestar.cyclotomic import CycNumber, packing
 from tatestar.laurent import MAX_EXPONENT, LaurentPoly
-from tatestar.star_algebra import GammaAssignment, SymbolicCoefficients, _Domain
-from tatestar.torsion import TorsionPoint, all_points, point_tables
+from tatestar.star_algebra import (
+    GammaAssignment,
+    SymbolicCoefficients,
+    _Domain,
+    coboundary,
+    star_pow,
+)
+from tatestar.suites import _four_way
+from tatestar.torsion import TorsionPoint, all_points, basis, point_tables
 
 
 def _same_tables(gamma):
@@ -108,3 +120,74 @@ def test_twists_past_the_exponent_bound_raise_as_the_reference_does(p):
         _Domain.twists(domain, values, inverses)
     with pytest.raises(OverflowError, match=str(MAX_EXPONENT)):
         domain.twists(values, inverses)
+
+
+def _count_builds(monkeypatch):
+    """Count the entries the symbolic twist views build, each read of one entry a build."""
+    built, unit = [0], laurent._UnitTwists.unit
+
+    def counted(self, k):
+        built[0] += 1
+        return unit(self, k)
+
+    monkeypatch.setattr(laurent._UnitTwists, "unit", counted)
+    return built
+
+
+def _one_large_exponent(p, exp):
+    """The free gamma but for g_A^exp at A = (1, 1): the only entry holding A twice is
+    (A, A, 2A), of bound 2 exp + 1, and the coarse bound 3 exp takes the largest
+    value and inverse bound three times."""
+    A = TorsionPoint(p, 1, 1)
+    return _gamma(p, lambda T: LaurentPoly.variable(p, T, exp if T == A else 1))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_table_past_the_coarse_bound_builds_when_no_entry_is(p, monkeypatch):
+    exp = MAX_EXPONENT // 2  # 2 exp + 1 = MAX_EXPONENT, while 3 exp is past it
+    gamma = _one_large_exponent(p, exp)
+    assert 3 * exp > MAX_EXPONENT
+    built = _count_builds(monkeypatch)
+    coboundary(gamma)
+    assert built[0] == 0  # the exact scan reads bounds only
+    table = _same_tables(gamma)
+    assert max(entry._bound for entry in table) == MAX_EXPONENT
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_one_entry_past_the_bound_raises_in_coboundary_before_any_read(p, monkeypatch):
+    gamma = _one_large_exponent(p, MAX_EXPONENT // 2 + 1)
+    built = _count_builds(monkeypatch)
+    with pytest.raises(OverflowError, match=str(MAX_EXPONENT)):
+        coboundary(gamma)
+    assert built[0] == 0
+    with pytest.raises(OverflowError, match=str(MAX_EXPONENT)):
+        _Domain.twists(gamma.domain, gamma._values, gamma._inverses)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_coboundary_of_the_free_gamma_builds_no_entry(p, monkeypatch):
+    gamma = GammaAssignment.symbolic(p)
+    built = _count_builds(monkeypatch)
+    rho = coboundary(gamma)
+    assert built[0] == 0
+    assert len(rho._values) == p ** 4
+
+
+def test_a_symbolic_four_way_builds_only_the_entries_it_reads(monkeypatch):
+    # star_pow's four products each read Delta's 5 x 5 pairs of terms; rho_form
+    # reads p rows of p entries at each of its p - 2 full steps and p entries
+    # at its last: 100 + 75 + 5 of the 625 entries.  An eager table builds
+    # all 625 in coboundary
+    p = 5
+    gamma, P, Q = GammaAssignment.symbolic(p), *basis(p)
+    built = _count_builds(monkeypatch)
+    rho = coboundary(gamma)
+    star_pow(build_delta(gamma.domain, P, Q), p, rho)
+    assert built[0] == 100
+    rho_form(P, Q, rho)
+    assert built[0] == 100 + 75 + 5
+    built[0] = 0
+    ok, why = _four_way(gamma, P, Q)
+    assert ok, why
+    assert built[0] == 180
